@@ -8,9 +8,10 @@ The exact leakage uses the carry decomposition of the per-layer real sums:
 coordinate-wise, the observation is (up to relabeling) the integer sum of
 the two senders' codebook indices, and the joint with the hashed secret is
 an integer counting problem.  Counts are evaluated with a character sum
-over the hash (a Walsh transform), which keeps desk-scale sweeps exact and
-fast.  Noise at the eavesdropper only processes that observation further,
-so the reported figure upper-bounds what the physical channel reveals.
+over the hash (a Walsh transform, in `latsec.counting`), which keeps
+desk-scale sweeps exact and fast.  Noise at the eavesdropper only
+processes that observation further, so the reported figure upper-bounds
+what the physical channel reveals.
 """
 from __future__ import annotations
 
@@ -22,6 +23,8 @@ from typing import Sequence
 import numpy as np
 
 from ._rng import gaussian, substream
+from .counting import Coordinate, window_indicator, xlog2x_counts
+from .entropy import xlog2x_sum
 from .errors import ConfigError, DomainError, ResourceCapError
 from .hashing import (BitLabeling, EncoderKit, FiniteFieldMatrix, build_encoder,
                       bits_to_int, decode_secret, encode_secret, full_rank_check,
@@ -163,7 +166,7 @@ class LayeredCodebook:
         return np.stack([g.ravel() for g in grids], axis=-1)
 
 
-def _zero_dithers(codebook: LayeredCodebook) -> tuple:
+def zero_dithers(codebook: LayeredCodebook) -> tuple:
     return tuple(np.zeros(layer.dim) for layer in codebook.layers)
 
 
@@ -181,7 +184,7 @@ def _split_layers(codebook: LayeredCodebook, point: np.ndarray) -> list[np.ndarr
     return [point[i * n:(i + 1) * n] for i in range(codebook.n_layers)]
 
 
-def _mod_signal(codebook: LayeredCodebook, point: np.ndarray, dithers) -> tuple[np.ndarray, np.ndarray]:
+def mod_signal(codebook: LayeredCodebook, point: np.ndarray, dithers) -> tuple[np.ndarray, np.ndarray]:
     """Per-layer dithered reductions and their superposition over the block."""
     per_layer = []
     for layer, u, d in zip(codebook.layers, _split_layers(codebook, point), dithers):
@@ -250,8 +253,8 @@ class SecrecySystem:
 
 def build_system(codebook: LayeredCodebook, kit: EncoderKit | None,
                  dithers1=None, dithers2=None) -> SecrecySystem:
-    d1 = _zero_dithers(codebook) if dithers1 is None else tuple(dithers1)
-    d2 = _zero_dithers(codebook) if dithers2 is None else tuple(dithers2)
+    d1 = zero_dithers(codebook) if dithers1 is None else tuple(dithers1)
+    d2 = zero_dithers(codebook) if dithers2 is None else tuple(dithers2)
     return SecrecySystem(codebook, kit, codebook.labeling(), d1, d2)
 
 
@@ -316,8 +319,8 @@ def transmit(cfg: ChannelConfig, system: SecrecySystem, w_bits, seed: int) -> Tr
     t1 = encode_secret(system.kit, w, s_prime, system.labeling)
     t2 = system.jammer_points()[int(jam_rng.integers(0, system.codebook.size))].copy()
 
-    x1_layers, x1 = _mod_signal(system.codebook, t1, system.dithers1)
-    x2_layers, x2 = _mod_signal(system.codebook, t2, system.dithers2)
+    x1_layers, x1 = mod_signal(system.codebook, t1, system.dithers1)
+    x2_layers, x2 = mod_signal(system.codebook, t2, system.dithers2)
 
     n = system.codebook.block_dim
     y1 = x1 + coeff.gain_x2_at_d1 * x2 + gaussian(noise_rng, n, coeff.noise_std_d1)
@@ -346,9 +349,9 @@ class MLDecoder:
         if k * jam.shape[0] > cap:
             raise ResourceCapError(
                 f"{k}x{jam.shape[0]} hypothesis pairs exceed cap {cap}")
-        self._x1 = np.stack([_mod_signal(system.codebook, p, system.dithers1)[1]
+        self._x1 = np.stack([mod_signal(system.codebook, p, system.dithers1)[1]
                              for p in labeling.points])
-        self._x2 = np.stack([_mod_signal(system.codebook, p, system.dithers2)[1]
+        self._x2 = np.stack([mod_signal(system.codebook, p, system.dithers2)[1]
                              for p in jam])
         self._gain2 = coeff.gain_x2_at_d1
         self._pair_sig = None
@@ -406,13 +409,6 @@ def run_message_round(cfg: ChannelConfig, system: SecrecySystem, w_bits, seed: i
 # Exact leakage.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Coord:
-    m: int
-    bits: int
-    shift1: int
-
-
 def _cyclic_shift(values: np.ndarray, d: float, c: float) -> int:
     """Rank permutation induced by dithering: index i lands at (i+k) mod m."""
     mod_vals = _reduce_values(values + d, c)
@@ -425,39 +421,15 @@ def _cyclic_shift(values: np.ndarray, d: float, c: float) -> int:
     return k
 
 
-def _coord_specs(codebook: LayeredCodebook, dithers1) -> list[_Coord]:
+def coordinate_specs(codebook: LayeredCodebook, dithers1) -> list[Coordinate]:
+    """Each label coordinate's nesting and the cyclic shift the sender's dither induces."""
     out = []
     for layer, d in zip(codebook.layers, dithers1):
         vals = layer.coordinate_values()
-        m = layer.nesting
-        bits = m.bit_length() - 1 if (m & (m - 1)) == 0 else 0
         for j in range(layer.dim):
-            out.append(_Coord(m, bits, _cyclic_shift(vals, float(d[j]), layer.coarse_scale)))
+            out.append(Coordinate(layer.nesting,
+                                  _cyclic_shift(vals, float(d[j]), layer.coarse_scale)))
     return out
-
-
-def _window_indicator(coord: _Coord, sign: str) -> np.ndarray:
-    """F[sigma, i] = 1 when sender index i is consistent with observed sum sigma."""
-    m = coord.m
-    f = np.zeros((2 * m - 1, m), dtype=np.int64)
-    for i in range(m):
-        j1 = (i + coord.shift1) % m
-        for sig in range(2 * m - 1):
-            offset = sig - j1 if sign == "+" else j1 - (sig - (m - 1))
-            if 0 <= offset <= m - 1:
-                f[sig, i] = 1
-    return f
-
-
-def _char_table(coord: _Coord, sign: str) -> np.ndarray:
-    """G[mu, sigma] = sum_i (-1)^(mu.i) F[sigma, i] for every mask mu."""
-    m = coord.m
-    f = _window_indicator(coord, sign)
-    signs = np.empty((m, m), dtype=np.int64)
-    for mu in range(m):
-        for i in range(m):
-            signs[mu, i] = -1 if bin(mu & i).count("1") % 2 else 1
-    return signs @ f.T  # (m masks, 2m-1 sums)
 
 
 def _hash_matrix(hash_or_kit) -> FiniteFieldMatrix:
@@ -465,30 +437,6 @@ def _hash_matrix(hash_or_kit) -> FiniteFieldMatrix:
     if g.q != 2:
         raise DomainError("leakage analysis works over GF(2) hashes")
     return g
-
-
-def _xlog2x_sum(a: np.ndarray) -> float:
-    out = np.zeros_like(a, dtype=float)
-    np.log2(a, out=out, where=a > 0)
-    out *= a
-    return float(out.sum())
-
-
-def _int_xlog2x_sum(a: np.ndarray) -> float:
-    """sum x log2 x over an array of exact nonnegative integers (stored as floats).
-
-    Histogramming first makes the log cost proportional to the value range
-    instead of the array size.  Entries must be exactly integral (all the
-    counting arithmetic here is exact in float64), so truncation is safe;
-    bincount rejects negatives, which would indicate an internal bug.
-    """
-    vals = np.asarray(a, dtype=np.int64).ravel()
-    if vals.size == 0:
-        return 0.0
-    hist = np.bincount(vals)
-    v = np.arange(hist.size, dtype=float)
-    nz = v >= 2  # 0 log 0 := 0 and 1 log 1 = 0
-    return float((hist[nz] * v[nz] * np.log2(v[nz])).sum())
 
 
 def exact_leakage(codebook: LayeredCodebook, hash_or_kit, dithers1=None,
@@ -504,7 +452,7 @@ def exact_leakage(codebook: LayeredCodebook, hash_or_kit, dithers1=None,
     if sign not in ("+", "-"):
         raise DomainError("sign must be '+' or '-'")
     if dithers1 is None:
-        dithers1 = _zero_dithers(codebook)
+        dithers1 = zero_dithers(codebook)
     if hash_or_kit is None:
         return 0.0
     g = _hash_matrix(hash_or_kit)
@@ -521,10 +469,8 @@ def exact_leakage(codebook: LayeredCodebook, hash_or_kit, dithers1=None,
     if method == "fast" and not fast_ok:
         raise DomainError("fast leakage needs power-of-two layers labeling the whole codebook")
 
-    coords = _coord_specs(codebook, dithers1)
-    sigma_space = 1
-    for c in coords:
-        sigma_space *= 2 * c.m - 1
+    coords = coordinate_specs(codebook, dithers1)
+    sigma_space = math.prod(2 * c.m - 1 for c in coords)
     if sigma_space > cap:
         raise ResourceCapError(f"sum alphabet {sigma_space} exceeds cap {cap}")
 
@@ -535,99 +481,16 @@ def exact_leakage(codebook: LayeredCodebook, hash_or_kit, dithers1=None,
     raise DomainError(f"unknown method {method!r}")
 
 
-def _outer_xlog2x_sum(left: np.ndarray, right: np.ndarray) -> float:
-    """sum f(x*y) over the outer product, via distinct-value histograms."""
-    lv, lc = np.unique(left, return_counts=True)
-    rv, rc = np.unique(right, return_counts=True)
-    prod = lv[:, None] * rv[None, :]
-    mult = lc[:, None] * rc[None, :]
-    mask = prod >= 2
-    return float((mult[mask] * prod[mask] * np.log2(prod[mask])).sum())
-
-
-def _image_span(g: FiniteFieldMatrix) -> list[int]:
-    """All values of g @ b over GF(2)^cols, as integers (the column span)."""
-    span = {0}
-    for j in range(g.cols):
-        col = bits_to_int(g.entries[:, j])
-        span |= {s ^ col for s in span}
-    return sorted(span)
-
-
 def _leakage_charsum(codebook: LayeredCodebook, g: FiniteFieldMatrix,
-                     coords: list[_Coord], sign: str) -> float:
+                     coords: list[Coordinate], sign: str) -> float:
+    # the W marginal is uniform on the hash's column span, 2^rank values
+    # each hit by 2^(n0 - rank) labels; the sigma marginal is the kernel's
     n0 = codebook.n0_bits
-    r0 = g.rows
-    n_w = 1 << r0
-    tables = [_char_table(c, sign) for c in coords]
-
-    # split coordinates into halves of comparable sum-alphabet size
-    alpha = [2 * c.m - 1 for c in coords]
-    total = math.prod(alpha)
-    best_cut, best_gap = 1, float("inf")
-    left = 1
-    for cut in range(1, len(coords)):
-        left *= alpha[cut - 1]
-        gap = abs(left - total / left)
-        if gap < best_gap:
-            best_cut, best_gap = cut, gap
-    if len(coords) == 1:
-        best_cut = 1
-
-    def half_product(lam_mu_blocks, lo, hi):
-        vec = np.ones(1)
-        for c_idx in range(lo, hi):
-            row = tables[c_idx][lam_mu_blocks[c_idx]]
-            vec = (vec[:, None] * row[None, :]).ravel()
-        return vec
-
-    block_sizes = [c.bits for c in coords]
-    offsets = np.cumsum([0] + block_sizes)
-
-    u_rows, v_rows = [], []
-    for lam in range(n_w):
-        lam_bits = int_to_bits(lam, r0)
-        mu = (lam_bits @ g.entries) % 2
-        mu_blocks = [bits_to_int(mu[offsets[i]:offsets[i + 1]]) for i in range(len(coords))]
-        u_rows.append(half_product(mu_blocks, 0, best_cut))
-        v_rows.append(half_product(mu_blocks, best_cut, len(coords)))
-    u = np.stack(u_rows)  # (n_w, A)
-    v = np.stack(v_rows)  # (n_w, B)
-
-    s_signs = np.empty((n_w, n_w))
-    for w in range(n_w):
-        for lam in range(n_w):
-            s_signs[w, lam] = -1.0 if bin(w & lam).count("1") % 2 else 1.0
-
-    # the sigma marginal is the lambda=0 outer product (plain window sizes)
-    # and the W marginal is uniform on the hash's column span: both are
-    # hash-cheap, so only the joint counts need the big pass below
-    sum_nsig = _outer_xlog2x_sum(u[0], v[0])
+    rows = [bits_to_int(row) for row in g.entries]
+    sum_n, sum_nsig = xlog2x_counts(coords, sign, [rows])
     rank = g.rank()
     per_w_total = float((1 << (n0 - rank)) * codebook.size)
-    sum_nw = len(_image_span(g)) * per_w_total * math.log2(per_w_total)
-
-    # Walsh sums stay below 2^r0 * max|u| * max|v|; float32 is exact
-    # whenever that fits in its 24-bit mantissa
-    bound = n_w * float(np.abs(u).max()) * float(np.abs(v).max())
-    dtype = np.float32 if bound < (1 << 24) else np.float64
-    u = u.astype(dtype)
-    v = np.ascontiguousarray(v.astype(dtype))
-    s_signs = s_signs.astype(dtype)
-
-    a_size = u.shape[1]
-    b_size = v.shape[1]
-    budget = 1 << 23
-    chunk = max(1, min(a_size, budget // max(1, n_w * b_size)))
-
-    sum_n = 0.0
-    scale = dtype(1.0 / n_w)  # counts = (1/2^r0) * Walsh sum, exactly integral
-    for start in range(0, a_size, chunk):
-        stop = min(a_size, start + chunk)
-        su = s_signs[:, :, None] * u[None, :, start:stop]       # (W, L, chunk)
-        counts = np.matmul(np.ascontiguousarray(su.transpose(0, 2, 1)), v)
-        counts *= scale                                         # (W, chunk, B)
-        sum_n += _int_xlog2x_sum(counts)
+    sum_nw = (1 << rank) * per_w_total * math.log2(per_w_total)
 
     d_total = float(1 << n0) * float(codebook.size)
     mi = math.log2(d_total) + (sum_n - sum_nsig - sum_nw) / d_total
@@ -635,14 +498,14 @@ def _leakage_charsum(codebook: LayeredCodebook, g: FiniteFieldMatrix,
 
 
 def _leakage_enumerate(codebook: LayeredCodebook, g: FiniteFieldMatrix,
-                       coords: list[_Coord], sign: str, cap: int) -> float:
+                       coords: list[Coordinate], sign: str, cap: int) -> float:
     labeling = codebook.labeling()
     k_size = labeling.points.shape[0]
     sigma_space = math.prod(2 * c.m - 1 for c in coords)
     if k_size * sigma_space > (cap << 4):
         raise ResourceCapError("enumeration workload exceeds cap")
 
-    windows = [_window_indicator(c, sign).astype(float) / c.m for c in coords]
+    windows = [window_indicator(c, sign).astype(float) / c.m for c in coords]
     value_lists = []
     for layer in codebook.layers:
         vals = layer.coordinate_values()
@@ -667,8 +530,8 @@ def _mi_from_joint(joint: np.ndarray) -> float:
     total = joint.sum()
     if not math.isclose(total, 1.0, abs_tol=1e-9):
         raise RuntimeError("joint does not normalize; internal bug")
-    mi = (_xlog2x_sum(joint) - _xlog2x_sum(joint.sum(axis=0))
-          - _xlog2x_sum(joint.sum(axis=1)))
+    mi = (xlog2x_sum(joint) - xlog2x_sum(joint.sum(axis=0))
+          - xlog2x_sum(joint.sum(axis=1)))
     return max(0.0, mi)
 
 
@@ -756,7 +619,7 @@ def _genie_error_rate(codebook: LayeredCodebook, d1, d2, cfg: ChannelConfig,
     so the encoder itself drops out of the estimate.
     """
     labeling = codebook.labeling()
-    x1_table = np.stack([_mod_signal(codebook, p, d1)[1] for p in labeling.points])
+    x1_table = np.stack([mod_signal(codebook, p, d1)[1] for p in labeling.points])
     coeff = scale_channel(cfg)
     jam = codebook.product_points()
     rng = substream(seed, "trend-decode")
@@ -765,7 +628,7 @@ def _genie_error_rate(codebook: LayeredCodebook, d1, d2, cfg: ChannelConfig,
     for _ in range(trials):
         i1 = int(rng.integers(0, x1_table.shape[0]))
         i2 = int(rng.integers(0, jam.shape[0]))
-        x2 = _mod_signal(codebook, jam[i2], d2)[1]
+        x2 = mod_signal(codebook, jam[i2], d2)[1]
         y = (x1_table[i1] + coeff.gain_x2_at_d1 * x2
              + gaussian(rng, n, coeff.noise_std_d1))
         resid = y - coeff.gain_x2_at_d1 * x2
@@ -796,8 +659,8 @@ def leakage_trend(m: int, n_bar_values: Sequence[int], eps: float, delta: float,
     for n_bar in n_bar_values:
         codebook = make_codebook(m, n_bar, n_layers)
         if dither_mode == "zero":
-            d1 = _zero_dithers(codebook)
-            d2 = _zero_dithers(codebook)
+            d1 = zero_dithers(codebook)
+            d2 = zero_dithers(codebook)
         else:
             d1 = random_dithers(codebook, substream(seed, f"dither1-{n_bar}"))
             d2 = random_dithers(codebook, substream(seed, f"dither2-{n_bar}"))

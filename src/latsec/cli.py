@@ -46,18 +46,30 @@ def _render(rows: list[dict], columns: list[str], fmt: str) -> str:
 
 
 def _parse_int_range(text: str) -> list[int]:
-    if ":" in text:
-        lo, hi = text.split(":")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(v) for v in text.split(",")]
+    try:
+        if ":" in text:
+            lo, hi = text.split(":")
+            values = list(range(int(lo), int(hi) + 1))
+        else:
+            values = [int(v) for v in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"bad integer range {text!r}") from None
+    if not values:
+        raise ConfigError(f"empty integer range {text!r}")
+    return values
 
 
 def _parse_float_grid(text: str) -> list[float]:
     parts = text.split(":")
-    if len(parts) == 3:
+    try:
+        if len(parts) != 3:
+            return [float(v) for v in text.split(",")]
         start, stop, step = (float(p) for p in parts)
-        return [float(v) for v in np.arange(start, stop + step / 2, step)]
-    return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"bad grid {text!r}") from None
+    if not step > 0:
+        raise ConfigError(f"grid step must be positive, got {step!r}")
+    return [float(v) for v in np.arange(start, stop + step / 2, step)]
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +181,8 @@ def _keygen_codebook(m: int, n_bar: int, layers: int) -> channel.LayeredCodebook
 
 
 def _cmd_keygen(args):
+    if args.trials < 1:
+        raise ConfigError("keygen needs at least one trial")
     codebook = _keygen_codebook(args.m, args.nbar, args.layers)
     if not codebook.labels_whole_codebook:
         raise ConfigError("keygen needs power-of-two layers labeling the whole codebook")

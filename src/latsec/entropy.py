@@ -268,16 +268,17 @@ def side_info_violation_mass(j: JointDistribution, measure: str, s) -> float | F
     return total
 
 
+def xlog2x_sum(a: np.ndarray) -> float:
+    """sum of x log2 x over the entries of a float array, with 0 log2 0 := 0."""
+    out = np.zeros_like(a, dtype=float)
+    np.log2(a, out=out, where=a > 0)
+    out *= a
+    return float(out.sum())
+
+
 # ---------------------------------------------------------------------------
 # Sweeps used by the verification suite and the CLI.
 # ---------------------------------------------------------------------------
-
-def _xlog2x(a: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(a, dtype=float)
-    mask = a > 0
-    out[mask] = a[mask] * np.log2(a[mask])
-    return out
-
 
 @dataclass(frozen=True)
 class FloorSweepReport:
@@ -305,9 +306,9 @@ def conditional_entropy_floor_sweep(trials: int, max_x: int = 8, max_t: int = 8,
         p /= p.sum()
         px = p.sum(axis=1)
         pt = p.sum(axis=0)
-        h_x = -_xlog2x(px).sum()
-        h_xt = -_xlog2x(p).sum()
-        h_t = -_xlog2x(pt).sum()
+        h_x = -xlog2x_sum(px)
+        h_xt = -xlog2x_sum(p)
+        h_t = -xlog2x_sum(pt)
         h_x_given_t = h_xt - h_t
         t_count = int((pt > 0).sum())
         deficit = (h_x - math.log2(t_count)) - h_x_given_t

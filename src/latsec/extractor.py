@@ -13,6 +13,7 @@ key's conditional entropy given that view is computed exhaustively.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -22,9 +23,9 @@ import numpy as np
 
 from ._rng import gaussian, substream
 from .channel import (ChannelConfig, LayeredCodebook, MLDecoder, SecrecySystem,
-                      _char_table, _coord_specs, _int_xlog2x_sum, _mod_signal,
-                      _xlog2x_sum, _zero_dithers, scale_channel)
-from .entropy import DiscreteDistribution
+                      coordinate_specs, mod_signal, scale_channel, zero_dithers)
+from .counting import xlog2x_counts
+from .entropy import DiscreteDistribution, xlog2x_sum
 from .errors import ConfigError, DomainError, ResourceCapError, ValidationError
 from .hashing import bits_to_int, exact_hashed_entropy, int_to_bits
 
@@ -118,7 +119,7 @@ def key_secrecy_report(codebook: LayeredCodebook, r: int, dithers1=None,
     Requires power-of-two layers labeling the whole codebook, uniform
     independent sender and jammer points, and fixed dithers.  The count of
     sender points consistent with each observation is an integer windowing
-    problem, evaluated with a character sum per seed row combination.
+    problem, evaluated with a character sum once per multiset of seed rows.
     """
     if sign not in ("+", "-"):
         raise DomainError("sign must be '+' or '-'")
@@ -131,87 +132,29 @@ def key_secrecy_report(codebook: LayeredCodebook, r: int, dithers1=None,
     if 1 << (r * n0) > cap:
         raise ResourceCapError(f"2^{r * n0} seeds exceed cap {cap}")
     if dithers1 is None:
-        dithers1 = _zero_dithers(codebook)
+        dithers1 = zero_dithers(codebook)
 
-    coords = _coord_specs(codebook, dithers1)
-    tables = [_char_table(c, sign) for c in coords]
+    # Sum N log2 N over every seed, one seed being r hash rows.  Permuting a
+    # seed's rows permutes the key bits and leaves the multiset of counts
+    # unchanged, so each multiset of rows is counted once, weighted by its
+    # number of distinct orderings r! / prod(multiplicity!).
+    rows = np.fromiter(itertools.chain.from_iterable(
+        itertools.combinations_with_replacement(range(1 << n0), r)),
+        dtype=np.int64).reshape(-1, r)
+    run = np.ones(rows.shape[0], dtype=np.int64)
+    repeats = np.ones(rows.shape[0], dtype=np.int64)
+    for j in range(1, r):
+        run = np.where(rows[:, j] == rows[:, j - 1], run + 1, 1)
+        repeats *= run
+    coords = coordinate_specs(codebook, dithers1)
+    total_xlogx, sum_w = xlog2x_counts(coords, sign, rows, math.factorial(r) // repeats)
 
-    # P[mu, sigma] = signed count of sender labels in the sigma-window
-    # under character mu; row 0 is the plain window size.
-    p_table = np.ones((1, 1))
-    for tab in tables:
-        rows, cols = p_table.shape
-        m, a = tab.shape
-        p_table = (p_table[:, None, :, None] * tab[None, :, None, :]).reshape(rows * m, cols * a)
-
-    sigma_space = p_table.shape[1]
+    # H(K|V,Sigma) = E[log2 W] - 2^(-d) M^(-2) sum_{v,sigma,k} N log2 N, with
+    # the uniform weight p(sigma)/W(sigma) = 1/M^2 on each observation
     m_total = codebook.size
-    widths = p_table[0]
-
-    # entropy of the key for one seed and one observation needs the count
-    # of labels per key value; sum xlog2x over everything with the uniform
-    # weight p(sigma)/W(sigma) = 1/M^2.
-    avg_log2_w = float((widths * np.log2(widths)).sum()) / (m_total * m_total)
-
-    n_rows = 1 << n0
-    total_xlogx = 0.0
-    last_row = np.arange(n_rows, dtype=np.int64)
-    n_k = 1 << r
-
-    # counts stay below 2^r * max window product: float32 keeps them exact
-    # at desk scale, falling back to float64 past its 24-bit mantissa
-    bound = n_k * float(np.abs(p_table).max())
-    dtype = np.float32 if bound < (1 << 24) else np.float64
-    p_fast = p_table.astype(dtype)
-    k_signs = np.empty((n_k, n_k), dtype=dtype)
-    for k in range(n_k):
-        for lam in range(n_k):
-            k_signs[k, lam] = -1.0 if bin(lam & k).count("1") % 2 else 1.0
-
-    def accumulate(prefix_rows: list[int]):
-        nonlocal total_xlogx
-        if len(prefix_rows) < r - 1:
-            for row in range(n_rows):
-                accumulate(prefix_rows + [row])
-            return
-        # vectorize over the final seed row
-        for lam in range(n_k):
-            sel = [j for j in range(r) if (lam >> (r - 1 - j)) & 1]
-            mu = 0
-            uses_last = False
-            for j in sel:
-                if j == r - 1:
-                    uses_last = True
-                else:
-                    mu ^= prefix_rows[j]
-            if uses_last:
-                terms[lam] = p_fast[mu ^ last_row]           # (n_rows, sigma)
-            else:
-                terms[lam] = p_fast[mu]
-        counts = (k_signs @ terms.reshape(n_k, -1)) / n_k
-        total_xlogx += _int_xlog2x_sum(counts)
-
-    if r == 2:
-        # swapping the two seed rows permutes the key bits, leaving the count
-        # multiset unchanged, so only ordered pairs a <= b need a pass
-        for a in range(n_rows):
-            tail = last_row[a:]
-            block = np.empty((n_k, tail.size, sigma_space), dtype=dtype)
-            block[0] = p_fast[0]
-            block[1] = p_fast[tail]
-            block[2] = p_fast[a]
-            block[3] = p_fast[a ^ tail]
-            counts = (k_signs @ block.reshape(n_k, -1)) / n_k
-            s_range = _int_xlog2x_sum(counts)
-            diag = (k_signs @ block[:, 0, :]) / n_k
-            total_xlogx += 2 * s_range - _int_xlog2x_sum(diag)
-    else:
-        terms = np.empty((n_k, n_rows, sigma_space), dtype=dtype)
-        accumulate([])
-
-    # H(K|V,Sigma) = E[log2 W] - 2^(-d) M^(-2) sum_{v,sigma,k} N log2 N
     seed_space = 1 << (r * n0)
-    h = avg_log2_w - total_xlogx / (float(seed_space) * m_total * m_total)
+    sigma_space = math.prod(2 * c.m - 1 for c in coords)
+    h = sum_w / (m_total * m_total) - total_xlogx / (float(seed_space) * m_total * m_total)
 
     budget_c = 2 * math.log2(m_total) - math.log2(sigma_space)
     eps_sec = 2.0 ** (-(budget_c - r) / 2)
@@ -329,8 +272,8 @@ class KeyAgreementRunner:
 
 def _eavesdropper_pair(codebook: LayeredCodebook, t1, t2, d1, d2, sign: int):
     """Modular sum and integer carry of the per-layer dithered real sums."""
-    x1_layers, _ = _mod_signal(codebook, np.asarray(t1, dtype=float), d1)
-    x2_layers, _ = _mod_signal(codebook, np.asarray(t2, dtype=float), d2)
+    x1_layers, _ = mod_signal(codebook, np.asarray(t1, dtype=float), d1)
+    x2_layers, _ = mod_signal(codebook, np.asarray(t2, dtype=float), d2)
     masked = []
     carry = []
     for layer, a, b in zip(codebook.layers, x1_layers, x2_layers):
@@ -368,5 +311,5 @@ def key_rate(transcripts: Sequence[KeyTranscript], spec: ExtractorSpec,
         idx = out @ powers
         marginal += np.bincount(idx, minlength=1 << r) / float(1 << n0)
     marginal /= len(transcripts)
-    h = -_xlog2x_sum(marginal)
+    h = -xlog2x_sum(marginal)
     return h / n_uses

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from latsec.channel import LayeredCodebook, _mod_signal
+from latsec.channel import LayeredCodebook, mod_signal
 from latsec.entropy import JointDistribution, mutual_information
 from latsec.hashing import EncoderKit, encode_secret, int_to_bits
 
@@ -33,9 +33,9 @@ def brute_force_leakage(codebook: LayeredCodebook, kit: EncoderKit,
         for sp_int in range(1 << (n0 - r0)):
             sp = int_to_bits(sp_int, n0 - r0)
             t1 = encode_secret(kit, w, sp, labeling)
-            x1_layers, _ = _mod_signal(codebook, t1, dithers1)
+            x1_layers, _ = mod_signal(codebook, t1, dithers1)
             for j in range(jam.shape[0]):
-                x2_layers, _ = _mod_signal(codebook, jam[j], dithers2)
+                x2_layers, _ = mod_signal(codebook, jam[j], dithers2)
                 v = x1_layers + x2_layers if sign == "+" else x1_layers - x2_layers
                 key = tuple(np.round(v.ravel(), 9).tolist())
                 counts[(w_int, key)] = counts.get((w_int, key), 0) + 1

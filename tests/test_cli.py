@@ -63,7 +63,10 @@ def test_usage_error_exit_code():
 
 
 def test_config_error_exit_code(capsys):
-    rc = main(["leakage-trend", "--nbar", "2:3", "--family", "2",
-               "--fixed-r0", "9"])
-    assert rc == 2
-    assert "error:" in capsys.readouterr().err
+    for args in (["leakage-trend", "--nbar", "2:3", "--family", "2", "--fixed-r0", "9"],
+                 ["leakage-trend", "--nbar", "x"],
+                 ["leakage-trend", "--nbar", "5:2"],
+                 ["sdof", "--grid", "1:2:0"],
+                 ["keygen", "--nbar", "2", "--m", "4", "--r", "1", "--trials", "0"]):
+        assert main(args) == 2, args
+        assert "error:" in capsys.readouterr().err, args

@@ -1,10 +1,11 @@
 import collections
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from latsec.channel import ChannelConfig, make_codebook, _mod_signal
+from latsec.channel import ChannelConfig, make_codebook, mod_signal
 from latsec.errors import DomainError, ResourceCapError, ValidationError
 from latsec.extractor import (ExtractorSpec, KeyAgreementRunner, KeyProtocolSetup,
                               avg_output_entropy, extract, key_rate,
@@ -78,54 +79,55 @@ class TestOutputEntropy:
             assert hi >= lo - 1e-12
 
 
+def audit_oracle(cb, r):
+    """H(key | seed, real sum) by enumerating every seed and every label pair."""
+    spec = ExtractorSpec(cb.n0_bits, r)
+    pts = cb.product_points()
+    d = zero_dithers(cb)
+    layers = [mod_signal(cb, p, d)[0] for p in pts]
+    joint = collections.Counter()
+    for v in range(spec.seed_space):
+        for i1 in range(pts.shape[0]):
+            k = bits_to_int(extract(spec, int_to_bits(i1, cb.n0_bits), v))
+            for i2 in range(pts.shape[0]):
+                key = tuple(np.round((layers[i1] + layers[i2]).ravel(), 9).tolist())
+                joint[(v, key, k)] += 1
+    total = sum(joint.values())
+    view = collections.Counter()
+    for (v, key, _), c in joint.items():
+        view[(v, key)] += c
+    h_all = -sum((c / total) * math.log2(c / total) for c in joint.values())
+    h_view = -sum((c / total) * math.log2(c / total) for c in view.values())
+    return h_all - h_view
+
+
 class TestKeySecrecyAudit:
     def test_matches_direct_enumeration(self):
         cb = make_codebook(4, 2, 1)  # label width 4
-        spec = ExtractorSpec(cb.n0_bits, 1)
-        pts = cb.product_points()
-        d = zero_dithers(cb)
-        joint = collections.Counter()
-        for v in range(spec.seed_space):
-            for i1 in range(pts.shape[0]):
-                k = bits_to_int(extract(spec, int_to_bits(i1, cb.n0_bits), v))
-                x1l, _ = _mod_signal(cb, pts[i1], d)
-                for i2 in range(pts.shape[0]):
-                    x2l, _ = _mod_signal(cb, pts[i2], d)
-                    key = tuple(np.round((x1l + x2l).ravel(), 9).tolist())
-                    joint[(v, key, k)] += 1
-        total = sum(joint.values())
-        view = collections.Counter()
-        for (v, key, _), c in joint.items():
-            view[(v, key)] += c
-        h_all = -sum((c / total) * math.log2(c / total) for c in joint.values())
-        h_view = -sum((c / total) * math.log2(c / total) for c in view.values())
-        oracle = h_all - h_view
-
         rep = key_secrecy_report(cb, 1)
-        assert rep.h_key_given_view == pytest.approx(oracle, abs=1e-9)
+        assert rep.h_key_given_view == pytest.approx(audit_oracle(cb, 1), abs=1e-9)
 
     def test_r2_symmetric_path_matches_enumeration(self):
         cb = make_codebook(4, 2, 1)
-        spec = ExtractorSpec(cb.n0_bits, 2)
-        pts = cb.product_points()
-        d = zero_dithers(cb)
-        joint = collections.Counter()
-        for v in range(spec.seed_space):
-            for i1 in range(pts.shape[0]):
-                k = bits_to_int(extract(spec, int_to_bits(i1, cb.n0_bits), v))
-                x1l, _ = _mod_signal(cb, pts[i1], d)
-                for i2 in range(pts.shape[0]):
-                    x2l, _ = _mod_signal(cb, pts[i2], d)
-                    key = tuple(np.round((x1l + x2l).ravel(), 9).tolist())
-                    joint[(v, key, k)] += 1
-        total = sum(joint.values())
-        view = collections.Counter()
-        for (v, key, _), c in joint.items():
-            view[(v, key)] += c
-        h_all = -sum((c / total) * math.log2(c / total) for c in joint.values())
-        h_view = -sum((c / total) * math.log2(c / total) for c in view.values())
         rep = key_secrecy_report(cb, 2)
-        assert rep.h_key_given_view == pytest.approx(h_all - h_view, abs=1e-9)
+        assert rep.h_key_given_view == pytest.approx(audit_oracle(cb, 2), abs=1e-9)
+
+    def test_r3_matches_enumeration(self):
+        cb = make_codebook(2, 3, 1)  # label width 3, 512 seeds
+        rep = key_secrecy_report(cb, 3)
+        assert rep.h_key_given_view == pytest.approx(audit_oracle(cb, 3), abs=1e-9)
+
+    def test_peak_memory(self):
+        # 2^10 seeds over a 7^5 sum alphabet; a dense 2^n0-by-sigma table
+        # of the counts peaked near 800 MiB here
+        cb = make_codebook(4, 5, 1)
+        tracemalloc.start()
+        try:
+            key_secrecy_report(cb, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
 
     def test_budget_is_analytic(self):
         cb = make_codebook(4, 2, 1)
