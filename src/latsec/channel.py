@@ -179,17 +179,22 @@ def random_dithers(codebook: LayeredCodebook, rng: np.random.Generator) -> tuple
     return tuple(out)
 
 
-def _split_layers(codebook: LayeredCodebook, point: np.ndarray) -> list[np.ndarray]:
+def mod_signals(codebook: LayeredCodebook, points, dithers) -> tuple[np.ndarray, np.ndarray]:
+    """Per-layer dithered reductions of each row of a (P, n_bar) array of
+    points, shape (P, L, n), and their superposition over the block, (P, n)."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != codebook.n_bar:
+        raise DomainError(f"expected points of dimension {codebook.n_bar}")
     n = codebook.block_dim
-    return [point[i * n:(i + 1) * n] for i in range(codebook.n_layers)]
+    per_layer = np.stack([_reduce_values(pts[:, i * n:(i + 1) * n] + d, layer.coarse_scale)
+                          for i, (layer, d) in enumerate(zip(codebook.layers, dithers))], axis=1)
+    return per_layer, per_layer.sum(axis=1)
 
 
-def mod_signal(codebook: LayeredCodebook, point: np.ndarray, dithers) -> tuple[np.ndarray, np.ndarray]:
-    """Per-layer dithered reductions and their superposition over the block."""
-    per_layer = []
-    for layer, u, d in zip(codebook.layers, _split_layers(codebook, point), dithers):
-        per_layer.append(layer.coarse.reduce(u + d))
-    return np.stack(per_layer), np.sum(per_layer, axis=0)
+def mod_signal(codebook: LayeredCodebook, point, dithers) -> tuple[np.ndarray, np.ndarray]:
+    """mod_signals of one point: its (L, n) reductions and their superposition."""
+    per_layer, total = mod_signals(codebook, as_vector(point)[None], dithers)
+    return per_layer[0], total[0]
 
 
 def exact_signal_power(codebook: LayeredCodebook, dithers) -> float:
@@ -349,10 +354,8 @@ class MLDecoder:
         if k * jam.shape[0] > cap:
             raise ResourceCapError(
                 f"{k}x{jam.shape[0]} hypothesis pairs exceed cap {cap}")
-        self._x1 = np.stack([mod_signal(system.codebook, p, system.dithers1)[1]
-                             for p in labeling.points])
-        self._x2 = np.stack([mod_signal(system.codebook, p, system.dithers2)[1]
-                             for p in jam])
+        self._x1 = mod_signals(system.codebook, labeling.points, system.dithers1)[1]
+        self._x2 = mod_signals(system.codebook, jam, system.dithers2)[1]
         self._gain2 = coeff.gain_x2_at_d1
         self._pair_sig = None
 
@@ -618,17 +621,15 @@ def _genie_error_rate(codebook: LayeredCodebook, d1, d2, cfg: ChannelConfig,
     A uniformly encoded point is the same draw as a uniform labeled point,
     so the encoder itself drops out of the estimate.
     """
-    labeling = codebook.labeling()
-    x1_table = np.stack([mod_signal(codebook, p, d1)[1] for p in labeling.points])
+    x1_table = mod_signals(codebook, codebook.labeling().points, d1)[1]
+    x2_table = mod_signals(codebook, codebook.product_points(), d2)[1]
     coeff = scale_channel(cfg)
-    jam = codebook.product_points()
     rng = substream(seed, "trend-decode")
     errors = 0
     n = codebook.block_dim
     for _ in range(trials):
         i1 = int(rng.integers(0, x1_table.shape[0]))
-        i2 = int(rng.integers(0, jam.shape[0]))
-        x2 = mod_signal(codebook, jam[i2], d2)[1]
+        x2 = x2_table[int(rng.integers(0, x2_table.shape[0]))]
         y = (x1_table[i1] + coeff.gain_x2_at_d1 * x2
              + gaussian(rng, n, coeff.noise_std_d1))
         resid = y - coeff.gain_x2_at_d1 * x2

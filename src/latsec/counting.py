@@ -16,9 +16,22 @@ into two halves of similar sum-alphabet size, and a row of P is the outer
 product U[mu_L] (x) V[mu_R] of two half-tables: the sum over lambda is one
 matmul per key value, and no 2^n0-by-sigma table is ever built.
 
-Counts are exact integers.  They are histogrammed across chunks and hash
-rows, and sum N log2 N is evaluated once from the histogram, so the result
-does not depend on how the work was chunked.
+Reflecting one coordinate's sum, sigma_j -> 2m-2-sigma_j, is a symmetry of
+the counts whenever it equals XOR-relabelling that coordinate's sender
+indices, i.e. F[::-1] == F[:, i ^ d] for some d; this is checked numerically
+per coordinate (`reflection_folds`).  The hash is linear over GF(2), so the
+relabelling XORs every key value with one constant, and the multiset
+{N(k, sigma)} over k is the same at sigma and at its reflection.  A folded
+coordinate keeps only sigma_j <= m-1: each sigma_j < m-1 counts twice and
+the centre sigma_j = m-1 once.  Every m = 2 or 4 coordinate folds; m = 8
+folds at even shifts, m = 16 at shifts 0, 4, 8, 12.  A coordinate that does
+not fold keeps all 2m-1 sums, each counted once.  The kept columns of each
+half-table are grouped by how many folded off-centre coordinates they hold,
+and a block pair's integer histogram is added with weight 2^(that number).
+
+Counts are exact integers.  They are histogrammed across chunks, blocks and
+hash rows, and sum N log2 N is evaluated once from the histogram, so the
+result depends neither on how the work was chunked nor on the fold.
 """
 from __future__ import annotations
 
@@ -28,9 +41,11 @@ from typing import Sequence
 
 import numpy as np
 
-# Count-array cells per matmul.  On a 2-core x86 VM (4 MiB L2) the N_bar=8,
-# r0=5 leakage took 0.60 s at 2^20 cells, 0.74 s at 2^21 and 1.3 s at 2^23;
-# the chunk also bounds the kernel's working memory.
+# Cells per matmul intermediate.  On a 2-core x86 VM (4 MiB L2) the
+# unfolded N_bar=8, r0=5 leakage took 0.60 s at 2^20 cells, 0.74 s at 2^21
+# and 1.3 s at 2^23; with the fold, the (N_bar=4, r=2) key audit takes
+# 0.29 s at 2^20, 0.33 s at 2^18 and 2^21, and 0.41 s at 2^22.  The chunk
+# also bounds the kernel's working memory.
 CHUNK_CELLS = 1 << 20
 
 
@@ -65,23 +80,40 @@ def char_table(coord: Coordinate, sign: str) -> np.ndarray:
     return _hadamard(coord.m) @ window_indicator(coord, sign).T
 
 
-def _half_table(tables: list[np.ndarray]) -> np.ndarray:
-    """Kronecker product of the tables: row mu_0 mu_1 ..., column sigma_0 sigma_1 ..."""
+def reflection_folds(coord: Coordinate, sign: str) -> bool:
+    """Whether sigma -> 2m-2-sigma acts on the window as an XOR relabelling i -> i ^ d."""
+    f = window_indicator(coord, sign)
+    idx = np.arange(coord.m)
+    return any(np.array_equal(f[::-1], f[:, idx ^ d]) for d in range(coord.m))
+
+
+def _kept_columns(coord: Coordinate, sign: str) -> tuple[np.ndarray, np.ndarray]:
+    """The char-table columns the kernel counts, and which of them count twice."""
+    tab = char_table(coord, sign)
+    if not reflection_folds(coord, sign):
+        return tab, np.zeros(tab.shape[1], dtype=np.int64)
+    return tab[:, :coord.m], (np.arange(coord.m) < coord.m - 1).astype(np.int64)
+
+
+def _half_blocks(kept: list[tuple[np.ndarray, np.ndarray]]) -> list[tuple[int, np.ndarray]]:
+    """Kronecker product of the kept tables (row mu_0 mu_1 ..., column sigma_0
+    sigma_1 ...), its columns split by their number of off-centre folds."""
     out = np.ones((1, 1), dtype=np.int64)
-    for tab in tables:
+    folds = np.zeros(1, dtype=np.int64)
+    for tab, off in kept:
         out = (out[:, None, :, None] * tab[None, :, None, :]).reshape(
             out.shape[0] * tab.shape[0], -1)
-    return out
+        folds = (folds[:, None] + off).ravel()
+    return [(c, out[:, folds == c]) for c in range(int(folds.max()) + 1)]
 
 
-def _balanced_cut(coords: Sequence[Coordinate]) -> int:
-    """Number of leading coordinates whose sum alphabet best balances the rest."""
-    alpha = [2 * c.m - 1 for c in coords]
-    total = math.prod(alpha)
+def _balanced_cut(widths: Sequence[int]) -> int:
+    """Number of leading coordinates whose kept sums best balance the rest."""
+    total = math.prod(widths)
     best_cut, best_gap = 1, float("inf")
     left = 1
-    for cut in range(1, len(coords)):
-        left *= alpha[cut - 1]
+    for cut in range(1, len(widths)):
+        left *= widths[cut - 1]
         gap = abs(left - total / left)
         if gap < best_gap:
             best_cut, best_gap = cut, gap
@@ -108,18 +140,21 @@ def xlog2x_counts(coords: Sequence[Coordinate], sign: str, rows,
     rows = np.asarray(rows, dtype=np.int64)
     weights = np.ones(rows.shape[0], dtype=np.int64) if weights is None \
         else np.asarray(weights, dtype=np.int64)
-    tables = [char_table(c, sign) for c in coords]
-    cut = _balanced_cut(coords)
-    u = _half_table(tables[:cut])  # (2^bits_left, A)
-    v = _half_table(tables[cut:])  # (2^bits_right, B)
+    kept = [_kept_columns(c, sign) for c in coords]
+    cut = _balanced_cut([tab.shape[1] for tab, _ in kept])
+    left = _half_blocks(kept[:cut])    # blocks of (2^bits_left, a) columns
+    right = _half_blocks(kept[cut:])   # blocks of (2^bits_right, b) columns
     bits_right = sum(c.m.bit_length() - 1 for c in coords[cut:])
 
     # the lambda = 0 row of P holds the plain window sizes, which bound
-    # every count
-    lv, lc = np.unique(u[0], return_counts=True)
-    rv, rc = np.unique(v[0], return_counts=True)
-    hist_w = np.zeros(int(lv[-1] * rv[-1]) + 1, dtype=np.int64)
-    np.add.at(hist_w, np.outer(lv, rv).ravel(), np.outer(lc, rc).ravel())
+    # every count; the largest is at the centre, which every coordinate keeps
+    w_max = max(int(ub[0].max()) for _, ub in left) * max(int(vb[0].max()) for _, vb in right)
+    hist_w = np.zeros(w_max + 1, dtype=np.int64)
+    for ca, ub in left:
+        lv, lc = np.unique(ub[0], return_counts=True)
+        for cb, vb in right:
+            rv, rc = np.unique(vb[0], return_counts=True)
+            np.add.at(hist_w, np.outer(lv, rv).ravel(), np.outer(lc, rc).ravel() << (ca + cb))
     hist = np.zeros_like(hist_w)
 
     r = rows.shape[1]
@@ -128,32 +163,40 @@ def xlog2x_counts(coords: Sequence[Coordinate], sign: str, rows,
     mus = np.zeros((rows.shape[0], n_k), dtype=np.int64)
     for j in range(r):
         mus ^= ((lam >> (r - 1 - j)) & 1) * rows[:, j:j + 1]
+    groups = [(w, mus[weights == w]) for w in np.flatnonzero(np.bincount(weights))]
 
     # Walsh sums stay below 2^r * max|U| * max|V|; float32 is exact whenever
     # that fits in its 24-bit mantissa
-    bound = n_k * float(np.abs(u).max()) * float(np.abs(v).max())
+    bound = (n_k * float(max(np.abs(ub).max() for _, ub in left))
+             * float(max(np.abs(vb).max() for _, vb in right)))
     dtype = np.float32 if bound < (1 << 24) else np.float64
-    u = u.astype(dtype)
-    v = v.astype(dtype)
     signs = _hadamard(n_k).astype(dtype)[None, :, None, :]  # (1, K, 1, Lambda)
     scale = dtype(1.0 / n_k)  # counts = 2^-r * Walsh sum, exactly integral
+    low = (1 << bits_right) - 1
+    left = [(ca, ub.astype(dtype)) for ca, ub in left]
+    right = [(cb, vb.astype(dtype)) for cb, vb in right]
 
-    a_size, b_size = u.shape[1], v.shape[1]
-    s_chunk = max(1, CHUNK_CELLS // (n_k * a_size * b_size))
-    a_chunk = max(1, min(a_size, CHUNK_CELLS // (n_k * b_size)))
-
-    for weight in np.flatnonzero(np.bincount(weights)):
-        group = mus[weights == weight]
-        for s0 in range(0, group.shape[0], s_chunk):
-            mu = group[s0:s0 + s_chunk]
-            ul = u[mu >> bits_right].transpose(0, 2, 1)   # (s, A, Lambda)
-            vr = v[mu & ((1 << bits_right) - 1)][:, None]  # (s, 1, Lambda, B)
-            for a0 in range(0, a_size, a_chunk):
-                su = signs * ul[:, None, a0:a0 + a_chunk, :]  # (s, K, a, Lambda)
-                counts = np.matmul(su, vr)                    # (s, K, a, B)
-                counts *= scale
-                # exact integers, so truncation is safe; a negative count
-                # (an internal bug) makes bincount raise
-                hist += weight * np.bincount(counts.astype(np.int64).ravel(),
-                                             minlength=hist.size)
+    for ca, ub in left:
+        a_size = ub.shape[1]
+        for cb, vb in right:
+            # the chunk bounds every intermediate, not just the counts
+            # (s, K, a, b): the signed product (s, K, a, Lambda) and the
+            # gathered rows (s, a, Lambda), (s, Lambda, b) too, since in a
+            # narrow block they can outgrow the counts
+            width = n_k * max(vb.shape[1], n_k)
+            s_chunk = max(1, CHUNK_CELLS // (width * max(a_size, n_k)))
+            a_chunk = max(1, min(a_size, CHUNK_CELLS // width))
+            for weight, group in groups:
+                block_weight = int(weight) << (ca + cb)
+                for s0 in range(0, group.shape[0], s_chunk):
+                    mu = group[s0:s0 + s_chunk]
+                    ul = ub[mu >> bits_right].transpose(0, 2, 1)  # (s, a, Lambda)
+                    vr = vb[mu & low][:, None]                    # (s, 1, Lambda, b)
+                    for a0 in range(0, a_size, a_chunk):
+                        counts = np.matmul(signs * ul[:, None, a0:a0 + a_chunk, :], vr)
+                        counts *= scale
+                        # exact integers, so truncation is safe; a negative
+                        # count (an internal bug) makes bincount raise
+                        hist += block_weight * np.bincount(
+                            counts.astype(np.int64).ravel(), minlength=hist.size)
     return _hist_xlog2x(hist), _hist_xlog2x(hist_w)

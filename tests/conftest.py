@@ -46,6 +46,50 @@ def brute_force_leakage(codebook: LayeredCodebook, kit: EncoderKit,
     return mutual_information(JointDistribution(tuple(xs), tuple(ts), rows))
 
 
+def brute_force_xlog2x_counts(coords, sign: str, rows, weights) -> tuple[float, float]:
+    """`counting.xlog2x_counts` by enumerating every (sender label, jammer index) pair.
+
+    Coordinate j of a label holds sender index i_j (coordinate 0 in the most
+    significant bits); the dither turns it into the value (i_j + shift) mod m,
+    to which the jammer adds j2 in [0, m) ("+") or from which it subtracts j2,
+    offset by m - 1 ("-").  Each pair gives one observed sum vector, so
+    N(k, sigma) is a histogram over pairs.  The integer histograms of the
+    counts are evaluated in the kernel's order, so the sums compare with ==.
+    """
+    ms = [c.m for c in coords]
+    bits = [m.bit_length() - 1 for m in ms]
+    n0 = sum(bits)
+    labels = np.arange(1 << n0)
+    jams = np.stack(np.meshgrid(*[np.arange(m) for m in ms], indexing="ij"),
+                    axis=-1).reshape(-1, len(ms))
+    sigma = np.zeros((labels.size, jams.shape[0]), dtype=np.int64)  # mixed-radix code
+    low = n0
+    for j, c in enumerate(coords):
+        low -= bits[j]
+        value = (((labels >> low) & (c.m - 1)) + c.shift) % c.m
+        s_j = value[:, None] + jams[:, j] if sign == "+" else value[:, None] - jams[:, j] + c.m - 1
+        sigma = sigma * (2 * c.m - 1) + s_j
+    n_sigma = int(np.prod([2 * m - 1 for m in ms]))
+    size = int(np.prod(ms)) + 1  # no window holds more than prod(m) labels
+
+    def xlog2x(hist):
+        v = np.arange(hist.size, dtype=float)
+        nz = v >= 2
+        return float((hist[nz] * v[nz] * np.log2(v[nz])).sum())
+
+    hist = np.zeros(size, dtype=np.int64)
+    for hash_rows, weight in zip(np.asarray(rows), weights):
+        k = np.zeros(labels.size, dtype=np.int64)
+        for row in hash_rows:
+            parity = np.array([bin(int(x)).count("1") & 1 for x in labels & int(row)])
+            k = (k << 1) | parity
+        n = np.bincount((k[:, None] * n_sigma + sigma).ravel(),
+                        minlength=(1 << len(hash_rows)) * n_sigma)
+        hist += int(weight) * np.bincount(n, minlength=size)
+    w = np.bincount(sigma.ravel(), minlength=n_sigma)
+    return xlog2x(hist), xlog2x(np.bincount(w, minlength=size))
+
+
 def nearest_coarse_point_oracle(x: float, c: float) -> float:
     """Reduce a scalar by scanning nearby multiples of c.
 

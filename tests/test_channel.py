@@ -8,7 +8,8 @@ from latsec._rng import substream
 from latsec.channel import (ChannelConfig, LayeredCodebook, MLDecoder, TrendRow,
                             build_system, exact_leakage, exact_signal_power,
                             fitted_log2_slope, leakage_trend, make_codebook,
-                            random_dithers, run_message_round, scale_channel,
+                            mod_signal, mod_signals, random_dithers,
+                            run_message_round, scale_channel,
                             secrecy_rate_report, select_secrecy_hash, transmit)
 from latsec.errors import ConfigError, DomainError, ResourceCapError
 from latsec.hashing import (FiniteFieldMatrix, build_encoder, full_rank_check,
@@ -140,6 +141,20 @@ class TestTransmit:
 
 
 class TestDecoding:
+    @pytest.mark.parametrize("m, n_bar, n_layers",
+                             [(4, 2, 1), (3, 2, 1), (8, 2, 2), (4, 3, 3), (2, 9, 9)])
+    def test_signal_tables_match_per_point_reductions(self, m, n_bar, n_layers):
+        # the decoders' tables (one batched call) equal the one-point calls
+        # that transmit makes, so no decoding decision can move
+        cb = make_codebook(m, n_bar, n_layers)
+        rng = substream(m * 100 + n_bar, "table-dithers")
+        dithers = random_dithers(cb, rng)
+        for points in (cb.labeling().points, cb.product_points()):
+            per_layer, total = mod_signals(cb, points, dithers)
+            one_point = [mod_signal(cb, p, dithers) for p in points]
+            assert np.array_equal(per_layer, np.stack([lay for lay, _ in one_point]))
+            assert np.array_equal(total, np.stack([sig for _, sig in one_point]))
+
     def test_tiny_noise_always_decodes(self):
         system = system_with_hash(4, 2, 2)
         cfg = ChannelConfig(a=2.0, b=1.0, noise_var1=1e-12, n_uses=2)

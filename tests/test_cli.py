@@ -67,6 +67,7 @@ def test_config_error_exit_code(capsys):
                  ["leakage-trend", "--nbar", "x"],
                  ["leakage-trend", "--nbar", "5:2"],
                  ["sdof", "--grid", "1:2:0"],
-                 ["keygen", "--nbar", "2", "--m", "4", "--r", "1", "--trials", "0"]):
+                 ["keygen", "--nbar", "2", "--m", "4", "--r", "1", "--trials", "0"],
+                 ["amplify", "--n", "40"]):
         assert main(args) == 2, args
         assert "error:" in capsys.readouterr().err, args

@@ -1,11 +1,16 @@
-"""The Walsh counting kernel against the enumeration route, and its chunking."""
+"""The Walsh counting kernel against the enumeration route and a brute-force
+oracle, its reflection fold, its chunking and its memory."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import brute_force_xlog2x_counts
 from latsec import counting
 from latsec.channel import exact_leakage, make_codebook, random_dithers
+from latsec.counting import Coordinate, reflection_folds, xlog2x_counts
 from latsec.extractor import key_secrecy_report
 from latsec.hashing import FiniteFieldMatrix, sample_linear_hash
 
@@ -38,14 +43,63 @@ def test_walsh_leakage_matches_enumeration(instance):
     assert fast == pytest.approx(exact_leakage(cb, g, d1, sign, method="enumerate"), abs=1e-9)
 
 
-@pytest.mark.parametrize("cells", [7, 300])
+@st.composite
+def counting_instances(draw):
+    coords = [Coordinate(m, draw(st.integers(0, m - 1)))
+              for m in draw(st.lists(st.sampled_from([2, 4, 8]), min_size=1, max_size=3))]
+    n0 = sum(c.m.bit_length() - 1 for c in coords)
+    r = draw(st.integers(1, min(n0, 3)))
+    n_hashes = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.lists(st.integers(0, (1 << n0) - 1), min_size=r, max_size=r),
+                         min_size=n_hashes, max_size=n_hashes))
+    weights = draw(st.lists(st.integers(1, 6), min_size=n_hashes, max_size=n_hashes))
+    return coords, draw(st.sampled_from(["+", "-"])), rows, weights
+
+
+@settings(max_examples=80, deadline=None)
+@given(counting_instances())
+def test_kernel_matches_brute_force_histogram(instance):
+    # the fold and the block weights must reproduce the full histogram
+    # exactly, so both sums agree to the last bit
+    coords, sign, rows, weights = instance
+    assert xlog2x_counts(coords, sign, rows, weights) == \
+        brute_force_xlog2x_counts(coords, sign, rows, weights)
+
+
+@pytest.mark.parametrize("sign", ["+", "-"])
+@pytest.mark.parametrize("m, folding", [(2, {0, 1}), (4, {0, 1, 2, 3}), (8, {0, 2, 4, 6}),
+                                        (16, {0, 4, 8, 12})])
+def test_reflection_folds_exactly_at_xor_shifts(m, folding, sign):
+    assert {s for s in range(m) if reflection_folds(Coordinate(m, s), sign)} == folding
+
+
+# Every column block here is narrower than Lambda (16 and 8 for the two
+# leakage hashes, 4 in the audit), so the signed product, not the count
+# array, sets the chunk: 7 and 100 cells give one row of a block per matmul
+# and one seed per chunk; 2000 gives several of both, and 300 several for
+# the 3-row hash and the audit.
+@pytest.mark.parametrize("cells", [7, 100, 300, 2000])
 def test_figures_do_not_depend_on_chunking(monkeypatch, cells):
     cb = make_codebook(4, 3)
     d1 = random_dithers(cb, np.random.default_rng(1))
-    g = sample_linear_hash(3, cb.n0_bits, 2, 5)
+    hashes = [sample_linear_hash(r0, cb.n0_bits, 2, 5) for r0 in (3, 4)]
     audit_cb = make_codebook(2, 3)
-    leak = exact_leakage(cb, g, d1, "-")
+    leaks = [exact_leakage(cb, g, d1, "-") for g in hashes]
     audit = key_secrecy_report(audit_cb, 2, sign="+")
     monkeypatch.setattr(counting, "CHUNK_CELLS", cells)
-    assert exact_leakage(cb, g, d1, "-") == leak
+    assert [exact_leakage(cb, g, d1, "-") for g in hashes] == leaks
     assert key_secrecy_report(audit_cb, 2, sign="+") == audit
+
+
+def test_peak_memory_of_largest_leakage():
+    # the N_bar=8, r0=5 row of the m=4 trend: the folded kernel needs about
+    # 7 MiB of numpy buffers, the unfolded one 18 MiB
+    cb = make_codebook(4, 8)
+    g = sample_linear_hash(5, cb.n0_bits, 2, 7)
+    tracemalloc.start()
+    try:
+        exact_leakage(cb, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2 ** 20

@@ -7,9 +7,9 @@ import pytest
 
 from latsec.entropy import renyi2_entropy, shannon_entropy
 from latsec.errors import DomainError, ResourceCapError, ValidationError
-from latsec.hashing import (BitLabeling, EncoderKit, FiniteFieldMatrix,
-                            bits_to_int, build_encoder, collision_probability,
-                            decode_secret, encode_secret,
+from latsec.hashing import (SOURCE_SUPPORT_CAP, BitLabeling, EncoderKit,
+                            FiniteFieldMatrix, bits_to_int, build_encoder,
+                            collision_probability, decode_secret, encode_secret,
                             exact_full_rank_probability, exact_hashed_entropy,
                             flat_bit_source, full_rank_check,
                             full_rank_fraction_exhaustive, full_rank_fraction_mc,
@@ -335,6 +335,17 @@ class TestSources:
         src = flat_bit_source(4, 8)
         assert renyi2_entropy(src) == pytest.approx(3.0, abs=1e-12)
         assert src.is_exact
+
+    def test_support_cap(self):
+        # refused before the 2^n symbols (or their 2^n-bit masses) are built
+        for build in (lambda: geometric_bit_source(13), lambda: geometric_bit_source(40),
+                      lambda: flat_bit_source(40, SOURCE_SUPPORT_CAP + 1)):
+            with pytest.raises(ResourceCapError):
+                build()
+        assert len(flat_bit_source(40, 4).support) == 4
+        # an invalid k stays a domain error, whatever its size
+        with pytest.raises(DomainError):
+            flat_bit_source(2, SOURCE_SUPPORT_CAP + 1)
 
     def test_geometric_source_valid(self):
         src = geometric_bit_source(3)
