@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -27,9 +28,9 @@ from .counting import Coordinate, window_indicator, xlog2x_counts
 from .entropy import xlog2x_sum
 from .errors import ConfigError, DomainError, ResourceCapError
 from .hashing import (BitLabeling, EncoderKit, FiniteFieldMatrix, build_encoder,
-                      bits_to_int, decode_secret, encode_secret, full_rank_check,
-                      int_to_bits, sample_linear_hash, secret_rate_select)
-from .lattice import NestedLatticePair, as_vector
+                      bits_to_int, encode_label, full_rank_check, int_to_bits,
+                      sample_linear_hash, secret_rate_select)
+from .lattice import NestedLatticePair, as_vector, label_grid, reduce_carry
 
 DEFAULT_PAIR_CAP = 1 << 22
 DEFAULT_SIGMA_SPACE_CAP = 1 << 23
@@ -157,13 +158,8 @@ class LayeredCodebook:
         return BitLabeling.from_layers(self.layers)
 
     def product_points(self) -> np.ndarray:
-        """All size-by-n_bar codebook points in lexicographic order."""
-        value_lists = []
-        for layer in self.layers:
-            vals = layer.coordinate_values()
-            value_lists.extend([vals] * layer.dim)
-        grids = np.meshgrid(*value_lists, indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=-1)
+        """All size-by-n_bar codebook points in label (lexicographic) order."""
+        return label_grid(self.layers, np.arange(self.size))[1]
 
 
 def zero_dithers(codebook: LayeredCodebook) -> tuple:
@@ -186,7 +182,7 @@ def mod_signals(codebook: LayeredCodebook, points, dithers) -> tuple[np.ndarray,
     if pts.ndim != 2 or pts.shape[1] != codebook.n_bar:
         raise DomainError(f"expected points of dimension {codebook.n_bar}")
     n = codebook.block_dim
-    per_layer = np.stack([_reduce_values(pts[:, i * n:(i + 1) * n] + d, layer.coarse_scale)
+    per_layer = np.stack([reduce_carry(pts[:, i * n:(i + 1) * n] + d, layer.coarse_scale)[0]
                           for i, (layer, d) in enumerate(zip(codebook.layers, dithers))], axis=1)
     return per_layer, per_layer.sum(axis=1)
 
@@ -205,23 +201,20 @@ def exact_signal_power(codebook: LayeredCodebook, dithers) -> float:
     for layer, d in zip(codebook.layers, dithers):
         vals = layer.coordinate_values()
         for j in range(n):
-            shifted = _reduce_values(vals + d[j], layer.coarse_scale)
+            shifted = reduce_carry(vals + d[j], layer.coarse_scale)[0]
             coord_power[j] += shifted.var()
             mean_sum[j] += shifted.mean()
     coord_power += mean_sum ** 2
     return float(coord_power.mean())
 
 
-def _reduce_values(vals: np.ndarray, c: float) -> np.ndarray:
-    r = vals - c * np.floor(vals / c + 0.5)
-    r[r >= c / 2] -= c
-    r[r < -c / 2] += c
-    return r
-
-
 @dataclass(frozen=True, eq=False)
 class SecrecySystem:
-    """Codebook stack plus encoder and the fixed public dithers."""
+    """Codebook stack plus encoder and the fixed public dithers.
+
+    Points are handled by label: the signal tables below are indexed by the
+    sender's label and the jammer's index, and are built on first use.
+    """
 
     codebook: LayeredCodebook
     kit: EncoderKit | None
@@ -246,14 +239,28 @@ class SecrecySystem:
     def secret_bits(self) -> int:
         return 0 if self.kit is None else self.kit.r_secret
 
+    @cached_property
+    def _powers(self) -> tuple[float, ...]:
+        return tuple(exact_signal_power(self.codebook, d) for d in (self.dithers1, self.dithers2))
+
     def power1(self) -> float:
-        return exact_signal_power(self.codebook, self.dithers1)
+        return self._powers[0]
 
     def power2(self) -> float:
-        return exact_signal_power(self.codebook, self.dithers2)
+        return self._powers[1]
 
     def jammer_points(self) -> np.ndarray:
         return self._points
+
+    @cached_property
+    def sender_signals(self) -> tuple[np.ndarray, np.ndarray]:
+        """`mod_signals` of every labeled point under dithers1, row = label."""
+        return mod_signals(self.codebook, self.labeling.points, self.dithers1)
+
+    @cached_property
+    def jammer_signals(self) -> tuple[np.ndarray, np.ndarray]:
+        """`mod_signals` of every jammer point under dithers2, row = jammer index."""
+        return mod_signals(self.codebook, self._points, self.dithers2)
 
 
 def build_system(codebook: LayeredCodebook, kit: EncoderKit | None,
@@ -275,6 +282,7 @@ class Transcript:
     s_prime_bits: np.ndarray
     t1: np.ndarray
     t2: np.ndarray
+    t2_index: int
     dithers1: tuple
     dithers2: tuple
     x1_layers: np.ndarray
@@ -321,17 +329,17 @@ def transmit(cfg: ChannelConfig, system: SecrecySystem, w_bits, seed: int) -> Tr
 
     n0, r0 = system.kit.n_bits, system.kit.r_secret
     s_prime = enc_rng.integers(0, 2, size=n0 - r0, dtype=np.int64)
-    t1 = encode_secret(system.kit, w, s_prime, system.labeling)
-    t2 = system.jammer_points()[int(jam_rng.integers(0, system.codebook.size))].copy()
-
-    x1_layers, x1 = mod_signal(system.codebook, t1, system.dithers1)
-    x2_layers, x2 = mod_signal(system.codebook, t2, system.dithers2)
+    i1 = encode_label(system.kit, w, s_prime)
+    i2 = int(jam_rng.integers(0, system.codebook.size))
+    x1_layers, x1 = (table[i1].copy() for table in system.sender_signals)
+    x2_layers, x2 = (table[i2].copy() for table in system.jammer_signals)
 
     n = system.codebook.block_dim
     y1 = x1 + coeff.gain_x2_at_d1 * x2 + gaussian(noise_rng, n, coeff.noise_std_d1)
     y2 = x1 + coeff.gain_x2_at_d2 * x2 + gaussian(noise_rng, n, coeff.noise_std_d2)
-    return Transcript(w, s_prime, t1, t2, system.dithers1, system.dithers2,
-                      x1_layers, x2_layers, x1, x2, y1, y2)
+    return Transcript(w, s_prime, system.labeling.points[i1].copy(),
+                      system.jammer_points()[i2].copy(), i2, system.dithers1,
+                      system.dithers2, x1_layers, x2_layers, x1, x2, y1, y2)
 
 
 class MLDecoder:
@@ -348,14 +356,13 @@ class MLDecoder:
         self.system = system
         coeff = scale_channel(cfg)
         self._noise_var = coeff.noise_std_d1 ** 2
-        labeling = system.labeling
-        k = labeling.points.shape[0]
+        k = system.labeling.points.shape[0]
         jam = system.jammer_points()
         if k * jam.shape[0] > cap:
             raise ResourceCapError(
                 f"{k}x{jam.shape[0]} hypothesis pairs exceed cap {cap}")
-        self._x1 = mod_signals(system.codebook, labeling.points, system.dithers1)[1]
-        self._x2 = mod_signals(system.codebook, jam, system.dithers2)[1]
+        self._x1 = system.sender_signals[1]
+        self._x2 = system.jammer_signals[1]
         self._gain2 = coeff.gain_x2_at_d1
         self._pair_sig = None
 
@@ -381,12 +388,8 @@ class MLDecoder:
         return int(np.argmax(loglik))
 
     def decode_message(self, y1, mode: str = "marginal", t2_index: int | None = None) -> np.ndarray:
-        idx = self.decode_index(y1, mode, t2_index)
-        point = self.system.labeling.points[idx]
-        if self.system.kit is None:
-            return self.system.labeling.bits_of(point)
-        _, s = decode_secret(self.system.kit, point, self.system.labeling)
-        return s
+        label = int_to_bits(self.decode_index(y1, mode, t2_index), self.system.labeling.n_bits)
+        return label if self.system.kit is None else self.system.kit.g.apply(label)
 
 
 def ml_decode(cfg: ChannelConfig, system: SecrecySystem, y1, mode: str = "marginal",
@@ -400,10 +403,7 @@ def run_message_round(cfg: ChannelConfig, system: SecrecySystem, w_bits, seed: i
     """transmit + decode, filling the estimate fields of the transcript."""
     tr = transmit(cfg, system, w_bits, seed)
     dec = decoder if decoder is not None else MLDecoder(cfg, system)
-    t2_index = None
-    if mode == "genie":
-        t2_index = int(np.argmin(((system.jammer_points() - tr.t2) ** 2).sum(axis=1)))
-    tr.w_hat = dec.decode_message(tr.y1, mode, t2_index)
+    tr.w_hat = dec.decode_message(tr.y1, mode, tr.t2_index if mode == "genie" else None)
     tr.decode_error = not np.array_equal(tr.w_hat, tr.w_bits)
     return tr
 
@@ -412,27 +412,17 @@ def run_message_round(cfg: ChannelConfig, system: SecrecySystem, w_bits, seed: i
 # Exact leakage.
 # ---------------------------------------------------------------------------
 
-def _cyclic_shift(values: np.ndarray, d: float, c: float) -> int:
-    """Rank permutation induced by dithering: index i lands at (i+k) mod m."""
-    mod_vals = _reduce_values(values + d, c)
-    order = np.argsort(mod_vals)
-    ranks = np.empty(len(values), dtype=int)
-    ranks[order] = np.arange(len(values))
-    k = int(ranks[0])
-    if not np.array_equal(ranks, (np.arange(len(values)) + k) % len(values)):
-        raise RuntimeError("dither did not act as a cyclic shift; internal bug")
-    return k
-
-
 def coordinate_specs(codebook: LayeredCodebook, dithers1) -> list[Coordinate]:
-    """Each label coordinate's nesting and the cyclic shift the sender's dither induces."""
-    out = []
-    for layer, d in zip(codebook.layers, dithers1):
-        vals = layer.coordinate_values()
-        for j in range(layer.dim):
-            out.append(Coordinate(layer.nesting,
-                                  _cyclic_shift(vals, float(d[j]), layer.coarse_scale)))
-    return out
+    """Each label coordinate's nesting and the cyclic shift the sender's dither induces.
+
+    Adding d and reducing moves the values that wrap past a face to the other
+    end of the box, each with carry +1 (wrapped down) or -1 (wrapped up), so
+    digit i lands at rank (i + sum of carries) mod m.
+    """
+    return [Coordinate(layer.nesting, int(total) % layer.nesting)
+            for layer, d in zip(codebook.layers, dithers1)
+            for total in reduce_carry(layer.coordinate_values()[:, None] + as_vector(d),
+                                      layer.coarse_scale)[1].sum(axis=0)]
 
 
 def _hash_matrix(hash_or_kit) -> FiniteFieldMatrix:
@@ -502,28 +492,22 @@ def _leakage_charsum(codebook: LayeredCodebook, g: FiniteFieldMatrix,
 
 def _leakage_enumerate(codebook: LayeredCodebook, g: FiniteFieldMatrix,
                        coords: list[Coordinate], sign: str, cap: int) -> float:
-    labeling = codebook.labeling()
-    k_size = labeling.points.shape[0]
+    k_size = 1 << codebook.n0_bits
     sigma_space = math.prod(2 * c.m - 1 for c in coords)
     if k_size * sigma_space > (cap << 4):
         raise ResourceCapError("enumeration workload exceeds cap")
 
     windows = [window_indicator(c, sign).astype(float) / c.m for c in coords]
-    value_lists = []
-    for layer in codebook.layers:
-        vals = layer.coordinate_values()
-        value_lists.extend([vals] * layer.dim)
+    digits = label_grid(codebook.layers, np.arange(k_size))[0]
 
     r0 = g.rows
     joint = np.zeros((1 << r0, sigma_space))
     for idx in range(k_size):
         bits = int_to_bits(idx, codebook.n0_bits)
         w = bits_to_int((g.entries @ bits) % 2)
-        point = labeling.points[idx]
         vec = np.ones(1)
-        for c_idx in range(len(coords)):
-            i = int(np.argmin(np.abs(value_lists[c_idx] - point[c_idx])))
-            col = windows[c_idx][:, i]  # p(sigma | sender index i), shift folded in
+        for window, i in zip(windows, digits[idx]):
+            col = window[:, i]  # p(sigma | sender index i), shift folded in
             vec = (vec[:, None] * col[None, :]).ravel()
         joint[w] += vec / k_size
     return _mi_from_joint(joint)

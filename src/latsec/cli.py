@@ -2,8 +2,9 @@
 
 All randomness fans out from one --seed through labeled sub-streams, so a
 given (seed, config) pair always produces the same bytes.  Exit code 0
-means every reported check passed, 1 means some invariant check in the
-output failed, 2 means the invocation itself was unusable.
+means every reported check passed, 1 means some invariant check failed
+(each is named on stderr as `check failed: <name>`), 2 means the
+invocation itself was unusable.
 """
 from __future__ import annotations
 
@@ -73,7 +74,7 @@ def _parse_float_grid(text: str) -> list[float]:
 
 
 # ---------------------------------------------------------------------------
-# Subcommands; each returns (rows, columns, failed).
+# Subcommands; each returns (rows, columns, names of the failed checks).
 # ---------------------------------------------------------------------------
 
 def _cmd_entropy_check(args):
@@ -93,9 +94,7 @@ def _cmd_entropy_check(args):
     ]
     cols = ["check", "cases", "violations", "max_deficit",
             "max_mass_renyi2", "max_mass_min"]
-    failed = floor.violations > 0 or grid.bound_violations_renyi2 > 0 \
-        or grid.bound_violations_min > 0
-    return rows, cols, failed
+    return rows, cols, [row["check"] for row in rows if row["violations"] > 0]
 
 
 def _cmd_lattice_verify(args):
@@ -109,7 +108,6 @@ def _cmd_lattice_verify(args):
         d1 = np.zeros(args.n)
         d2 = np.zeros(args.n)
     rows = []
-    failed = False
     for measure in ("shannon", "renyi2", "min"):
         rep = lattice.dithered_sum_secrecy_report(
             pair, d1, d2, args.sign, args.s, measure, cap=args.cap)
@@ -122,23 +120,20 @@ def _cmd_lattice_verify(args):
             "masked_independent": rep.masked_independent,
             "max_carry_labels": rep.max_carry_labels, "passed": rep.passed,
         })
-        failed = failed or not rep.passed
     cols = ["measure", "sign", "s", "shannon_gap", "shannon_bound",
             "max_violation_mass", "joint_violation_mass", "violation_bound",
             "masked_independent", "max_carry_labels", "passed"]
-    return rows, cols, failed
+    return rows, cols, [f"secrecy_{row['measure']}" for row in rows if not row["passed"]]
 
 
 def _cmd_hash_bench(args):
     rows = []
-    failed = False
     for r in range(1, args.r_max + 1):
         for n in range(r, args.n_max + 1):
             frac = hashing.full_rank_fraction_exhaustive(r, n)
             bound = hashing.full_rank_lower_bound(r, n)
             exact = hashing.exact_full_rank_probability(r, n)
             ok = frac >= bound and abs(frac - exact) <= 1e-12
-            failed = failed or not ok
             rows.append({"kind": "exhaustive", "r": r, "n": n, "fraction": frac,
                          "lower_bound": bound, "exact_prob": exact, "ok": ok})
     mc_seed = int(substream(args.seed, "hash-bench-mc").integers(0, 2 ** 31))
@@ -146,17 +141,16 @@ def _cmd_hash_bench(args):
     exact = hashing.exact_full_rank_probability(args.mc_r, args.mc_n)
     sigma = (exact * (1 - exact) / args.mc_trials) ** 0.5
     ok = abs(frac - exact) <= 3 * sigma
-    failed = failed or not ok
     rows.append({"kind": "monte-carlo", "r": args.mc_r, "n": args.mc_n,
                  "fraction": frac, "lower_bound": hashing.full_rank_lower_bound(
                      args.mc_r, args.mc_n),
                  "exact_prob": exact, "ok": ok})
+    failed = [f"{row['kind']}_r{row['r']}_n{row['n']}" for row in rows if not row["ok"]]
     return rows, ["kind", "r", "n", "fraction", "lower_bound", "exact_prob", "ok"], failed
 
 
 def _cmd_amplify(args):
     rows = []
-    failed = False
     c_values = [float(v) for v in args.c_list.split(",")]
     for c in c_values:
         sources = []
@@ -170,29 +164,24 @@ def _cmd_amplify(args):
             h = hashing.exact_hashed_entropy(src, args.r)
             floor = hashing.privacy_amp_bound(args.r, 2, c)
             ok = h > floor
-            failed = failed or not ok
             rows.append({"r": args.r, "n": args.n, "c": c, "source": name,
                          "avg_entropy": h, "floor": floor, "ok": ok})
+    failed = [f"floor_{row['source']}_c{row['c']}" for row in rows if not row["ok"]]
     return rows, ["r", "n", "c", "source", "avg_entropy", "floor", "ok"], failed
-
-
-def _keygen_codebook(m: int, n_bar: int, layers: int) -> channel.LayeredCodebook:
-    return channel.make_codebook(m, n_bar, layers)
 
 
 def _cmd_keygen(args):
     if args.trials < 1:
         raise ConfigError("keygen needs at least one trial")
-    codebook = _keygen_codebook(args.m, args.nbar, args.layers)
+    codebook = channel.make_codebook(args.m, args.nbar, args.layers)
     if not codebook.labels_whole_codebook:
         raise ConfigError("keygen needs power-of-two layers labeling the whole codebook")
     spec = extractor.ExtractorSpec(codebook.n0_bits, args.r)
     report = extractor.key_secrecy_report(codebook, args.r, sign="+" if args.sign == "+" else "-")
     cfg = channel.ChannelConfig(a=args.a, b=args.b, sign=1 if args.sign == "+" else -1,
                                 noise_var1=args.sigma1 ** 2, n_uses=codebook.block_dim)
-    setup = extractor.KeyProtocolSetup(codebook, spec,
-                                       tuple(np.zeros(l.dim) for l in codebook.layers),
-                                       tuple(np.zeros(l.dim) for l in codebook.layers))
+    setup = extractor.KeyProtocolSetup(codebook, spec, channel.zero_dithers(codebook),
+                                       channel.zero_dithers(codebook))
     runner = extractor.KeyAgreementRunner(cfg, setup)
     base = int(substream(args.seed, "keygen-trials").integers(0, 2 ** 31))
     rate = runner.agreement_rate(args.trials, base, mode=args.mode)
@@ -204,7 +193,7 @@ def _cmd_keygen(args):
     }]
     cols = ["n0_bits", "r", "h_key_given_view", "budget_c", "eps_sec", "floor",
             "secrecy_ok", "trials", "agreement_rate"]
-    return rows, cols, not report.passed
+    return rows, cols, [] if report.passed else ["secrecy"]
 
 
 def _cmd_simulate(args):
@@ -232,7 +221,7 @@ def _cmd_simulate(args):
     }]
     cols = ["trials", "decode_error_rate", "rate_bits_per_use", "leakage_bits",
             "power_1", "power_2", "seed"]
-    return rows, cols, False
+    return rows, cols, []
 
 
 def _cmd_leakage_trend(args):
@@ -256,12 +245,15 @@ def _cmd_leakage_trend(args):
     cols = ["N_bar", "r0", "leakage_bits", "decode_error_rate",
             "power_1", "power_2", "seed"]
     positive = [r for r in trend if r.r0 > 0]
-    failed = any(r.leakage_bits > 2 * r.family_avg_leakage + 1e-12 for r in positive)
-    if len([r for r in positive if r.leakage_bits > 0]) >= 2:
-        failed = failed or channel.fitted_log2_slope(positive) >= 0
-    if args.fixed_r0 is not None:
-        failed = failed or any(b.leakage_bits >= a.leakage_bits
-                               for a, b in zip(positive, positive[1:]))
+    failed = []
+    if any(r.leakage_bits > 2 * r.family_avg_leakage + 1e-12 for r in positive):
+        failed.append("family_avg")
+    if (len([r for r in positive if r.leakage_bits > 0]) >= 2
+            and channel.fitted_log2_slope(positive) >= 0):
+        failed.append("slope")
+    if args.fixed_r0 is not None and any(b.leakage_bits >= a.leakage_bits
+                                         for a, b in zip(positive, positive[1:])):
+        failed.append("monotone")
     return rows, cols, failed
 
 
@@ -273,8 +265,8 @@ def _cmd_sdof(args):
         "alpha": p.alpha, "beta": p.beta, "sdof": p.sdof,
     } for p in points]
     cols = ["sqrt_ab", "p", "q", "gamma", "alpha", "beta", "sdof"]
-    failed = any(p.sdof is not None and not (0 <= p.sdof < 1) for p in points)
-    return rows, cols, failed
+    bad = any(p.sdof is not None and not (0 <= p.sdof < 1) for p in points)
+    return rows, cols, ["sdof_range"] if bad else []
 
 
 # ---------------------------------------------------------------------------
@@ -402,6 +394,8 @@ def main(argv=None) -> int:
         Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
+    for name in failed:
+        print(f"check failed: {name}", file=sys.stderr)
     return 1 if failed else 0
 
 

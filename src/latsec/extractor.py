@@ -23,11 +23,12 @@ import numpy as np
 
 from ._rng import gaussian, substream
 from .channel import (ChannelConfig, LayeredCodebook, MLDecoder, SecrecySystem,
-                      coordinate_specs, mod_signal, scale_channel, zero_dithers)
+                      coordinate_specs, scale_channel, zero_dithers)
 from .counting import xlog2x_counts
 from .entropy import DiscreteDistribution, xlog2x_sum
 from .errors import ConfigError, DomainError, ResourceCapError, ValidationError
 from .hashing import bits_to_int, exact_hashed_entropy, int_to_bits
+from .lattice import reduce_carry
 
 DEFAULT_SEED_SPACE_CAP = 1 << 20
 
@@ -224,14 +225,11 @@ class KeyAgreementRunner:
         self.cfg = cfg
         self.setup = setup
         codebook = setup.codebook
-        labeling = codebook.labeling()
-        self.labeling = labeling
-        self.system = SecrecySystem(codebook, None, labeling,
+        self.labeling = codebook.labeling()
+        self.system = SecrecySystem(codebook, None, self.labeling,
                                     setup.dithers1, setup.dithers2)
         self.decoder = MLDecoder(cfg, self.system)
         self.coeff = scale_channel(cfg)
-        self._x1 = self.decoder._x1
-        self._x2 = self.decoder._x2
 
     def run_one(self, seed: int, mode: str = "marginal") -> KeyTranscript:
         cb = self.setup.codebook
@@ -245,7 +243,9 @@ class KeyAgreementRunner:
         i1 = int(t_rng.integers(0, self.labeling.points.shape[0]))
         i2 = int(jam_rng.integers(0, cb.size))
 
-        y1 = (self._x1[i1] + self.coeff.gain_x2_at_d1 * self._x2[i2]
+        x1_layers, x1 = (table[i1] for table in self.system.sender_signals)
+        x2_layers, x2 = (table[i2] for table in self.system.jammer_signals)
+        y1 = (x1 + self.coeff.gain_x2_at_d1 * x2
               + gaussian(noise_rng, cb.block_dim, self.coeff.noise_std_d1))
         i1_hat = self.decoder.decode_index(y1, mode=mode,
                                            t2_index=i2 if mode == "genie" else None)
@@ -254,10 +254,7 @@ class KeyAgreementRunner:
         k1 = extract(spec, bits1, v_seed)
         k1_hat = extract(spec, int_to_bits(i1_hat, spec.input_len), v_seed)
 
-        t1 = self.labeling.points[i1]
-        t2 = cb.product_points()[i2]
-        masked, carry = _eavesdropper_pair(cb, t1, t2, self.setup.dithers1,
-                                           self.setup.dithers2, self.cfg.sign)
+        masked, carry = _eavesdropper_pair(cb, x1_layers, x2_layers, self.cfg.sign)
         return KeyTranscript(v_seed, i1, i2, k1, k1_hat,
                              bool(np.array_equal(k1, k1_hat)), i1_hat != i1,
                              masked, carry)
@@ -270,16 +267,13 @@ class KeyAgreementRunner:
         return agree / trials
 
 
-def _eavesdropper_pair(codebook: LayeredCodebook, t1, t2, d1, d2, sign: int):
-    """Modular sum and integer carry of the per-layer dithered real sums."""
-    x1_layers, _ = mod_signal(codebook, np.asarray(t1, dtype=float), d1)
-    x2_layers, _ = mod_signal(codebook, np.asarray(t2, dtype=float), d2)
+def _eavesdropper_pair(codebook: LayeredCodebook, x1_layers, x2_layers, sign: int):
+    """Modular sum and integer carry of the per-layer real sums of two senders'
+    (L, n) dithered signals."""
     masked = []
     carry = []
     for layer, a, b in zip(codebook.layers, x1_layers, x2_layers):
-        v = a + sign * b
-        w = layer.coarse.reduce(v)
-        z = np.round((v - w) / layer.coarse_scale).astype(int)
+        w, z = reduce_carry(a + sign * b, layer.coarse_scale)
         masked.extend(np.round(w, 9).tolist())
         carry.extend(z.tolist())
     return tuple(masked), tuple(carry)

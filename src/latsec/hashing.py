@@ -9,13 +9,16 @@ bits of uniform on average.
 The encoder completes a chosen full-row-rank hash g to an invertible
 square matrix [g'; g]; its inverse A turns any (randomness, secret) bit
 pair into a codebook label and back, so the secret is recoverable and a
-uniform input sweeps the codebook subset uniformly.
+uniform input sweeps the codebook subset uniformly.  A label is the
+integer index of a codebook point; the label <-> digits <-> point map it
+stands for is `lattice.label_grid`, and the one reduce/carry of the
+package is `lattice.reduce_carry`.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -23,6 +26,7 @@ import numpy as np
 
 from .entropy import DiscreteDistribution, renyi2_entropy
 from .errors import DomainError, ResourceCapError, ValidationError
+from .lattice import grid_label, label_grid
 
 DEFAULT_MATRIX_CAP = 1 << 22
 # Largest support a bit source enumerates.  Every symbol is a tuple of n
@@ -413,53 +417,37 @@ def build_encoder(g: FiniteFieldMatrix) -> EncoderKit:
 
 @dataclass(frozen=True, eq=False)
 class BitLabeling:
-    """Bijection between 2^n_bits codebook points and their index bits.
+    """Binary labels of the product codebook of nested-lattice layers.
 
-    Points are kept in lexicographic coordinate order and labeled by
-    binary counting, so the mapping is fixed and reproducible.
+    A point's label is its integer label (`lattice.label_grid`), i.e. its
+    position in lexicographic coordinate order, written as n_bits binary
+    digits.  When the product size is a power of two the whole codebook is
+    labeled; otherwise the first 2^floor(log2 size) points are kept.
     """
 
-    points: np.ndarray  # (2^n_bits, dim)
-    n_bits: int
+    layers: tuple
+    n_bits: int = field(init=False)
+    points: np.ndarray = field(init=False)  # (2^n_bits, dim), in label order
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.shape[0] != 1 << self.n_bits:
-            raise ValidationError("labeling must cover exactly 2^n_bits points")
-        pts = pts.copy()
+        layers = tuple(self.layers)
+        n_bits = math.prod(layer.codebook_size for layer in layers).bit_length() - 1
+        pts = label_grid(layers, np.arange(1 << n_bits))[1]
         pts.setflags(write=False)
+        object.__setattr__(self, "layers", layers)
+        object.__setattr__(self, "n_bits", n_bits)
         object.__setattr__(self, "points", pts)
-        index = {tuple(np.round(p, 9).tolist()): i for i, p in enumerate(pts)}
-        if len(index) != pts.shape[0]:
-            raise ValidationError("labeled points must be distinct")
-        object.__setattr__(self, "_index", index)
 
     @classmethod
     def from_layers(cls, layers) -> "BitLabeling":
-        """Label the product codebook of the given nested-lattice layers.
-
-        When the product size is a power of two the whole codebook is
-        labeled; otherwise the lexicographically first 2^floor(log2 size)
-        points are kept.
-        """
-        value_lists = []
-        for layer in layers:
-            vals = layer.coordinate_values()
-            value_lists.extend([vals] * layer.dim)
-        size = 1
-        for vals in value_lists:
-            size *= len(vals)
-        n_bits = size.bit_length() - 1
-        grids = np.meshgrid(*value_lists, indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=-1)
-        return cls(pts[: 1 << n_bits], n_bits)
+        """Label the product codebook of the given nested-lattice layers."""
+        return cls(tuple(layers))
 
     def index_of(self, point) -> int:
-        key = tuple(np.round(np.asarray(point, dtype=float), 9).tolist())
-        try:
-            return self._index[key]
-        except KeyError:
-            raise DomainError("point is not in the labeled codebook subset") from None
+        label = grid_label(self.layers, point)
+        if label >= self.points.shape[0]:
+            raise DomainError("point is not in the labeled codebook subset")
+        return label
 
     def bits_of(self, point) -> np.ndarray:
         return int_to_bits(self.index_of(point), self.n_bits)
@@ -471,18 +459,22 @@ class BitLabeling:
         return self.points[bits_to_int(b)].copy()
 
 
-def encode_secret(kit: EncoderKit, s_bits, s_prime_bits, labeling: BitLabeling) -> np.ndarray:
-    """Map (secret, randomness) bits to a codebook point via A."""
+def encode_label(kit: EncoderKit, s_bits, s_prime_bits) -> int:
+    """The codebook label A (s', s) of a (secret, randomness) bit pair."""
     s = np.asarray(s_bits, dtype=np.int64)
     sp = np.asarray(s_prime_bits, dtype=np.int64)
     if s.shape != (kit.r_secret,):
         raise DomainError(f"secret must be {kit.r_secret} bits")
     if sp.shape != (kit.n_bits - kit.r_secret,):
         raise DomainError(f"randomness must be {kit.n_bits - kit.r_secret} bits")
+    return bits_to_int(kit.a_inv.apply(np.concatenate([sp, s])))
+
+
+def encode_secret(kit: EncoderKit, s_bits, s_prime_bits, labeling: BitLabeling) -> np.ndarray:
+    """Map (secret, randomness) bits to a codebook point via A."""
     if labeling.n_bits != kit.n_bits:
         raise DomainError("labeling width does not match the encoder")
-    label = kit.a_inv.apply(np.concatenate([sp, s]))
-    return labeling.point_of(label)
+    return labeling.points[encode_label(kit, s_bits, s_prime_bits)].copy()
 
 
 def decode_secret(kit: EncoderKit, point, labeling: BitLabeling) -> tuple[np.ndarray, np.ndarray]:

@@ -6,6 +6,12 @@ fundamental region.  Quantizer ties at +c/2 round down, which makes the
 modulus a total function and the codebook an exact finite Abelian group
 of size m^N under mod-c addition.
 
+Every modular reduction and carry in the package is `reduce_carry`.  A
+codebook point is carried as its integer label, the mixed-radix index of
+its digit vector (digit i = i-th ascending coordinate value, coordinate 0
+most significant); `label_grid` maps labels to digits and points, and
+`grid_label` inverts it.
+
 `representation_index` recovers the result of summing K points of a
 fundamental region from the reduced sum plus a bounded integer index:
 given the residual w, the integer carry per coordinate is confined to K
@@ -43,6 +49,17 @@ def _key(x: np.ndarray) -> tuple:
     return tuple(np.round(np.asarray(x, dtype=float), _KEY_DECIMALS).tolist())
 
 
+def reduce_carry(v, c: float) -> tuple[np.ndarray, np.ndarray]:
+    """Split real values v (at least 1-D) into w in [-c/2, c/2) and integer carries z,
+    v = w + c*z elementwise."""
+    v = np.asarray(v, dtype=float)
+    w = v - c * np.floor(v / c + 0.5)
+    # guard against float round-off landing exactly on the excluded face
+    w[w >= c / 2] -= c
+    w[w < -c / 2] += c
+    return w, np.round((v - w) / c).astype(int)
+
+
 @dataclass(frozen=True)
 class ScaledLattice:
     """spacing * Z^dim with fundamental region [-spacing/2, spacing/2)^dim."""
@@ -61,12 +78,7 @@ class ScaledLattice:
         v = as_vector(x)
         if v.shape != (self.dim,):
             raise DomainError(f"expected a vector of dimension {self.dim}")
-        s = self.spacing
-        r = v - s * np.floor(v / s + 0.5)
-        # guard against float round-off landing exactly on the excluded face
-        r[r >= s / 2] -= s
-        r[r < -s / 2] += s
-        return r
+        return reduce_carry(v, self.spacing)[0]
 
     def contains_in_region(self, x) -> bool:
         v = as_vector(x)
@@ -123,15 +135,35 @@ def mod_coarse(x, pair: NestedLatticePair) -> LatticeVector:
     return pair.coarse.reduce(x)
 
 
+def label_grid(pairs: Sequence[NestedLatticePair], labels) -> tuple[np.ndarray, np.ndarray]:
+    """Digit vectors and points, both (P, n_bar), of P labels of the product
+    codebook of `pairs`, each pair contributing its dim coordinates in order."""
+    coords = [pair for pair in pairs for _ in range(pair.dim)]
+    digits = np.stack(np.unravel_index(labels, [pair.nesting for pair in coords]), axis=-1)
+    return digits, np.stack([pair.coordinate_values()[digits[:, j]]
+                             for j, pair in enumerate(coords)], axis=-1)
+
+
+def grid_label(pairs: Sequence[NestedLatticePair], point) -> int:
+    """Inverse of `label_grid` for one point; DomainError when it is off the grid."""
+    coords = [pair for pair in pairs for _ in range(pair.dim)]
+    m = np.array([pair.nesting for pair in coords])
+    v = np.asarray(point, dtype=float)
+    if v.shape == m.shape and np.all(np.isfinite(v)):
+        digits = np.round(v * m / [pair.coarse_scale for pair in coords]).astype(int) + m // 2
+        if np.all((digits >= 0) & (digits < m)):
+            label = int(np.ravel_multi_index(digits, m))
+            if np.all(np.abs(label_grid(pairs, [label])[1][0] - v) <= 1e-9):
+                return label
+    raise DomainError("point is not on the product grid")
+
+
 def enumerate_codebook(pair: NestedLatticePair, cap: int = DEFAULT_ENUM_CAP) -> list:
     """All m^N codebook points in lexicographic coordinate order."""
     if pair.codebook_size > cap:
         raise ResourceCapError(
             f"codebook size {pair.codebook_size} exceeds enumeration cap {cap}")
-    values = pair.coordinate_values()
-    grids = np.meshgrid(*([values] * pair.dim), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    return [pts[i].copy() for i in range(pts.shape[0])]
+    return list(label_grid([pair], np.arange(pair.codebook_size))[1])
 
 
 def in_codebook(x, pair: NestedLatticePair, tol: float = 1e-9) -> bool:
@@ -206,9 +238,7 @@ def representation_index(points: Sequence, lattice) -> tuple[RepresentationIndex
         if not lat.contains_in_region(p):
             raise DomainError(f"point {p} outside the fundamental region")
     k = len(pts)
-    total = np.sum(pts, axis=0)
-    w = lat.reduce(total)
-    z = np.round((total - w) / lat.spacing).astype(int)
+    w, z = reduce_carry(np.sum(pts, axis=0), lat.spacing)
     z_min = _carry_floor(w, lat.spacing, k)
     digits = z - z_min
     if np.any(digits < 0) or np.any(digits >= k):
@@ -305,9 +335,8 @@ def dithered_sum_secrecy_report(pair: NestedLatticePair, d1, d2, sign: str = "+"
     per_masked: dict = {}
     for i, x1 in enumerate(x1s):
         for x2 in x2s:
-            v = x1 + x2 if sign == "+" else x1 - x2
-            w = pair.coarse.reduce(v)
-            z = tuple(np.round((v - w) / c).astype(int).tolist())
+            w, z = reduce_carry(x1 + x2 if sign == "+" else x1 - x2, c)
+            z = tuple(z.tolist())
             mk = _key(w)
             masked_counts[(i, mk)] = masked_counts.get((i, mk), 0) + 1
             full_counts[(i, (mk, z))] = full_counts.get((i, (mk, z)), 0) + 1

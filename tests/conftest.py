@@ -90,6 +90,23 @@ def brute_force_xlog2x_counts(coords, sign: str, rows, weights) -> tuple[float, 
     return xlog2x(hist), xlog2x(np.bincount(w, minlength=size))
 
 
+def cyclic_shift_oracle(values: np.ndarray, d: float, c: float) -> int:
+    """The cyclic shift a dither d induces on ascending coordinate values, by rank.
+
+    Reduces values + d into [-c/2, c/2), sorts the residuals and reads the
+    rank of index 0; every index i must land at rank (i + k) mod m.
+    """
+    v = np.asarray(values, dtype=float) + d
+    r = v - c * np.floor(v / c + 0.5)
+    r[r >= c / 2] -= c
+    r[r < -c / 2] += c
+    ranks = np.empty(len(r), dtype=int)
+    ranks[np.argsort(r)] = np.arange(len(r))
+    k = int(ranks[0])
+    assert np.array_equal(ranks, (np.arange(len(r)) + k) % len(r)), "not a cyclic shift"
+    return k
+
+
 def nearest_coarse_point_oracle(x: float, c: float) -> float:
     """Reduce a scalar by scanning nearby multiples of c.
 

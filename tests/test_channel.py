@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import brute_force_leakage
+from conftest import brute_force_leakage, cyclic_shift_oracle
 from latsec._rng import substream
 from latsec.channel import (ChannelConfig, LayeredCodebook, MLDecoder, TrendRow,
-                            build_system, exact_leakage, exact_signal_power,
-                            fitted_log2_slope, leakage_trend, make_codebook,
-                            mod_signal, mod_signals, random_dithers,
+                            build_system, coordinate_specs, exact_leakage,
+                            exact_signal_power, fitted_log2_slope, leakage_trend,
+                            make_codebook, mod_signal, mod_signals, random_dithers,
                             run_message_round, scale_channel,
                             secrecy_rate_report, select_secrecy_hash, transmit)
 from latsec.errors import ConfigError, DomainError, ResourceCapError
@@ -127,6 +129,7 @@ class TestTransmit:
             tr = transmit(cfg, system, np.array([seed % 2]), seed=seed)
             i = int(np.argmin(np.abs(pts[:, 0] - tr.t1[0])))
             j = int(np.argmin(np.abs(pts[:, 0] - tr.t2[0])))
+            assert j == tr.t2_index  # the transcript keeps the jammer index it drew
             counts[i, j] += 1
         p = counts / trials
         dev = np.abs(p - np.outer(p.sum(axis=1), p.sum(axis=0))).max()
@@ -144,8 +147,7 @@ class TestDecoding:
     @pytest.mark.parametrize("m, n_bar, n_layers",
                              [(4, 2, 1), (3, 2, 1), (8, 2, 2), (4, 3, 3), (2, 9, 9)])
     def test_signal_tables_match_per_point_reductions(self, m, n_bar, n_layers):
-        # the decoders' tables (one batched call) equal the one-point calls
-        # that transmit makes, so no decoding decision can move
+        # the signal tables (one batched call) equal one-point reductions
         cb = make_codebook(m, n_bar, n_layers)
         rng = substream(m * 100 + n_bar, "table-dithers")
         dithers = random_dithers(cb, rng)
@@ -203,6 +205,32 @@ class TestDecoding:
         cfg = ChannelConfig(a=1.0, b=1.0, n_uses=4)
         with pytest.raises(ResourceCapError):
             MLDecoder(cfg, system, cap=100)
+
+
+@st.composite
+def dithered_coordinates(draw):
+    """A layer (m, c) and dithers: uniform over [-1.5c, 1.5c), multiples of
+    c/m give or take 1e-12, and +-c/2 with their float neighbours."""
+    m = draw(st.sampled_from([2, 3, 4, 5, 8, 16]))
+    c = draw(st.sampled_from([float(m), 1.0, 4.0, 0.7]))
+    faces = [x for h in (-c / 2, c / 2) for x in (h, np.nextafter(h, -np.inf), np.nextafter(h, np.inf))]
+    dither = st.one_of(
+        st.floats(-1.5 * c, 1.5 * c, exclude_max=True),
+        st.builds(lambda k, e: k * c / m + e, st.integers(-m, m), st.sampled_from([-1e-12, 0.0, 1e-12])),
+        st.sampled_from(faces))
+    return m, c, np.array(draw(st.lists(dither, min_size=1, max_size=4)))
+
+
+class TestCoordinateSpecs:
+    @settings(max_examples=300, deadline=None)
+    @given(dithered_coordinates())
+    def test_shift_from_carries_matches_rank_oracle(self, case):
+        m, c, d = case
+        pair = NestedLatticePair(len(d), c, m)
+        specs = coordinate_specs(LayeredCodebook((pair, pair)), (d, -d))
+        want = [cyclic_shift_oracle(pair.coordinate_values(), float(x), c) for x in [*d, *-d]]
+        assert [spec.shift for spec in specs] == want
+        assert all(spec.m == m for spec in specs)
 
 
 class TestExactLeakage:

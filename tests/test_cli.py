@@ -1,25 +1,35 @@
+from pathlib import Path
+
 import pytest
 
 from latsec.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 SMALL_INVOCATIONS = {
     "entropy-check": ["entropy-check", "--trials", "150", "--grid-max", "2",
                       "--grid-step", "6"],
     "lattice-verify": ["lattice-verify", "--n", "1", "--m", "4", "--s", "2",
                        "--dither", "random"],
+    "lattice-verify-minus": ["lattice-verify", "--n", "1", "--m", "4", "--s", "2",
+                             "--sign", "-", "--dither", "random"],
     "hash-bench": ["hash-bench", "--r-max", "2", "--n-max", "3",
                    "--mc-r", "4", "--mc-n", "8", "--mc-trials", "3000"],
     "amplify": ["amplify", "--r", "1", "--n", "2", "--c-list", "1,2"],
     "keygen": ["keygen", "--nbar", "2", "--m", "4", "--r", "1", "--trials", "15"],
     "simulate": ["simulate", "--nbar", "2", "--m", "4", "--r0", "1",
                  "--trials", "8", "--family", "3"],
+    "simulate-genie": ["simulate", "--nbar", "2", "--m", "4", "--r0", "1",
+                       "--trials", "8", "--family", "3", "--mode", "genie"],
     "leakage-trend": ["leakage-trend", "--nbar", "2:4", "--family", "3"],
+    "leakage-trend-random": ["leakage-trend", "--nbar", "2:4", "--family", "3",
+                             "--dither", "random", "--decode-trials", "20"],
     "sdof": ["sdof", "--grid", "1.0:2.0:0.25", "--qmax", "5"],
 }
 
 
 @pytest.mark.parametrize("name", sorted(SMALL_INVOCATIONS))
-def test_subcommand_runs_and_reproduces(tmp_path, name):
+def test_subcommand_runs_and_reproduces(tmp_path, capsys, name):
     args = SMALL_INVOCATIONS[name]
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
@@ -28,6 +38,8 @@ def test_subcommand_runs_and_reproduces(tmp_path, name):
     b1 = out1.read_bytes()
     assert b1 == out2.read_bytes()
     assert b1.decode().count("\n") >= 2  # header plus at least one row
+    assert b1 == (GOLDEN / f"{name}.csv").read_bytes()
+    assert capsys.readouterr().err == ""  # no failed check to name
 
 
 def test_json_format(tmp_path):
@@ -71,3 +83,14 @@ def test_config_error_exit_code(capsys):
                  ["amplify", "--n", "40"]):
         assert main(args) == 2, args
         assert "error:" in capsys.readouterr().err, args
+
+
+def test_failed_check_is_named(tmp_path, capsys):
+    # the fitted log2 slope is +0.05 here and every row passes the family screen
+    out = tmp_path / "trend.csv"
+    assert main(["leakage-trend", "--m", "4", "--nbar", "2:8", "--family", "4",
+                 "--seed", "2", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "check failed: slope\n"
+    assert captured.out == ""
+    assert out.read_text().count("\n") == 8

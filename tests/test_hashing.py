@@ -298,8 +298,9 @@ class TestSecretCodec:
         assert lab.n_bits == 1
         assert lab.points.shape == (2, 1)
         assert lab.index_of(lab.points[1]) == 1
-        with pytest.raises(DomainError):
-            lab.index_of([1.0])  # the third point was cut
+        for bad in ([1.0], [0.5], [np.nan], [0.0, 0.0]):  # cut, off-grid, non-finite, shape
+            with pytest.raises(DomainError):
+                lab.index_of(bad)
 
 
 class TestRateSelect:

@@ -9,7 +9,8 @@ from latsec.errors import DomainError, ResourceCapError, ValidationError
 from latsec.lattice import (NestedLatticePair, RepresentationIndex, ScaledLattice,
                             codebook_rate, codebook_to_csv, dither_encode,
                             dithered_sum_secrecy_report, enumerate_codebook,
-                            group_add, in_codebook, mod_coarse, reconstruct_sum,
+                            grid_label, group_add, in_codebook, label_grid,
+                            mod_coarse, reconstruct_sum, reduce_carry,
                             representation_index)
 
 
@@ -59,6 +60,15 @@ class TestModCoarse:
             assert np.allclose(k, np.round(k), atol=1e-9)
 
 
+def test_reduce_carry_matches_scan_oracle():
+    rng = np.random.default_rng(5)
+    for c in (1.0, 0.75, 4.0):  # exact in binary, so the faces c/2 + k c are exact too
+        v = np.concatenate([c * (rng.random(200) * 8 - 4), c * np.arange(-4.5, 5.0, 0.5)])
+        w, z = reduce_carry(v, c)
+        assert w.tolist() == [nearest_coarse_point_oracle(x, c) for x in v]
+        assert z.dtype.kind == "i" and np.allclose(w + c * z, v, atol=1e-12)
+
+
 class TestCodebook:
     def test_one_dim_m2(self):
         pair = NestedLatticePair(1, 2.0, 2)
@@ -85,6 +95,19 @@ class TestCodebook:
     def test_cap(self):
         with pytest.raises(ResourceCapError):
             enumerate_codebook(NestedLatticePair(8, 2.0, 4), cap=100)
+
+    def test_labels_count_the_product_grid(self):
+        # mixed nestings and scales: label order is itertools.product order
+        pairs = [NestedLatticePair(2, 3.0, 3), NestedLatticePair(1, 0.7, 4)]
+        values = [p.coordinate_values() for p in pairs for _ in range(p.dim)]
+        want = np.array(list(itertools.product(*values)))
+        digits, points = label_grid(pairs, np.arange(len(want)))
+        assert np.array_equal(points, want)
+        assert all(np.array_equal(values[j][digits[:, j]], points[:, j]) for j in range(3))
+        assert [grid_label(pairs, p) for p in points] == list(range(len(want)))
+        for bad in ([0.0, 0.0, 0.1], [0.0, 0.0, 0.35], [0.0, 0.0], [np.inf, 0.0, 0.0]):
+            with pytest.raises(DomainError):
+                grid_label(pairs, bad)
 
     def test_validation(self):
         with pytest.raises(ValidationError):

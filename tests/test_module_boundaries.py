@@ -1,4 +1,5 @@
-"""latsec modules import only public names from one another."""
+"""latsec modules import only public names from one another and read no
+other object's private attributes."""
 import ast
 from pathlib import Path
 
@@ -16,4 +17,16 @@ def test_no_private_names_imported(path):
                if isinstance(node, ast.ImportFrom)
                and (node.level > 0 or (node.module or "").split(".")[0] == "latsec")
                for alias in node.names if alias.name.startswith("_")]
+    assert not private, private
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_attributes_of_other_objects(path):
+    # obj._name is private to obj's own class: only self and cls may read it
+    tree = ast.parse(path.read_text(), filename=str(path))
+    private = [f"{path.name}:{node.lineno} reads {ast.unparse(node)}"
+               for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+               and not node.attr.startswith("__")
+               and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))]
     assert not private, private
