@@ -413,16 +413,9 @@ def run_message_round(cfg: ChannelConfig, system: SecrecySystem, w_bits, seed: i
 # ---------------------------------------------------------------------------
 
 def coordinate_specs(codebook: LayeredCodebook, dithers1) -> list[Coordinate]:
-    """Each label coordinate's nesting and the cyclic shift the sender's dither induces.
-
-    Adding d and reducing moves the values that wrap past a face to the other
-    end of the box, each with carry +1 (wrapped down) or -1 (wrapped up), so
-    digit i lands at rank (i + sum of carries) mod m.
-    """
-    return [Coordinate(layer.nesting, int(total) % layer.nesting)
-            for layer, d in zip(codebook.layers, dithers1)
-            for total in reduce_carry(layer.coordinate_values()[:, None] + as_vector(d),
-                                      layer.coarse_scale)[1].sum(axis=0)]
+    """Each label coordinate's nesting and the cyclic shift the sender's dither induces."""
+    return [Coordinate(layer.nesting, int(k))
+            for layer, d in zip(codebook.layers, dithers1) for k in layer.dither_shifts(d)]
 
 
 def _hash_matrix(hash_or_kit) -> FiniteFieldMatrix:

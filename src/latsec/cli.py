@@ -173,7 +173,7 @@ def _cmd_amplify(args):
 def _cmd_keygen(args):
     if args.trials < 1:
         raise ConfigError("keygen needs at least one trial")
-    codebook = channel.make_codebook(args.m, args.nbar, args.layers)
+    codebook = channel.make_codebook(args.m, args.nbar)
     if not codebook.labels_whole_codebook:
         raise ConfigError("keygen needs power-of-two layers labeling the whole codebook")
     spec = extractor.ExtractorSpec(codebook.n0_bits, args.r)
@@ -197,7 +197,7 @@ def _cmd_keygen(args):
 
 
 def _cmd_simulate(args):
-    codebook = channel.make_codebook(args.m, args.nbar, args.layers)
+    codebook = channel.make_codebook(args.m, args.nbar)
     r0 = args.r0
     if r0 > codebook.n0_bits:
         raise ConfigError("r0 exceeds the label width")
@@ -321,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--nbar", type=int, default=2)
     p.add_argument("--m", type=int, default=4)
-    p.add_argument("--layers", type=int, default=1)
     p.add_argument("--r", type=int, default=2)
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--sigma1", type=float, default=1e-6)
@@ -334,7 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--nbar", type=int, default=2)
     p.add_argument("--m", type=int, default=4)
-    p.add_argument("--layers", type=int, default=1)
     p.add_argument("--r0", type=int, default=1)
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--sigma1", type=float, default=1e-6)

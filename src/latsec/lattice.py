@@ -16,6 +16,13 @@ most significant); `label_grid` maps labels to digits and points, and
 fundamental region from the reduced sum plus a bounded integer index:
 given the residual w, the integer carry per coordinate is confined to K
 consecutive values, so an index T with 1 <= T <= K^N pins the real sum.
+
+`dithered_sum_secrecy_report` audits what the real sum of two dithered
+codewords discloses.  A dither only rotates each coordinate's digits
+(`NestedLatticePair.dither_shifts`, the one shift rule, which
+`channel.coordinate_specs` uses too), so the sum is an integer vector
+sigma, and the audit counts labels in the window
+`counting.window_indicator` instead of enumerating codeword pairs.
 """
 from __future__ import annotations
 
@@ -28,6 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .counting import Coordinate, window_indicator
 from .entropy import JointDistribution, conditional_shannon, shannon_entropy, side_info_violation_mass
 from .errors import DomainError, ResourceCapError, ValidationError
 
@@ -35,7 +43,6 @@ from .errors import DomainError, ResourceCapError, ValidationError
 LatticeVector = np.ndarray
 
 DEFAULT_ENUM_CAP = 1 << 16
-_KEY_DECIMALS = 9
 
 
 def as_vector(x) -> LatticeVector:
@@ -43,10 +50,6 @@ def as_vector(x) -> LatticeVector:
     if not np.all(np.isfinite(v)):
         raise ValidationError("lattice vectors must have finite entries")
     return v
-
-
-def _key(x: np.ndarray) -> tuple:
-    return tuple(np.round(np.asarray(x, dtype=float), _KEY_DECIMALS).tolist())
 
 
 def reduce_carry(v, c: float) -> tuple[np.ndarray, np.ndarray]:
@@ -120,6 +123,19 @@ class NestedLatticePair:
         delta = self.coarse_scale / m
         k0 = -(m // 2)
         return delta * np.arange(k0, k0 + m, dtype=float)
+
+    def dither_shifts(self, d) -> np.ndarray:
+        """Per coordinate, the cyclic shift k the dither d induces on the digits.
+
+        Adding d and reducing moves the values that wrap past a face to the
+        other end of the box, each with carry +1 (wrapped down) or -1 (wrapped
+        up), so digit i lands at rank (i + k) mod m, k = (sum of carries) mod m.
+        """
+        d = as_vector(d)
+        if d.shape != (self.dim,):
+            raise DomainError(f"expected a dither of dimension {self.dim}")
+        return reduce_carry(self.coordinate_values()[:, None] + d,
+                            self.coarse_scale)[1].sum(axis=0) % self.nesting
 
     def to_json(self) -> str:
         return json.dumps({"N": self.dim, "c": self.coarse_scale, "m": self.nesting})
@@ -295,12 +311,11 @@ class SumSecrecyReport:
     passed: bool
 
 
-def _exact_joint(counts: dict, total: int, x_symbols, t_symbols) -> JointDistribution:
-    rows = tuple(
-        tuple(Fraction(counts.get((x, t), 0), total) for t in t_symbols)
-        for x in x_symbols
-    )
-    return JointDistribution(tuple(x_symbols), tuple(t_symbols), rows)
+def _exact_joint(counts: np.ndarray) -> JointDistribution:
+    """Rows = sender labels, columns = observed symbols, masses count / total."""
+    total = int(counts.sum())
+    rows = tuple(tuple(Fraction(v, total) for v in row) for row in counts.tolist())
+    return JointDistribution(range(counts.shape[0]), range(counts.shape[1]), rows)
 
 
 def dithered_sum_secrecy_report(pair: NestedLatticePair, d1, d2, sign: str = "+",
@@ -313,6 +328,12 @@ def dithered_sum_secrecy_report(pair: NestedLatticePair, d1, d2, sign: str = "+"
     report checks that disclosing the carry costs at most N bits of
     Shannon entropy, and (for renyi2/min) that slices with a larger drop
     have the guaranteed small total mass.
+
+    V is the integer vector sigma of rank sums; the joint of (u1's label,
+    sigma) is the Kronecker product of the coordinates' windows, and the
+    masked class of sigma_j is sigma_j mod m.  Symbols are sorted by
+    (residual rank per coordinate, carry tuple), the order of the real
+    (residual, carry) values, which fixes the float summation order.
     """
     if sign not in ("+", "-"):
         raise DomainError("sign must be '+' or '-'")
@@ -322,79 +343,58 @@ def dithered_sum_secrecy_report(pair: NestedLatticePair, d1, d2, sign: str = "+"
     if size * size > cap:
         raise ResourceCapError(f"{size}^2 pairs exceed cap {cap}")
 
-    book = enumerate_codebook(pair, cap=cap)
-    d1 = as_vector(d1)
-    d2 = as_vector(d2)
-    x1s = [dither_encode(u, d1, pair) for u in book]
-    x2s = [dither_encode(u, d2, pair) for u in book]
-    c = pair.coarse_scale
+    n, m, c = pair.dim, pair.nesting, pair.coarse_scale
+    shifts = [pair.dither_shifts(d) for d in (d1, d2)]
+    # each sender's dithered coordinate values in rank order, (m, n)
+    ranked = [np.take_along_axis(reduce_carry(pair.coordinate_values()[:, None] + as_vector(d),
+                                              c)[0], (np.arange(m)[:, None] - k) % m, axis=0)
+              for d, k in zip((d1, d2), shifts)]
+    sig = np.arange(2 * m - 1)
+    p = np.minimum(sig, m - 1)  # one rank pair (p, q) per sum sigma
+    q = sig - p if sign == "+" else p + m - 1 - sig
+    w, z = reduce_carry(ranked[0][p] + ranked[1][q] if sign == "+"
+                        else ranked[0][p] - ranked[1][q], c)  # (2m-1, n)
+    rank = np.argsort(np.argsort(w[:m], axis=0), axis=0)  # of the residual classes
 
-    total = size * size
-    masked_counts: dict = {}
-    full_counts: dict = {}
-    per_masked: dict = {}
-    for i, x1 in enumerate(x1s):
-        for x2 in x2s:
-            w, z = reduce_carry(x1 + x2 if sign == "+" else x1 - x2, c)
-            z = tuple(z.tolist())
-            mk = _key(w)
-            masked_counts[(i, mk)] = masked_counts.get((i, mk), 0) + 1
-            full_counts[(i, (mk, z))] = full_counts.get((i, (mk, z)), 0) + 1
-            per_masked.setdefault(mk, {})
-            per_masked[mk][(i, z)] = per_masked[mk].get((i, z), 0) + 1
+    window = np.ones((1, 1), dtype=np.int64)  # (u1 label, sigma), both mixed-radix
+    for k in shifts[0]:
+        window = np.kron(window, window_indicator(Coordinate(m, int(k)), sign).T)
+    sigmas = np.indices((2 * m - 1,) * n).reshape(n, -1)
+    coord = np.arange(n)[:, None]
+    masked = np.ravel_multi_index(rank[sigmas % m, coord], (m,) * n)
+    order = np.lexsort(np.vstack([z[sigmas, coord][::-1], masked]))
+    full = window[:, order]
+    starts = np.searchsorted(masked[order], np.arange(m ** n))
+    slices = np.split(full, starts[1:], axis=1)  # one per masked symbol
 
-    x_syms = list(range(size))
-    masked_syms = sorted({t for (_, t) in masked_counts})
-    full_syms = sorted({t for (_, t) in full_counts})
-    joint_masked = _exact_joint(masked_counts, total, x_syms, masked_syms)
-    joint_full = _exact_joint(full_counts, total, x_syms, full_syms)
-
+    joint_masked = _exact_joint(np.add.reduceat(full, starts, axis=1))
     h_u1 = shannon_entropy(joint_masked.marginal_x())
     h_given_masked = conditional_shannon(joint_masked)
-    h_given_full = conditional_shannon(joint_full)
+    h_given_full = conditional_shannon(_exact_joint(full))
 
     # the modular sum is an additive mask: it must carry no information at all,
     # and it must come out exactly uniform
-    masked_marg = joint_masked.marginal_t()
-    uniform_mask = len(set(masked_marg.probs)) == 1
-    masked_independent = uniform_mask and abs(h_given_masked - h_u1) <= 1e-9
-
-    max_labels = 0
-    max_mass = None
-    joint_mass = None
-    if measure != "shannon":
-        max_mass = Fraction(0)
-        joint_mass = Fraction(0)
-        for mk, slice_counts in per_masked.items():
-            slice_total = sum(slice_counts.values())
-            labels = sorted({z for (_, z) in slice_counts})
-            max_labels = max(max_labels, len(labels))
-            joint_slice = _exact_joint(slice_counts, slice_total, x_syms, labels)
-            mass = side_info_violation_mass(joint_slice, measure, s)
-            if mass > max_mass:
-                max_mass = mass
-            joint_mass += Fraction(slice_total, total) * mass
-    else:
-        for slice_counts in per_masked.values():
-            labels = {z for (_, z) in slice_counts}
-            max_labels = max(max_labels, len(labels))
-
-    carry_cap = 2 ** pair.dim  # two summands: at most 2^N carries per residual
+    masked_independent = (len(set(joint_masked.marginal_t().probs)) == 1
+                          and abs(h_given_masked - h_u1) <= 1e-9)
+    max_labels = max(sl.shape[1] for sl in slices)
     gap = h_given_masked - h_given_full
     bound = float(pair.dim)
-
+    # two summands: at most 2^N carries per residual
+    passed = gap <= bound + 1e-9 and masked_independent and max_labels <= 2 ** pair.dim
     if measure == "shannon":
-        passed = (gap <= bound + 1e-9 and masked_independent
-                  and max_labels <= carry_cap)
         return SumSecrecyReport(measure, sign, None, gap, bound, None, None, None,
                                 masked_independent, max_labels, passed)
 
+    max_mass = Fraction(0)
+    joint_mass = Fraction(0)
+    for sl in slices:
+        mass = side_info_violation_mass(_exact_joint(sl), measure, s)
+        max_mass = max(max_mass, mass)
+        joint_mass += Fraction(int(sl.sum()), size * size) * mass
     tail_bound = 2.0 ** (1 - float(s) / 2) if measure == "renyi2" else 2.0 ** (-float(s))
-    passed = (float(max_mass) <= tail_bound + 1e-15 and masked_independent
-              and max_labels <= carry_cap and gap <= bound + 1e-9)
     return SumSecrecyReport(measure, sign, float(s), gap, bound,
-                            float(max_mass), float(joint_mass), tail_bound,
-                            masked_independent, max_labels, passed)
+                            float(max_mass), float(joint_mass), tail_bound, masked_independent,
+                            max_labels, passed and float(max_mass) <= tail_bound + 1e-15)
 
 
 def codebook_to_csv(pair: NestedLatticePair, cap: int = DEFAULT_ENUM_CAP) -> str:

@@ -6,13 +6,17 @@ library's factorized fast paths, so agreement is meaningful evidence.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
 
 from latsec.channel import LayeredCodebook, mod_signal
-from latsec.entropy import JointDistribution, mutual_information
+from latsec.entropy import (JointDistribution, conditional_shannon, mutual_information,
+                            shannon_entropy, side_info_violation_mass)
 from latsec.hashing import EncoderKit, encode_secret, int_to_bits
+from latsec.lattice import (NestedLatticePair, SumSecrecyReport, dither_encode,
+                            enumerate_codebook, reduce_carry)
 
 
 def brute_force_leakage(codebook: LayeredCodebook, kit: EncoderKit,
@@ -108,16 +112,65 @@ def cyclic_shift_oracle(values: np.ndarray, d: float, c: float) -> int:
 
 
 def nearest_coarse_point_oracle(x: float, c: float) -> float:
-    """Reduce a scalar by scanning nearby multiples of c.
+    """Reduce a scalar by the nearest multiple of c, in exact rational arithmetic.
 
     Nearest lattice point wins; a tie at distance c/2 resolves to the
-    representative -c/2 (half-open fundamental region).
+    representative -c/2 (half-open fundamental region).  The residual is
+    rounded to float once, at the end.
     """
-    k0 = int(np.floor(x / c)) - 2
-    best = None
-    for k in range(k0, k0 + 5):
-        r = x - k * c
-        if -c / 2 <= r < c / 2:
-            best = r
-    assert best is not None
-    return best
+    k = math.floor(Fraction(x) / Fraction(c) + Fraction(1, 2))
+    return float(Fraction(x) - k * Fraction(c))
+
+
+def sum_secrecy_oracle(pair: NestedLatticePair, d1, d2, sign: str, s: float,
+                       measure: str) -> SumSecrecyReport:
+    """`lattice.dithered_sum_secrecy_report` by enumerating every codeword pair.
+
+    Each pair's real sum X1 +/- X2 is reduced mod c; the residual, rounded to
+    9 decimals, is the masked symbol and (residual, carry tuple) the full one.
+    Symbols are sorted, which fixes the float summation order of the
+    entropies, so the report compares with the library's by repr.
+    """
+    book = enumerate_codebook(pair)
+    x1s = [dither_encode(u, d1, pair) for u in book]
+    x2s = [dither_encode(u, d2, pair) for u in book]
+    size = len(book)
+    total = size * size
+    masked: dict = {}
+    full: dict = {}
+    per_masked: dict = {}
+    for i, x1 in enumerate(x1s):
+        for x2 in x2s:
+            w, z = reduce_carry(x1 + x2 if sign == "+" else x1 - x2, pair.coarse_scale)
+            mk, z = tuple(np.round(w, 9).tolist()), tuple(z.tolist())
+            masked[(i, mk)] = masked.get((i, mk), 0) + 1
+            full[(i, (mk, z))] = full.get((i, (mk, z)), 0) + 1
+            per_masked.setdefault(mk, {})
+            per_masked[mk][(i, z)] = per_masked[mk].get((i, z), 0) + 1
+
+    def joint(counts, n):
+        ts = sorted({t for (_, t) in counts})
+        rows = tuple(tuple(Fraction(counts.get((x, t), 0), n) for t in ts)
+                     for x in range(size))
+        return JointDistribution(tuple(range(size)), tuple(ts), rows)
+
+    joint_masked = joint(masked, total)
+    h_given_masked = conditional_shannon(joint_masked)
+    gap = h_given_masked - conditional_shannon(joint(full, total))
+    independent = (len(set(joint_masked.marginal_t().probs)) == 1
+                   and abs(h_given_masked - shannon_entropy(joint_masked.marginal_x())) <= 1e-9)
+    max_labels = max(len({z for (_, z) in sl}) for sl in per_masked.values())
+    bound = float(pair.dim)
+    ok = gap <= bound + 1e-9 and independent and max_labels <= 2 ** pair.dim
+    if measure == "shannon":
+        return SumSecrecyReport(measure, sign, None, gap, bound, None, None, None,
+                                independent, max_labels, ok)
+    masses = [(sum(sl.values()), side_info_violation_mass(joint(sl, sum(sl.values())),
+                                                          measure, s))
+              for sl in per_masked.values()]
+    max_mass = max(mass for _, mass in masses)
+    joint_mass = sum(Fraction(n, total) * mass for n, mass in masses)
+    tail = 2.0 ** (1 - float(s) / 2) if measure == "renyi2" else 2.0 ** (-float(s))
+    return SumSecrecyReport(measure, sign, float(s), gap, bound, float(max_mass),
+                            float(joint_mass), tail, independent, max_labels,
+                            ok and float(max_mass) <= tail + 1e-15)

@@ -13,6 +13,8 @@ SMALL_INVOCATIONS = {
                        "--dither", "random"],
     "lattice-verify-minus": ["lattice-verify", "--n", "1", "--m", "4", "--s", "2",
                              "--sign", "-", "--dither", "random"],
+    "lattice-verify-2d": ["lattice-verify", "--n", "2", "--m", "3", "--c", "0.7", "--s", "1",
+                          "--sign", "-", "--dither", "random"],
     "hash-bench": ["hash-bench", "--r-max", "2", "--n-max", "3",
                    "--mc-r", "4", "--mc-n", "8", "--mc-trials", "3000"],
     "amplify": ["amplify", "--r", "1", "--n", "2", "--c-list", "1,2"],
@@ -83,6 +85,15 @@ def test_config_error_exit_code(capsys):
                  ["amplify", "--n", "40"]):
         assert main(args) == 2, args
         assert "error:" in capsys.readouterr().err, args
+
+
+def test_layer_stacks_refused_by_keygen_and_simulate():
+    # identical (c, m) layers superpose to a signal that depends only on the sum
+    # of their digits, so a stack of them cannot be decoded
+    for cmd in ("keygen", "simulate"):
+        with pytest.raises(SystemExit) as exc:
+            main([cmd, "--nbar", "4", "--layers", "2"])
+        assert exc.value.code == 2, cmd
 
 
 def test_failed_check_is_named(tmp_path, capsys):

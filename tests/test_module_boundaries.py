@@ -1,5 +1,5 @@
-"""latsec modules import only public names from one another and read no
-other object's private attributes."""
+"""latsec modules import only public names from one another, read no other
+object's private attributes, and keep `counting` a leaf."""
 import ast
 from pathlib import Path
 
@@ -30,3 +30,14 @@ def test_no_private_attributes_of_other_objects(path):
                and not node.attr.startswith("__")
                and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))]
     assert not private, private
+
+
+def test_counting_imports_no_latsec_module():
+    # lattice imports counting, so any latsec import here would close a cycle
+    tree = ast.parse((SRC / "counting.py").read_text())
+    imported = [ast.unparse(node) for node in ast.walk(tree)
+                if (isinstance(node, ast.ImportFrom)
+                    and (node.level > 0 or (node.module or "").split(".")[0] == "latsec"))
+                or (isinstance(node, ast.Import)
+                    and any(alias.name.split(".")[0] == "latsec" for alias in node.names))]
+    assert not imported, imported
