@@ -20,9 +20,8 @@ from .hashing import (BitLabeling, EncoderKit, FiniteFieldMatrix, build_encoder,
 from .extractor import (ExtractorSpec, KeyProtocolSetup, KeyTranscript, extract,
                         key_rate, key_secrecy_report, run_key_protocol)
 from .channel import (ChannelConfig, LayeredCodebook, SecrecySystem, Transcript,
-                      exact_leakage, leakage_trend, make_codebook, ml_decode,
-                      scale_channel, secrecy_rate_report, select_secrecy_hash,
-                      transmit)
+                      exact_leakage, leakage_trend, make_codebook, scale_channel,
+                      secrecy_rate_report, select_secrecy_hash, transmit)
 from .sdof import (DofPoint, GainDecomposition, alpha_of, beta_of, decompose_gain,
                    sdof_landscape, sdof_of)
 

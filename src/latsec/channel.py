@@ -235,10 +235,6 @@ class SecrecySystem:
         object.__setattr__(self, "dithers2", d2)
         object.__setattr__(self, "_points", self.codebook.product_points())
 
-    @property
-    def secret_bits(self) -> int:
-        return 0 if self.kit is None else self.kit.r_secret
-
     @cached_property
     def _powers(self) -> tuple[float, ...]:
         return tuple(exact_signal_power(self.codebook, d) for d in (self.dithers1, self.dithers2))
@@ -390,12 +386,6 @@ class MLDecoder:
     def decode_message(self, y1, mode: str = "marginal", t2_index: int | None = None) -> np.ndarray:
         label = int_to_bits(self.decode_index(y1, mode, t2_index), self.system.labeling.n_bits)
         return label if self.system.kit is None else self.system.kit.g.apply(label)
-
-
-def ml_decode(cfg: ChannelConfig, system: SecrecySystem, y1, mode: str = "marginal",
-              t2_index: int | None = None, cap: int = DEFAULT_PAIR_CAP) -> np.ndarray:
-    """One-shot wrapper around MLDecoder; returns the message estimate."""
-    return MLDecoder(cfg, system, cap=cap).decode_message(y1, mode, t2_index)
 
 
 def run_message_round(cfg: ChannelConfig, system: SecrecySystem, w_bits, seed: int,

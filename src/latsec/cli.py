@@ -19,9 +19,6 @@ from . import channel, entropy, extractor, hashing, lattice, sdof
 from ._rng import substream
 from .errors import ConfigError, DomainError, ResourceCapError, ValidationError
 
-SUBCOMMANDS = ("entropy-check", "lattice-verify", "hash-bench", "amplify",
-               "keygen", "simulate", "leakage-trend", "sdof")
-
 
 def _fmt(value) -> str:
     if value is None:
@@ -78,11 +75,11 @@ def _parse_float_grid(text: str) -> list[float]:
 # ---------------------------------------------------------------------------
 
 def _cmd_entropy_check(args):
+    s_values = tuple(_parse_float_grid(args.s))
     floor = entropy.conditional_entropy_floor_sweep(
         args.trials, args.max_x, args.max_t, seed=args.seed)
     grid = entropy.violation_mass_grid_sweep(
-        args.grid_max, args.grid_max, args.grid_step,
-        tuple(float(s) for s in args.s.split(",")))
+        args.grid_max, args.grid_max, args.grid_step, s_values)
     rows = [
         {"check": "conditional_floor", "cases": floor.trials,
          "violations": floor.violations, "max_deficit": floor.max_deficit,

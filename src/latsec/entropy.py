@@ -8,6 +8,8 @@ pushed over a sharp bound by float rounding.
 
 The alphabet size of the conditioning variable counts only symbols that
 carry strictly positive mass; zero-mass symbols are not side information.
+The exhaustive checks pass integer count matrices c (the joint c / c.sum())
+to `violation_mass_counts` and `conditional_shannon_counts` instead.
 """
 from __future__ import annotations
 
@@ -20,9 +22,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ResourceCapError, ValidationError
 
 MASS_TOL = 1e-12
+
+# joints per `violation_mass_counts` call in the grid sweep (256 KiB at 4 x 4)
+GRID_BATCH = 2048
+# joints one grid sweep may visit (--grid-max 5 at step 8 is 16.3M)
+GRID_JOINT_CAP = 1 << 25
 
 _MEASURES = ("shannon", "renyi2", "min")
 
@@ -57,9 +64,6 @@ class DiscreteDistribution:
     @property
     def is_exact(self) -> bool:
         return all(isinstance(p, Fraction) for p in self.probs)
-
-    def prob_of(self, symbol) -> float | Fraction:
-        return self.probs[self.support.index(symbol)]
 
     def to_json(self) -> str:
         return json.dumps(
@@ -192,6 +196,23 @@ def conditional_shannon(j: JointDistribution) -> float:
     return h
 
 
+def conditional_shannon_counts(counts) -> float:
+    """`conditional_shannon` of the joint counts / total of an integer (X, T) matrix.
+
+    The floats are those of the exact joint, operation for operation: int true
+    division rounds correctly, as `float(Fraction)` does.
+    """
+    rows = np.asarray(counts, dtype=np.int64).tolist()
+    total = sum(map(sum, rows))
+    h = 0.0
+    for col in zip(*rows):
+        colsum = sum(col)
+        if colsum > 0:
+            cond = DiscreteDistribution(range(len(col)), [c / colsum for c in col])
+            h += colsum / total * shannon_entropy(cond)
+    return h
+
+
 def conditional_slice(j: JointDistribution, t, measure: str) -> float:
     """Entropy of p(X | T=t) under the chosen measure.
 
@@ -268,6 +289,49 @@ def side_info_violation_mass(j: JointDistribution, measure: str, s) -> float | F
     return total
 
 
+def _two_s(s) -> int:
+    """2s as an int; the exact drop tests need s > 0 with 2s integral."""
+    if not (float(s) > 0 and float(2 * s).is_integer()):
+        raise DomainError(f"exact violation masses need s > 0 with 2*s integral, got {s!r}")
+    return int(2 * float(s))
+
+
+def violation_mass_counts(counts, measure: str, s) -> np.ndarray:
+    """`side_info_violation_mass` of each count joint of an int64 batch (B, X, T).
+
+    Joint b is counts[b] / total_b; its mass comes back as the integer numerator
+    over total_b.  ||T|| counts the nonzero columns.  The test (stat ratio)^2 >
+    ||T||^2 2^(2s) is decided in int64: 2s must be integral, and a batch whose
+    terms could leave int64 is refused."""
+    k = _two_s(s)
+    if measure not in ("renyi2", "min"):
+        raise DomainError(f"measure must be renyi2 or min, got {measure!r}")
+    counts = np.asarray(counts, dtype=np.int64)
+    rows = counts.sum(axis=2)
+    tot = rows.sum(axis=1)
+    if np.any(counts < 0) or np.any(tot <= 0):
+        raise ValidationError("count joints need nonnegative counts and a positive total")
+    top = int(tot.max(initial=0))
+    if counts.shape[2] * top ** (4 if measure == "renyi2" else 2) >= 1 << 63:
+        raise ResourceCapError(f"count joints of total {top} overflow int64")
+    csum = counts.sum(axis=1)
+    tc = np.count_nonzero(csum, axis=1)[:, None]
+    if measure == "renyi2":
+        # collision sums: sum_x c^2 / csum^2 against sum_x r^2 / tot^2
+        lhs = (counts * counts).sum(axis=1) * (tot * tot)[:, None]
+        rhs = tc * csum * csum * (rows * rows).sum(axis=1)[:, None]
+    else:
+        # largest probabilities: max_x c / csum against max_x r / tot
+        lhs = counts.max(axis=1) * tot[:, None]
+        rhs = tc * csum * rows.max(axis=1)[:, None]
+    if int(lhs.max(initial=0)) ** 2 >= 1 << 63:
+        raise ResourceCapError(f"count joints of total {top} overflow int64")
+    # lhs^2 > 2^k rhs^2 without forming 2^k rhs^2: no column with rhs >= lhs
+    # violates, and below lhs the test is floor((lhs^2 - 1) / 2^k) >= rhs^2
+    viol = (lhs * lhs - 1) >> min(k, 63) >= np.minimum(rhs, lhs) ** 2
+    return (csum * viol).sum(axis=1)
+
+
 def xlog2x_sum(a: np.ndarray) -> float:
     """sum of x log2 x over the entries of a float array, with 0 log2 0 := 0."""
     out = np.zeros_like(a, dtype=float)
@@ -295,6 +359,8 @@ def conditional_entropy_floor_sweep(trials: int, max_x: int = 8, max_t: int = 8,
     Joints are drawn flat on the simplex (normalized exponentials) with
     alphabet sizes uniform in [2, max_x] x [2, max_t].
     """
+    if trials < 1 or min(max_x, max_t) < 2:
+        raise DomainError("the floor sweep needs a trial and alphabets of 2 or more symbols")
     rng = np.random.default_rng(seed)
     start = time.perf_counter()
     violations = 0
@@ -320,20 +386,15 @@ def conditional_entropy_floor_sweep(trials: int, max_x: int = 8, max_t: int = 8,
 
 
 def iter_grid_joints(n_x: int, n_t: int, mass_step: int):
-    """Yield all n_x-by-n_t integer count matrices summing to mass_step.
-
-    Dividing by mass_step gives every joint on the quantized simplex grid.
-    """
+    """Yield all n_x-by-n_t integer count matrices summing to mass_step (every joint
+    of the quantized simplex grid) in int64 batches of at most GRID_BATCH."""
     cells = n_x * n_t
-    total = mass_step
-    for bars in itertools.combinations(range(total + cells - 1), cells - 1):
-        counts = []
-        prev = -1
-        for b in bars:
-            counts.append(b - prev - 1)
-            prev = b
-        counts.append(total + cells - 1 - prev - 1)
-        yield tuple(counts)
+    width = mass_step + cells - 1
+    # each composition as its bar positions closed by an end bar at `width`
+    ends = (bars + (width,) for bars in itertools.combinations(range(width), cells - 1))
+    while (flat := np.fromiter(itertools.chain.from_iterable(itertools.islice(ends, GRID_BATCH)),
+                               dtype=np.int64)).size:
+        yield (np.diff(flat.reshape(-1, cells), axis=1, prepend=-1) - 1).reshape(-1, n_x, n_t)
 
 
 @dataclass(frozen=True)
@@ -353,80 +414,38 @@ def violation_mass_grid_sweep(max_x: int = 4, max_t: int = 4, mass_step: int = 8
 
     Works in pure integers (mass units of 1/mass_step), so every comparison
     against the 2^(1-s/2) and 2^(-s) bounds is exact.  Each s must make 2*s
-    an integer.
+    an integer, and at most GRID_JOINT_CAP joints are visited.
     """
-    for s in s_values:
-        if not float(s) > 0:
-            raise DomainError("s must be positive")
-        if not float(2 * s).is_integer():
-            raise DomainError("grid sweep needs 2*s integral for exact comparisons")
-    ks = [int(round(2 * float(s))) for s in s_values]
+    if min(max_x, max_t) < 2 or mass_step < 1:
+        raise DomainError("the grid needs alphabets of 2 or more symbols and a positive step")
+    ks = [_two_s(s) for s in s_values]
+    shapes = [(n_x, n_t) for n_x in range(2, max_x + 1) for n_t in range(2, max_t + 1)]
+    planned = sum(math.comb(mass_step + n_x * n_t - 1, n_x * n_t - 1) for n_x, n_t in shapes)
+    if planned > GRID_JOINT_CAP:
+        raise ResourceCapError(f"{planned} grid joints exceed cap {GRID_JOINT_CAP}")
+    step = mass_step
+    # largest masses, in units of 1/step, within the tail bounds: mass <= 2^(1-s/2)
+    # <=> v^4 2^(2s) <= 16 step^4, and mass <= 2^(-s) <=> v^2 2^(2s) <= step^2
+    checks = [(measure, s, max(v for v in range(step + 1) if v ** e << k <= step ** e << b))
+              for s, k in zip(s_values, ks) for measure, e, b in (("renyi2", 4, 4), ("min", 2, 0))]
 
     start = time.perf_counter()
     joints = 0
-    viol_r = 0
-    viol_m = 0
-    max_mass_r = 0.0
-    max_mass_m = 0.0
-    step = mass_step
-    step2 = step * step
-    step4 = step2 * step2
-
-    for n_x in range(2, max_x + 1):
-        for n_t in range(2, max_t + 1):
-            for counts in iter_grid_joints(n_x, n_t, step):
-                joints += 1
-                rows = [sum(counts[i * n_t:(i + 1) * n_t]) for i in range(n_x)]
-                sum_row_sq = sum(r * r for r in rows)
-                max_row = max(rows)
-                cols = []
-                for jcol in range(n_t):
-                    col = counts[jcol::n_t]
-                    csum = sum(col)
-                    if csum > 0:
-                        cols.append((csum, sum(c * c for c in col), max(col)))
-                t_count = len(cols)
-                tc2 = t_count * t_count
-
-                for k, s in zip(ks, s_values):
-                    # renyi2: drop > log2||T|| + s  <=>  (A*step^2)^2 > ||T||^2 2^(2s) (B*C)^2
-                    viol_mass = 0
-                    for csum, a, _ in cols:
-                        lhs = (a * step2) ** 2
-                        rhs = tc2 * (1 << k) * (csum * csum * sum_row_sq) ** 2
-                        if lhs > rhs:
-                            viol_mass += csum
-                    if viol_mass:
-                        frac = viol_mass / step
-                        if frac > max_mass_r:
-                            max_mass_r = frac
-                        # mass <= 2^(1-s/2)  <=>  mass^4 <= 2^(4-2s), exact in ints
-                        lhs4 = viol_mass ** 4 * (1 << max(0, k - 4))
-                        rhs4 = step4 * (1 << max(0, 4 - k))
-                        if lhs4 > rhs4:
-                            viol_r += 1
-
-                    # min: drop > log2||T|| + s  <=>  (maxc*step)^2 > ||T||^2 2^(2s) (csum*maxrow)^2
-                    viol_mass = 0
-                    for csum, _, maxc in cols:
-                        lhs = (maxc * step) ** 2
-                        rhs = tc2 * (1 << k) * (csum * max_row) ** 2
-                        if lhs > rhs:
-                            viol_mass += csum
-                    if viol_mass:
-                        frac = viol_mass / step
-                        if frac > max_mass_m:
-                            max_mass_m = frac
-                        # mass <= 2^(-s)  <=>  mass^2 2^(2s) <= 1
-                        if viol_mass * viol_mass * (1 << k) > step2:
-                            viol_m += 1
-
+    tally = {"renyi2": [0, 0], "min": [0, 0]}  # bound violations, largest mass numerator
+    for n_x, n_t in shapes:
+        for batch in iter_grid_joints(n_x, n_t, step):
+            joints += len(batch)
+            for measure, s, limit in checks:
+                mass = violation_mass_counts(batch, measure, s)
+                tally[measure][0] += int(np.count_nonzero(mass > limit))
+                tally[measure][1] = max(tally[measure][1], int(mass.max()))
+    (viol_r, max_r), (viol_m, max_m) = tally.values()
     return GridSweepReport(joints, tuple(float(s) for s in s_values), viol_r, viol_m,
-                           max_mass_r, max_mass_m, time.perf_counter() - start)
+                           max_r / step, max_m / step, time.perf_counter() - start)
 
 
 def grid_joint_from_counts(counts, n_x: int, n_t: int, mass_step: int) -> JointDistribution:
-    """Exact-Fraction joint for one grid cell vector (row-major counts)."""
-    rows = tuple(tuple(Fraction(counts[i * n_t + j], mass_step) for j in range(n_t))
-                 for i in range(n_x))
+    """Exact-Fraction joint for one grid cell (counts in row-major order)."""
+    rows = tuple(tuple(Fraction(c, mass_step) for c in row)
+                 for row in np.reshape(counts, (n_x, n_t)).tolist())
     return JointDistribution(tuple(range(n_x)), tuple(range(n_t)), rows)

@@ -452,12 +452,6 @@ class BitLabeling:
     def bits_of(self, point) -> np.ndarray:
         return int_to_bits(self.index_of(point), self.n_bits)
 
-    def point_of(self, bits) -> np.ndarray:
-        b = np.asarray(bits, dtype=np.int64)
-        if b.shape != (self.n_bits,):
-            raise DomainError(f"expected {self.n_bits} label bits")
-        return self.points[bits_to_int(b)].copy()
-
 
 def encode_label(kit: EncoderKit, s_bits, s_prime_bits) -> int:
     """The codebook label A (s', s) of a (secret, randomness) bit pair."""

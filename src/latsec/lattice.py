@@ -30,19 +30,20 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
 from .counting import Coordinate, window_indicator
-from .entropy import JointDistribution, conditional_shannon, shannon_entropy, side_info_violation_mass
+from .entropy import conditional_shannon_counts, violation_mass_counts
 from .errors import DomainError, ResourceCapError, ValidationError
 
 # One lattice vector is a plain float ndarray in channel-input units.
 LatticeVector = np.ndarray
 
 DEFAULT_ENUM_CAP = 1 << 16
+# int64 cells per violation-mass call of the sum audit (2 MiB)
+AUDIT_BLOCK = 1 << 18
 
 
 def as_vector(x) -> LatticeVector:
@@ -311,13 +312,6 @@ class SumSecrecyReport:
     passed: bool
 
 
-def _exact_joint(counts: np.ndarray) -> JointDistribution:
-    """Rows = sender labels, columns = observed symbols, masses count / total."""
-    total = int(counts.sum())
-    rows = tuple(tuple(Fraction(v, total) for v in row) for row in counts.tolist())
-    return JointDistribution(range(counts.shape[0]), range(counts.shape[1]), rows)
-
-
 def dithered_sum_secrecy_report(pair: NestedLatticePair, d1, d2, sign: str = "+",
                                 s: float = 2.0, measure: str = "shannon",
                                 cap: int = DEFAULT_ENUM_CAP) -> SumSecrecyReport:
@@ -364,19 +358,19 @@ def dithered_sum_secrecy_report(pair: NestedLatticePair, d1, d2, sign: str = "+"
     masked = np.ravel_multi_index(rank[sigmas % m, coord], (m,) * n)
     order = np.lexsort(np.vstack([z[sigmas, coord][::-1], masked]))
     full = window[:, order]
-    starts = np.searchsorted(masked[order], np.arange(m ** n))
-    slices = np.split(full, starts[1:], axis=1)  # one per masked symbol
-
-    joint_masked = _exact_joint(np.add.reduceat(full, starts, axis=1))
-    h_u1 = shannon_entropy(joint_masked.marginal_x())
-    h_given_masked = conditional_shannon(joint_masked)
-    h_given_full = conditional_shannon(_exact_joint(full))
+    masked = masked[order]
+    starts = np.searchsorted(masked, np.arange(m ** n))
+    joint_masked = np.add.reduceat(full, starts, axis=1)  # (u1 label, masked symbol)
+    h_u1 = conditional_shannon_counts(joint_masked.sum(axis=1, keepdims=True))
+    h_given_masked = conditional_shannon_counts(joint_masked)
+    h_given_full = conditional_shannon_counts(full)
 
     # the modular sum is an additive mask: it must carry no information at all,
     # and it must come out exactly uniform
-    masked_independent = (len(set(joint_masked.marginal_t().probs)) == 1
-                          and abs(h_given_masked - h_u1) <= 1e-9)
-    max_labels = max(sl.shape[1] for sl in slices)
+    totals = joint_masked.sum(axis=0).tolist()
+    masked_independent = len(set(totals)) == 1 and abs(h_given_masked - h_u1) <= 1e-9
+    bounds = np.append(starts, full.shape[1])
+    max_labels = int(np.diff(bounds).max())  # carry labels per masked symbol
     gap = h_given_masked - h_given_full
     bound = float(pair.dim)
     # two summands: at most 2^N carries per residual
@@ -385,16 +379,21 @@ def dithered_sum_secrecy_report(pair: NestedLatticePair, d1, d2, sign: str = "+"
         return SumSecrecyReport(measure, sign, None, gap, bound, None, None, None,
                                 masked_independent, max_labels, passed)
 
-    max_mass = Fraction(0)
-    joint_mass = Fraction(0)
-    for sl in slices:
-        mass = side_info_violation_mass(_exact_joint(sl), measure, s)
-        max_mass = max(max_mass, mass)
-        joint_mass += Fraction(int(sl.sum()), size * size) * mass
+    # one (u1 label, carry) joint per masked symbol, zero-padded to a common
+    # width and stacked, at most AUDIT_BLOCK cells at a time
+    per = max(1, AUDIT_BLOCK // (size * max_labels))
+    masses = []
+    for lo in range(0, m ** n, per):
+        cols = np.arange(bounds[lo], bounds[min(lo + per, m ** n)])
+        block = np.zeros((min(per, m ** n - lo), size, max_labels), dtype=np.int64)
+        block[masked[cols] - lo, :, cols - starts[masked[cols]]] = full[:, cols].T
+        masses += violation_mass_counts(block, measure, s).tolist()
+    max_mass = max(v / t for v, t in zip(masses, totals))
+    joint_mass = sum(masses) / (size * size)
     tail_bound = 2.0 ** (1 - float(s) / 2) if measure == "renyi2" else 2.0 ** (-float(s))
-    return SumSecrecyReport(measure, sign, float(s), gap, bound,
-                            float(max_mass), float(joint_mass), tail_bound, masked_independent,
-                            max_labels, passed and float(max_mass) <= tail_bound + 1e-15)
+    return SumSecrecyReport(measure, sign, float(s), gap, bound, max_mass, joint_mass,
+                            tail_bound, masked_independent, max_labels,
+                            passed and max_mass <= tail_bound + 1e-15)
 
 
 def codebook_to_csv(pair: NestedLatticePair, cap: int = DEFAULT_ENUM_CAP) -> str:

@@ -9,6 +9,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 SMALL_INVOCATIONS = {
     "entropy-check": ["entropy-check", "--trials", "150", "--grid-max", "2",
                       "--grid-step", "6"],
+    "entropy-check-grid3": ["entropy-check", "--trials", "50", "--grid-max", "3",
+                            "--grid-step", "8"],
     "lattice-verify": ["lattice-verify", "--n", "1", "--m", "4", "--s", "2",
                        "--dither", "random"],
     "lattice-verify-minus": ["lattice-verify", "--n", "1", "--m", "4", "--s", "2",
@@ -85,6 +87,20 @@ def test_config_error_exit_code(capsys):
                  ["amplify", "--n", "40"]):
         assert main(args) == 2, args
         assert "error:" in capsys.readouterr().err, args
+
+
+@pytest.mark.parametrize("args", [["--max-x", "1"], ["--s", "x"], ["--grid-step", "0"],
+                                  ["--grid-step", "-1"], ["--trials", "0"],
+                                  ["--trials", "-5"], ["--grid-max", "6"]])
+def test_entropy_check_refuses_unusable_input(capsys, args):
+    assert main(["entropy-check", "--grid-max", "2"] + args) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_lattice_verify_needs_half_integral_s(capsys):
+    # the renyi2 and min audits decide each drop exactly, which needs 2s integral
+    assert main(["lattice-verify", "--n", "1", "--m", "4", "--s", "1.3"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_layer_stacks_refused_by_keygen_and_simulate():

@@ -1,17 +1,23 @@
+import dataclasses
+import itertools
 import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from latsec import entropy
 from latsec.entropy import (DiscreteDistribution, JointDistribution,
                             conditional_entropy_floor_sweep, conditional_shannon,
-                            conditional_slice, grid_joint_from_counts,
-                            iter_grid_joints, min_entropy, mutual_information,
-                            renyi2_entropy, shannon_entropy,
-                            side_info_violation_mass, violation_mass_grid_sweep)
-from latsec.errors import DomainError, ValidationError
+                            conditional_shannon_counts, conditional_slice,
+                            grid_joint_from_counts, iter_grid_joints, min_entropy,
+                            mutual_information, renyi2_entropy, shannon_entropy,
+                            side_info_violation_mass, violation_mass_counts,
+                            violation_mass_grid_sweep)
+from latsec.errors import DomainError, ResourceCapError, ValidationError
 
 
 def uniform(n):
@@ -176,17 +182,18 @@ class TestViolationMass:
     def test_exact_mode_matches_grid_sweep_arithmetic(self):
         # sample grid joints and cross-check the Fraction path against the
         # integer comparisons used by the exhaustive sweep
-        picked = []
-        for k, counts in enumerate(iter_grid_joints(3, 3, 8)):
-            if k % 997 == 0:
-                picked.append(counts)
-        assert picked
+        picked = np.concatenate(list(iter_grid_joints(3, 3, 8)))[::997]
+        assert len(picked) == 13
         for counts in picked:
             j = grid_joint_from_counts(counts, 3, 3, 8)
             for s in (0.5, 1.0, 2.0, 4.0):
                 mass_r = side_info_violation_mass(j, "renyi2", s)
                 mass_m = side_info_violation_mass(j, "min", s)
                 assert isinstance(mass_r, Fraction)
+                assert Fraction(int(violation_mass_counts(counts[None], "renyi2", s)[0]),
+                                8) == mass_r
+                assert Fraction(int(violation_mass_counts(counts[None], "min", s)[0]),
+                                8) == mass_m
                 assert float(mass_r) <= 2 ** (1 - s / 2) + 1e-15
                 assert float(mass_m) <= 2 ** (-s) + 1e-15
 
@@ -197,6 +204,69 @@ class TestViolationMass:
             for s in (0.5, 1, 2, 4):
                 assert side_info_violation_mass(j, "renyi2", s) <= 2 ** (1 - s / 2) + 1e-12
                 assert side_info_violation_mass(j, "min", s) <= 2 ** (-s) + 1e-12
+
+
+@st.composite
+def count_batches(draw):
+    """A (B, X, T) batch of small count joints.  Each column is spread, zero or
+    a single spike, so that drops past log2||T|| + s are common; some rows are
+    zeroed too."""
+    b, x, t = draw(st.integers(1, 4)), draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    cells = draw(st.lists(st.integers(0, 2), min_size=b * x * t, max_size=b * x * t))
+    counts = np.array(cells, dtype=np.int64).reshape(b, x, t)
+    for col in range(t):
+        kind = draw(st.sampled_from(["spread", "zero", "spike"]))
+        if kind != "spread":
+            counts[:, :, col] = 0
+        if kind == "spike":
+            counts[:, draw(st.integers(0, x - 1)), col] = draw(st.integers(1, 3))
+    counts[:, draw(st.lists(st.integers(0, x - 1), max_size=2)), :] = 0
+    counts[counts.sum(axis=(1, 2)) == 0, 0, 0] = 1
+    return counts
+
+
+class TestCountJoints:
+    @settings(max_examples=60, deadline=None)
+    @given(count_batches())
+    # a min drop exactly at the bound for s = 1, and one just past it for s = 0.5
+    # beside a zero column, which ||T|| leaves out
+    @example(np.array([[[1, 1]] + [[0, 1]] * 6]))
+    @example(np.array([[[1, 0, 0], [0, 1, 0], [0, 1, 0]]]))
+    def test_match_the_fraction_joint(self, counts):
+        for joint in counts:
+            j = grid_joint_from_counts(joint, *joint.shape, int(joint.sum()))
+            assert repr(conditional_shannon_counts(joint)) == repr(conditional_shannon(j))
+        for measure in ("renyi2", "min"):
+            for s in (0.5, 1, 2, 4):
+                masses = violation_mass_counts(counts, measure, s)
+                for joint, mass in zip(counts, masses.tolist()):
+                    j = grid_joint_from_counts(joint, *joint.shape, int(joint.sum()))
+                    assert Fraction(mass, int(joint.sum())) == side_info_violation_mass(
+                        j, measure, s)
+
+    def test_rejects_bad_input(self):
+        ones = np.ones((1, 2, 2), dtype=np.int64)
+        for s in (0.0, -1.0, 1.3, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                violation_mass_counts(ones, "min", s)
+        with pytest.raises(DomainError):
+            violation_mass_counts(ones, "shannon", 1.0)
+        for bad in (np.zeros((1, 2, 2)), -ones):
+            with pytest.raises(ValidationError):
+                violation_mass_counts(bad, "min", 1.0)
+        # (a tot^2)^2 passes 2^63 at a total of 2^8
+        wide = np.zeros((1, 2, 2), dtype=np.int64)
+        wide[0, 0, 0] = 1 << 8
+        assert violation_mass_counts(wide, "min", 1.0).tolist() == [0]
+        with pytest.raises(ResourceCapError):
+            violation_mass_counts(wide, "renyi2", 1.0)
+
+    def test_large_s_needs_no_wide_terms(self):
+        # 2^(2s) far beyond int64 only makes every column pass
+        j = np.array([[[1, 5], [0, 5], [0, 5], [0, 5]]])
+        assert violation_mass_counts(j, "min", 0.5).tolist() == [1]
+        assert violation_mass_counts(j, "min", 40).tolist() == [0]
+        assert violation_mass_counts(j, "renyi2", 40).tolist() == [0]
 
 
 class TestMutualInformation:
@@ -268,6 +338,36 @@ class TestLemmaSweeps:
     def test_grid_sweep_rejects_uneven_s(self):
         with pytest.raises(DomainError):
             violation_mass_grid_sweep(2, 2, 4, (0.3,))
+
+    def test_sweeps_reject_bad_sizes(self):
+        for args in ((1, 3, 4), (3, 1, 4), (2, 2, 0), (2, 2, -1)):
+            with pytest.raises(DomainError):
+                violation_mass_grid_sweep(*args)
+        for args in ((0,), (-5,), (10, 1, 8), (10, 8, 1)):
+            with pytest.raises(DomainError):
+                conditional_entropy_floor_sweep(*args)
+        violation_mass_grid_sweep(2, 2, 1)  # the smallest grid
+        with pytest.raises(ResourceCapError):
+            violation_mass_grid_sweep(6, 6, 8)
+
+    @pytest.mark.parametrize("n_x, n_t, step", [(1, 1, 3), (2, 3, 4), (3, 3, 0)])
+    def test_grid_joints_are_every_composition(self, monkeypatch, n_x, n_t, step):
+        monkeypatch.setattr(entropy, "GRID_BATCH", 7)
+        joints = np.concatenate(list(iter_grid_joints(n_x, n_t, step)))
+        assert joints.shape[1:] == (n_x, n_t)
+        want = [c for c in itertools.product(range(step + 1), repeat=n_x * n_t)
+                if sum(c) == step]
+        assert sorted(map(tuple, joints.reshape(len(joints), -1).tolist())) == want
+
+    def test_grid_sweep_does_not_depend_on_the_batch(self, monkeypatch):
+        # both max masses are nonzero here
+        want = violation_mass_grid_sweep(3, 3, 6)
+        monkeypatch.setattr(entropy, "GRID_BATCH", 5)
+        got = violation_mass_grid_sweep(3, 3, 6)
+        assert repr(dataclasses.replace(got, elapsed_s=0.0)) == repr(
+            dataclasses.replace(want, elapsed_s=0.0))
+        assert want.max_mass_renyi2 > 0 and want.max_mass_min > 0
+        assert type(want.max_mass_renyi2) is float
 
 
 class TestSerialization:

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import nearest_coarse_point_oracle, sum_secrecy_oracle
+from latsec import lattice
 from latsec.errors import DomainError, ResourceCapError, ValidationError
 from latsec.lattice import (NestedLatticePair, RepresentationIndex, ScaledLattice,
                             codebook_rate, codebook_to_csv, dither_encode,
@@ -326,12 +327,27 @@ class TestSumSecrecyReport:
         assert got.joint_violation_mass == want.joint_violation_mass
         assert got.max_carry_labels == want.max_carry_labels
 
+    @pytest.mark.parametrize("measure", ["renyi2", "min"])
+    def test_blocks_of_slices_change_nothing(self, monkeypatch, measure):
+        # nine slices of 9 x 4 cells, two per block and one in the last; their
+        # masses differ (max 1/9, joint 4/81)
+        pair = NestedLatticePair(2, 0.7, 3)
+        rng = np.random.default_rng(5)
+        d1, d2 = 0.7 * rng.random(2) - 0.35, 0.7 * rng.random(2) - 0.35
+        want = sum_secrecy_oracle(pair, d1, d2, "-", 1.0, measure)
+        monkeypatch.setattr(lattice, "AUDIT_BLOCK", 80)
+        assert repr(dithered_sum_secrecy_report(pair, d1, d2, "-", 1.0, measure)) == repr(want)
+        assert want.joint_violation_mass < want.max_slice_violation_mass
+
     def test_bad_arguments(self):
         pair = NestedLatticePair(1, 2.0, 2)
         with pytest.raises(DomainError):
             dithered_sum_secrecy_report(pair, [0.0], [0.0], "*", 1.0, "shannon")
         with pytest.raises(DomainError):
             dithered_sum_secrecy_report(pair, [0.0], [0.0], "+", 1.0, "nope")
+        for measure in ("renyi2", "min"):  # the exact drop test needs 2s integral
+            with pytest.raises(DomainError):
+                dithered_sum_secrecy_report(pair, [0.0], [0.0], "+", 1.3, measure)
         with pytest.raises(ResourceCapError):
             dithered_sum_secrecy_report(NestedLatticePair(4, 2.0, 4),
                                         np.zeros(4), np.zeros(4), "+", 1.0,
