@@ -83,22 +83,19 @@ class ChannelConfig:
 
 @dataclass(frozen=True)
 class ScaledChannel:
-    """Receiver-side coefficients after absorbing sqrt(b) into sender 1."""
+    """Receiver-side coefficients after absorbing sqrt(b) into sender 1, whose
+    gain is then 1 at both receivers."""
 
-    gain_x1_at_d1: float
     gain_x2_at_d1: float
     noise_std_d1: float
-    gain_x1_at_d2: float
     gain_x2_at_d2: float
     noise_std_d2: float
 
 
 def scale_channel(cfg: ChannelConfig) -> ScaledChannel:
     """Y1 = X1 + sqrt(ab) X2 + sqrt(b) Z1 and Y2 = X1 +/- X2 + Z2."""
-    return ScaledChannel(
-        1.0, math.sqrt(cfg.a * cfg.b), math.sqrt(cfg.b * cfg.noise_var1),
-        1.0, float(cfg.sign), math.sqrt(cfg.noise_var2),
-    )
+    return ScaledChannel(math.sqrt(cfg.a * cfg.b), math.sqrt(cfg.b * cfg.noise_var1),
+                         float(cfg.sign), math.sqrt(cfg.noise_var2))
 
 
 # ---------------------------------------------------------------------------
@@ -151,8 +148,10 @@ class LayeredCodebook:
         return sum(self.rates()) / self.n_layers
 
     @property
-    def labels_whole_codebook(self) -> bool:
-        return self.size == 1 << self.n0_bits
+    def walsh_countable(self) -> bool:
+        """Power-of-two layers, so the labeling covers the whole codebook and the
+        Walsh-domain counts of `latsec.counting` apply."""
+        return all(layer.nesting & (layer.nesting - 1) == 0 for layer in self.layers)
 
     def labeling(self) -> BitLabeling:
         return BitLabeling.from_layers(self.layers)
@@ -213,27 +212,32 @@ class SecrecySystem:
     """Codebook stack plus encoder and the fixed public dithers.
 
     Points are handled by label: the signal tables below are indexed by the
-    sender's label and the jammer's index, and are built on first use.
+    sender's label and the jammer's index, and are built on first use, as
+    are the labeling and the point tables.
     """
 
     codebook: LayeredCodebook
     kit: EncoderKit | None
-    labeling: BitLabeling
     dithers1: tuple
     dithers2: tuple
 
     def __post_init__(self):
         if self.kit is not None and self.kit.n_bits != self.codebook.n0_bits:
             raise ConfigError("encoder width does not match the codebook labeling")
-        if self.labeling.n_bits != self.codebook.n0_bits:
-            raise ConfigError("labeling width does not match the codebook")
         d1 = tuple(as_vector(d) for d in self.dithers1)
         d2 = tuple(as_vector(d) for d in self.dithers2)
         if len(d1) != self.codebook.n_layers or len(d2) != self.codebook.n_layers:
             raise ConfigError("one dither vector per layer per sender required")
         object.__setattr__(self, "dithers1", d1)
         object.__setattr__(self, "dithers2", d2)
-        object.__setattr__(self, "_points", self.codebook.product_points())
+
+    @cached_property
+    def labeling(self) -> BitLabeling:
+        return self.codebook.labeling()
+
+    @cached_property
+    def _points(self) -> np.ndarray:
+        return self.codebook.product_points()
 
     @cached_property
     def _powers(self) -> tuple[float, ...]:
@@ -258,12 +262,19 @@ class SecrecySystem:
         """`mod_signals` of every jammer point under dithers2, row = jammer index."""
         return mod_signals(self.codebook, self._points, self.dithers2)
 
+    def received(self, coeff: ScaledChannel, i1: int, i2: int,
+                 rng: np.random.Generator) -> np.ndarray:
+        """Receiver 1's observation x1 + g x2 + noise of sender label i1 under
+        jammer index i2, the noise drawn from rng."""
+        return (self.sender_signals[1][i1] + coeff.gain_x2_at_d1 * self.jammer_signals[1][i2]
+                + gaussian(rng, self.codebook.block_dim, coeff.noise_std_d1))
+
 
 def build_system(codebook: LayeredCodebook, kit: EncoderKit | None,
                  dithers1=None, dithers2=None) -> SecrecySystem:
     d1 = zero_dithers(codebook) if dithers1 is None else tuple(dithers1)
     d2 = zero_dithers(codebook) if dithers2 is None else tuple(dithers2)
-    return SecrecySystem(codebook, kit, codebook.labeling(), d1, d2)
+    return SecrecySystem(codebook, kit, d1, d2)
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +292,6 @@ class Transcript:
     t2_index: int
     dithers1: tuple
     dithers2: tuple
-    x1_layers: np.ndarray
-    x2_layers: np.ndarray
     x1: np.ndarray
     x2: np.ndarray
     y1: np.ndarray
@@ -327,15 +336,14 @@ def transmit(cfg: ChannelConfig, system: SecrecySystem, w_bits, seed: int) -> Tr
     s_prime = enc_rng.integers(0, 2, size=n0 - r0, dtype=np.int64)
     i1 = encode_label(system.kit, w, s_prime)
     i2 = int(jam_rng.integers(0, system.codebook.size))
-    x1_layers, x1 = (table[i1].copy() for table in system.sender_signals)
-    x2_layers, x2 = (table[i2].copy() for table in system.jammer_signals)
+    x1 = system.sender_signals[1][i1].copy()
+    x2 = system.jammer_signals[1][i2].copy()
 
-    n = system.codebook.block_dim
-    y1 = x1 + coeff.gain_x2_at_d1 * x2 + gaussian(noise_rng, n, coeff.noise_std_d1)
-    y2 = x1 + coeff.gain_x2_at_d2 * x2 + gaussian(noise_rng, n, coeff.noise_std_d2)
+    y1 = system.received(coeff, i1, i2, noise_rng)
+    y2 = x1 + coeff.gain_x2_at_d2 * x2 + gaussian(noise_rng, x1.size, coeff.noise_std_d2)
     return Transcript(w, s_prime, system.labeling.points[i1].copy(),
                       system.jammer_points()[i2].copy(), i2, system.dithers1,
-                      system.dithers2, x1_layers, x2_layers, x1, x2, y1, y2)
+                      system.dithers2, x1, x2, y1, y2)
 
 
 class MLDecoder:
@@ -343,7 +351,8 @@ class MLDecoder:
 
     Marginal mode averages the Gaussian likelihood over every jammer
     hypothesis; genie mode is told the jammer's point.  Both enumerate the
-    full hypothesis space, so they are exact (and capped accordingly).
+    full hypothesis space, so they are exact; marginal mode's table of every
+    (sender, jammer) pair is capped.
     """
 
     def __init__(self, cfg: ChannelConfig, system: SecrecySystem,
@@ -352,11 +361,7 @@ class MLDecoder:
         self.system = system
         coeff = scale_channel(cfg)
         self._noise_var = coeff.noise_std_d1 ** 2
-        k = system.labeling.points.shape[0]
-        jam = system.jammer_points()
-        if k * jam.shape[0] > cap:
-            raise ResourceCapError(
-                f"{k}x{jam.shape[0]} hypothesis pairs exceed cap {cap}")
+        self._cap = cap
         self._x1 = system.sender_signals[1]
         self._x2 = system.jammer_signals[1]
         self._gain2 = coeff.gain_x2_at_d1
@@ -364,6 +369,9 @@ class MLDecoder:
 
     def _pair_signals(self) -> np.ndarray:
         if self._pair_sig is None:
+            k, j = self._x1.shape[0], self._x2.shape[0]
+            if k * j > self._cap:
+                raise ResourceCapError(f"{k}x{j} hypothesis pairs exceed cap {self._cap}")
             self._pair_sig = self._x1[:, None, :] + self._gain2 * self._x2[None, :, :]
         return self._pair_sig
 
@@ -438,11 +446,9 @@ def exact_leakage(codebook: LayeredCodebook, hash_or_kit, dithers1=None,
     if g.cols != codebook.n0_bits:
         raise DomainError("hash width must match the codebook label width")
 
-    fast_ok = codebook.labels_whole_codebook and all(
-        (layer.nesting & (layer.nesting - 1)) == 0 for layer in codebook.layers)
     if method == "auto":
-        method = "fast" if fast_ok else "enumerate"
-    if method == "fast" and not fast_ok:
+        method = "fast" if codebook.walsh_countable else "enumerate"
+    if method == "fast" and not codebook.walsh_countable:
         raise DomainError("fast leakage needs power-of-two layers labeling the whole codebook")
 
     coords = coordinate_specs(codebook, dithers1)
@@ -581,27 +587,21 @@ def make_codebook(m: int, n_bar: int, n_layers: int = 1,
     return LayeredCodebook(tuple(NestedLatticePair(block, c, m) for _ in range(n_layers)))
 
 
-def _genie_error_rate(codebook: LayeredCodebook, d1, d2, cfg: ChannelConfig,
-                      trials: int, seed: int) -> float:
+def _genie_error_rate(cfg: ChannelConfig, system: SecrecySystem, trials: int,
+                      seed: int) -> float:
     """Decode error estimate with the jammer's point revealed to the receiver.
 
     A uniformly encoded point is the same draw as a uniform labeled point,
     so the encoder itself drops out of the estimate.
     """
-    x1_table = mod_signals(codebook, codebook.labeling().points, d1)[1]
-    x2_table = mod_signals(codebook, codebook.product_points(), d2)[1]
+    decoder = MLDecoder(cfg, system)
     coeff = scale_channel(cfg)
     rng = substream(seed, "trend-decode")
     errors = 0
-    n = codebook.block_dim
     for _ in range(trials):
-        i1 = int(rng.integers(0, x1_table.shape[0]))
-        x2 = x2_table[int(rng.integers(0, x2_table.shape[0]))]
-        y = (x1_table[i1] + coeff.gain_x2_at_d1 * x2
-             + gaussian(rng, n, coeff.noise_std_d1))
-        resid = y - coeff.gain_x2_at_d1 * x2
-        guess = int(np.argmin(((x1_table - resid) ** 2).sum(axis=1)))
-        if guess != i1:
+        i1 = int(rng.integers(0, 1 << system.codebook.n0_bits))
+        i2 = int(rng.integers(0, system.codebook.size))
+        if decoder.decode_index(system.received(coeff, i1, i2, rng), "genie", i2) != i1:
             errors += 1
     return errors / trials
 
@@ -626,12 +626,10 @@ def leakage_trend(m: int, n_bar_values: Sequence[int], eps: float, delta: float,
     rows = []
     for n_bar in n_bar_values:
         codebook = make_codebook(m, n_bar, n_layers)
-        if dither_mode == "zero":
-            d1 = zero_dithers(codebook)
-            d2 = zero_dithers(codebook)
-        else:
-            d1 = random_dithers(codebook, substream(seed, f"dither1-{n_bar}"))
-            d2 = random_dithers(codebook, substream(seed, f"dither2-{n_bar}"))
+        dithers = (None, None) if dither_mode == "zero" else (
+            random_dithers(codebook, substream(seed, f"dither1-{n_bar}")),
+            random_dithers(codebook, substream(seed, f"dither2-{n_bar}")))
+        system = build_system(codebook, None, *dithers)
         margin = secret_rate_select(n_bar, rate0, eps, delta)
         if fixed_r0 is None:
             r0 = margin
@@ -644,7 +642,7 @@ def leakage_trend(m: int, n_bar_values: Sequence[int], eps: float, delta: float,
         if r0 == 0:
             leak, avg = 0.0, 0.0
         else:
-            sel = select_secrecy_hash(codebook, r0, d1, sign,
+            sel = select_secrecy_hash(codebook, r0, system.dithers1, sign,
                                       n_candidates=family,
                                       seed=seed + n_bar, policy=policy)
             leak, avg = sel.chosen_leakage, sel.family_avg_leakage
@@ -652,11 +650,8 @@ def leakage_trend(m: int, n_bar_values: Sequence[int], eps: float, delta: float,
         if decode_trials > 0:
             cfg = decode_cfg if decode_cfg is not None else ChannelConfig(
                 a=2.0, b=1.0, noise_var1=1e-12)
-            err = _genie_error_rate(codebook, d1, d2, cfg, decode_trials,
-                                    seed + n_bar)
-        rows.append(TrendRow(n_bar, r0, leak, avg, err,
-                             exact_signal_power(codebook, d1),
-                             exact_signal_power(codebook, d2), seed))
+            err = _genie_error_rate(cfg, system, decode_trials, seed + n_bar)
+        rows.append(TrendRow(n_bar, r0, leak, avg, err, system.power1(), system.power2(), seed))
     return rows
 
 

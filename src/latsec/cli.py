@@ -76,10 +76,11 @@ def _parse_float_grid(text: str) -> list[float]:
 
 def _cmd_entropy_check(args):
     s_values = tuple(_parse_float_grid(args.s))
-    floor = entropy.conditional_entropy_floor_sweep(
-        args.trials, args.max_x, args.max_t, seed=args.seed)
+    # the grid refuses a bad step or an over-cap size before any work: run it first
     grid = entropy.violation_mass_grid_sweep(
         args.grid_max, args.grid_max, args.grid_step, s_values)
+    floor = entropy.conditional_entropy_floor_sweep(
+        args.trials, args.max_x, args.max_t, seed=args.seed)
     rows = [
         {"check": "conditional_floor", "cases": floor.trials,
          "violations": floor.violations, "max_deficit": floor.max_deficit,
@@ -171,7 +172,7 @@ def _cmd_keygen(args):
     if args.trials < 1:
         raise ConfigError("keygen needs at least one trial")
     codebook = channel.make_codebook(args.m, args.nbar)
-    if not codebook.labels_whole_codebook:
+    if not codebook.walsh_countable:
         raise ConfigError("keygen needs power-of-two layers labeling the whole codebook")
     spec = extractor.ExtractorSpec(codebook.n0_bits, args.r)
     report = extractor.key_secrecy_report(codebook, args.r, sign="+" if args.sign == "+" else "-")

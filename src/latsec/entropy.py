@@ -304,6 +304,12 @@ def violation_mass_counts(counts, measure: str, s) -> np.ndarray:
     ||T||^2 2^(2s) is decided in int64: 2s must be integral, and a batch whose
     terms could leave int64 is refused."""
     k = _two_s(s)
+    return _violating_mass(*_drop_terms(counts, measure), k)
+
+
+def _drop_terms(counts, measure: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The s-independent terms of the drop test of each column of a count batch:
+    its mass, lhs^2 - 1 and min(rhs, lhs)^2, where lhs^2 > 2^(2s) rhs^2 is the test."""
     if measure not in ("renyi2", "min"):
         raise DomainError(f"measure must be renyi2 or min, got {measure!r}")
     counts = np.asarray(counts, dtype=np.int64)
@@ -326,10 +332,13 @@ def violation_mass_counts(counts, measure: str, s) -> np.ndarray:
         rhs = tc * csum * rows.max(axis=1)[:, None]
     if int(lhs.max(initial=0)) ** 2 >= 1 << 63:
         raise ResourceCapError(f"count joints of total {top} overflow int64")
+    return csum, lhs * lhs - 1, np.minimum(rhs, lhs) ** 2
+
+
+def _violating_mass(csum, lhs2, rhs2, k: int) -> np.ndarray:
     # lhs^2 > 2^k rhs^2 without forming 2^k rhs^2: no column with rhs >= lhs
     # violates, and below lhs the test is floor((lhs^2 - 1) / 2^k) >= rhs^2
-    viol = (lhs * lhs - 1) >> min(k, 63) >= np.minimum(rhs, lhs) ** 2
-    return (csum * viol).sum(axis=1)
+    return (csum * (lhs2 >> min(k, 63) >= rhs2)).sum(axis=1)
 
 
 def xlog2x_sum(a: np.ndarray) -> float:
@@ -426,8 +435,9 @@ def violation_mass_grid_sweep(max_x: int = 4, max_t: int = 4, mass_step: int = 8
     step = mass_step
     # largest masses, in units of 1/step, within the tail bounds: mass <= 2^(1-s/2)
     # <=> v^4 2^(2s) <= 16 step^4, and mass <= 2^(-s) <=> v^2 2^(2s) <= step^2
-    checks = [(measure, s, max(v for v in range(step + 1) if v ** e << k <= step ** e << b))
-              for s, k in zip(s_values, ks) for measure, e, b in (("renyi2", 4, 4), ("min", 2, 0))]
+    checks = {measure: [(k, max(v for v in range(step + 1) if v ** e << k <= step ** e << b))
+                        for k in ks]
+              for measure, e, b in (("renyi2", 4, 4), ("min", 2, 0))}
 
     start = time.perf_counter()
     joints = 0
@@ -435,10 +445,12 @@ def violation_mass_grid_sweep(max_x: int = 4, max_t: int = 4, mass_step: int = 8
     for n_x, n_t in shapes:
         for batch in iter_grid_joints(n_x, n_t, step):
             joints += len(batch)
-            for measure, s, limit in checks:
-                mass = violation_mass_counts(batch, measure, s)
-                tally[measure][0] += int(np.count_nonzero(mass > limit))
-                tally[measure][1] = max(tally[measure][1], int(mass.max()))
+            for measure, limits in checks.items():
+                terms = _drop_terms(batch, measure)
+                for k, limit in limits:
+                    mass = _violating_mass(*terms, k)
+                    tally[measure][0] += int(np.count_nonzero(mass > limit))
+                    tally[measure][1] = max(tally[measure][1], int(mass.max()))
     (viol_r, max_r), (viol_m, max_m) = tally.values()
     return GridSweepReport(joints, tuple(float(s) for s in s_values), viol_r, viol_m,
                            max_r / step, max_m / step, time.perf_counter() - start)

@@ -21,8 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
-from ._rng import gaussian, substream
-from .channel import (ChannelConfig, LayeredCodebook, MLDecoder, SecrecySystem,
+from ._rng import substream
+from .channel import (ChannelConfig, LayeredCodebook, MLDecoder, build_system,
                       coordinate_specs, scale_channel, zero_dithers)
 from .counting import xlog2x_counts
 from .entropy import DiscreteDistribution, xlog2x_sum
@@ -124,8 +124,7 @@ def key_secrecy_report(codebook: LayeredCodebook, r: int, dithers1=None,
     """
     if sign not in ("+", "-"):
         raise DomainError("sign must be '+' or '-'")
-    if not codebook.labels_whole_codebook or any(
-            (layer.nesting & (layer.nesting - 1)) != 0 for layer in codebook.layers):
+    if not codebook.walsh_countable:
         raise DomainError("exhaustive audit needs power-of-two layers, fully labeled")
     n0 = codebook.n0_bits
     if r < 1 or r > n0:
@@ -224,10 +223,7 @@ class KeyAgreementRunner:
     def __init__(self, cfg: ChannelConfig, setup: KeyProtocolSetup):
         self.cfg = cfg
         self.setup = setup
-        codebook = setup.codebook
-        self.labeling = codebook.labeling()
-        self.system = SecrecySystem(codebook, None, self.labeling,
-                                    setup.dithers1, setup.dithers2)
+        self.system = build_system(setup.codebook, None, setup.dithers1, setup.dithers2)
         self.decoder = MLDecoder(cfg, self.system)
         self.coeff = scale_channel(cfg)
 
@@ -240,13 +236,10 @@ class KeyAgreementRunner:
         noise_rng = substream(seed, "noise")
 
         v_seed = _draw_seed(v_rng, spec.seed_len)
-        i1 = int(t_rng.integers(0, self.labeling.points.shape[0]))
+        i1 = int(t_rng.integers(0, 1 << cb.n0_bits))
         i2 = int(jam_rng.integers(0, cb.size))
 
-        x1_layers, x1 = (table[i1] for table in self.system.sender_signals)
-        x2_layers, x2 = (table[i2] for table in self.system.jammer_signals)
-        y1 = (x1 + self.coeff.gain_x2_at_d1 * x2
-              + gaussian(noise_rng, cb.block_dim, self.coeff.noise_std_d1))
+        y1 = self.system.received(self.coeff, i1, i2, noise_rng)
         i1_hat = self.decoder.decode_index(y1, mode=mode,
                                            t2_index=i2 if mode == "genie" else None)
 
@@ -254,7 +247,8 @@ class KeyAgreementRunner:
         k1 = extract(spec, bits1, v_seed)
         k1_hat = extract(spec, int_to_bits(i1_hat, spec.input_len), v_seed)
 
-        masked, carry = _eavesdropper_pair(cb, x1_layers, x2_layers, self.cfg.sign)
+        masked, carry = _eavesdropper_pair(cb, self.system.sender_signals[0][i1],
+                                           self.system.jammer_signals[0][i2], self.cfg.sign)
         return KeyTranscript(v_seed, i1, i2, k1, k1_hat,
                              bool(np.array_equal(k1, k1_hat)), i1_hat != i1,
                              masked, carry)

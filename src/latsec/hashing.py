@@ -103,7 +103,7 @@ class FiniteFieldMatrix:
         return (self.entries @ v) % self.q
 
     def rank(self) -> int:
-        return _row_reduce(self.entries, self.q)
+        return len(_reduce(self.entries, self.q)[1])
 
     def equals(self, other: "FiniteFieldMatrix") -> bool:
         return self.q == other.q and np.array_equal(self.entries, other.entries)
@@ -124,52 +124,26 @@ class FiniteFieldMatrix:
         return cls(q, np.eye(n, dtype=np.int64))
 
 
-def _row_reduce(matrix: np.ndarray, q: int) -> int:
-    """Rank over GF(q) by Gaussian elimination."""
-    a = np.asarray(matrix, dtype=np.int64).copy() % q
-    rows, cols = a.shape
-    rank = 0
-    for col in range(cols):
-        pivot = -1
-        for r in range(rank, rows):
-            if a[r, col] % q != 0:
-                pivot = r
-                break
-        if pivot < 0:
-            continue
-        a[[rank, pivot]] = a[[pivot, rank]]
-        inv = pow(int(a[rank, col]), q - 2, q)
-        a[rank] = (a[rank] * inv) % q
-        for r in range(rows):
-            if r != rank and a[r, col] % q != 0:
-                a[r] = (a[r] - a[r, col] * a[rank]) % q
-        rank += 1
-        if rank == rows:
+def _reduce(matrix: np.ndarray, q: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form over GF(q), by Gauss-Jordan elimination, and its
+    pivot columns; a column is a pivot iff it lies outside the span of the
+    columns before it."""
+    a = np.asarray(matrix, dtype=np.int64) % q
+    pivots: list[int] = []
+    for col in range(a.shape[1]):
+        rank = len(pivots)
+        if rank == a.shape[0]:
             break
-    return rank
-
-
-def _invert(matrix: np.ndarray, q: int) -> np.ndarray:
-    a = np.asarray(matrix, dtype=np.int64).copy() % q
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise DomainError("only square matrices can be inverted")
-    aug = np.concatenate([a, np.eye(n, dtype=np.int64)], axis=1)
-    for col in range(n):
-        pivot = -1
-        for r in range(col, n):
-            if aug[r, col] % q != 0:
-                pivot = r
-                break
-        if pivot < 0:
-            raise DomainError("matrix is singular over GF(q)")
-        aug[[col, pivot]] = aug[[pivot, col]]
-        inv = pow(int(aug[col, col]), q - 2, q)
-        aug[col] = (aug[col] * inv) % q
-        for r in range(n):
-            if r != col and aug[r, col] % q != 0:
-                aug[r] = (aug[r] - aug[r, col] * aug[col]) % q
-    return aug[:, n:]
+        below = np.flatnonzero(a[rank:, col])
+        if below.size == 0:
+            continue
+        a[[rank, rank + below[0]]] = a[[rank + below[0], rank]]
+        a[rank] = a[rank] * pow(int(a[rank, col]), q - 2, q) % q
+        others = np.flatnonzero(a[:, col])
+        others = others[others != rank]
+        a[others] = (a[others] - a[others, col, None] * a[rank]) % q
+        pivots.append(col)
+    return a, pivots
 
 
 def sample_linear_hash(r: int, n: int, q: int = 2, seed: int = 0) -> FiniteFieldMatrix:
@@ -388,31 +362,21 @@ class EncoderKit:
 def build_encoder(g: FiniteFieldMatrix) -> EncoderKit:
     """Complete a full-row-rank g to an invertible [g'; g] and invert it.
 
-    g' is chosen greedily from the standard basis rows in index order, so
-    the completion is deterministic and reproducible.
+    g' is the unit rows e_i, in index order, that each lie outside the span
+    of g and the unit rows before them (the pivots of [g^T | I] past g's
+    own columns), so the completion is deterministic and reproducible.
     """
-    if not full_rank_check(g):
-        raise DomainError("hash matrix must have full row rank")
     q, r, n = g.q, g.rows, g.cols
-    chosen: list[np.ndarray] = []
-    base_rank = r
-    for i in range(n):
-        if len(chosen) == n - r:
-            break
-        e = np.zeros(n, dtype=np.int64)
-        e[i] = 1
-        stacked = np.vstack([g.entries] + chosen + [e])
-        if _row_reduce(stacked, q) > base_rank + len(chosen):
-            chosen.append(e)
-    if len(chosen) != n - r:
-        raise DomainError("could not complete hash to an invertible matrix")
-    gp_entries = (np.vstack(chosen) if chosen else np.zeros((0, n), dtype=np.int64))
-    g_prime = FiniteFieldMatrix(q, gp_entries)
+    eye = np.eye(n, dtype=np.int64)
+    pivots = _reduce(np.hstack([g.entries.T, eye]), q)[1]
+    if pivots[:r] != list(range(r)):
+        raise DomainError("hash matrix must have full row rank")
+    gp_entries = eye[[p - r for p in pivots[r:]]]
     stack = np.vstack([gp_entries, g.entries])
-    a_inv = FiniteFieldMatrix(q, _invert(stack, q))
-    if not np.array_equal((stack @ a_inv.entries) % q, np.eye(n, dtype=np.int64)):
+    a_inv = _reduce(np.hstack([stack, eye]), q)[0][:, n:]
+    if not np.array_equal((stack @ a_inv) % q, eye):
         raise RuntimeError("inverse verification failed; internal bug")
-    return EncoderKit(g, g_prime, a_inv)
+    return EncoderKit(g, FiniteFieldMatrix(q, gp_entries), FiniteFieldMatrix(q, a_inv))
 
 
 @dataclass(frozen=True, eq=False)

@@ -11,7 +11,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from latsec.channel import LayeredCodebook, mod_signal
+from latsec._rng import gaussian, substream
+from latsec.channel import ChannelConfig, LayeredCodebook, mod_signal, mod_signals, scale_channel
 from latsec.entropy import (JointDistribution, conditional_shannon, mutual_information,
                             shannon_entropy, side_info_violation_mass)
 from latsec.hashing import EncoderKit, encode_secret, int_to_bits
@@ -174,3 +175,80 @@ def sum_secrecy_oracle(pair: NestedLatticePair, d1, d2, sign: str, s: float,
     return SumSecrecyReport(measure, sign, float(s), gap, bound, float(max_mass),
                             float(joint_mass), tail, independent, max_labels,
                             ok and float(max_mass) <= tail + 1e-15)
+
+
+def gf_rank_oracle(matrix, q: int) -> int:
+    """Rank over GF(q) by row-at-a-time Gaussian elimination."""
+    a = np.asarray(matrix, dtype=np.int64).copy() % q
+    rows, cols = a.shape
+    rank = 0
+    for col in range(cols):
+        pivot = -1
+        for r in range(rank, rows):
+            if a[r, col] % q != 0:
+                pivot = r
+                break
+        if pivot < 0:
+            continue
+        a[[rank, pivot]] = a[[pivot, rank]]
+        inv = pow(int(a[rank, col]), q - 2, q)
+        a[rank] = (a[rank] * inv) % q
+        for r in range(rows):
+            if r != rank and a[r, col] % q != 0:
+                a[r] = (a[r] - a[r, col] * a[rank]) % q
+        rank += 1
+        if rank == rows:
+            break
+    return rank
+
+
+def greedy_completion_oracle(g, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """g' and A = [g'; g]^-1 of a full-row-rank r-by-n g, rank by rank.
+
+    Each unit row e_i, in index order, joins g' when it raises the rank of g
+    and the rows chosen so far; the inverse comes from eliminating [stack | I].
+    """
+    g = np.asarray(g, dtype=np.int64)
+    r, n = g.shape
+    chosen: list[np.ndarray] = []
+    for i in range(n):
+        if len(chosen) == n - r:
+            break
+        e = np.zeros(n, dtype=np.int64)
+        e[i] = 1
+        if gf_rank_oracle(np.vstack([g] + chosen + [e]), q) > r + len(chosen):
+            chosen.append(e)
+    assert len(chosen) == n - r, "g is not of full row rank"
+    g_prime = np.vstack(chosen) if chosen else np.zeros((0, n), dtype=np.int64)
+    aug = np.concatenate([np.vstack([g_prime, g]), np.eye(n, dtype=np.int64)], axis=1)
+    for col in range(n):
+        pivot = next(row for row in range(col, n) if aug[row, col] % q != 0)
+        aug[[col, pivot]] = aug[[pivot, col]]
+        aug[col] = (aug[col] * pow(int(aug[col, col]), q - 2, q)) % q
+        for row in range(n):
+            if row != col and aug[row, col] % q != 0:
+                aug[row] = (aug[row] - aug[row, col] * aug[col]) % q
+    return g_prime, aug[:, n:]
+
+
+def genie_error_rate_oracle(codebook: LayeredCodebook, d1, d2, cfg: ChannelConfig,
+                            trials: int, seed: int) -> float:
+    """`leakage_trend`'s decode error rate, decided on the residual y - g x2.
+
+    Draws a uniform labeled point, a uniform jammer point and the noise from
+    the trend's stream, then picks the labeled point nearest to the residual.
+    """
+    x1_table = mod_signals(codebook, codebook.labeling().points, d1)[1]
+    x2_table = mod_signals(codebook, codebook.product_points(), d2)[1]
+    coeff = scale_channel(cfg)
+    rng = substream(seed, "trend-decode")
+    errors = 0
+    for _ in range(trials):
+        i1 = int(rng.integers(0, x1_table.shape[0]))
+        x2 = x2_table[int(rng.integers(0, x2_table.shape[0]))]
+        y = (x1_table[i1] + coeff.gain_x2_at_d1 * x2
+             + gaussian(rng, codebook.block_dim, coeff.noise_std_d1))
+        resid = y - coeff.gain_x2_at_d1 * x2
+        if int(np.argmin(((x1_table - resid) ** 2).sum(axis=1))) != i1:
+            errors += 1
+    return errors / trials

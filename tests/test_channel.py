@@ -5,14 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_leakage, cyclic_shift_oracle
+from conftest import brute_force_leakage, cyclic_shift_oracle, genie_error_rate_oracle
 from latsec._rng import substream
 from latsec.channel import (ChannelConfig, LayeredCodebook, MLDecoder, TrendRow,
                             build_system, coordinate_specs, exact_leakage,
                             exact_signal_power, fitted_log2_slope, leakage_trend,
                             make_codebook, mod_signal, mod_signals, random_dithers,
                             run_message_round, scale_channel,
-                            secrecy_rate_report, select_secrecy_hash, transmit)
+                            secrecy_rate_report, select_secrecy_hash, transmit,
+                            zero_dithers)
 from latsec.errors import ConfigError, DomainError, ResourceCapError
 from latsec.hashing import (FiniteFieldMatrix, build_encoder, full_rank_check,
                             sample_linear_hash)
@@ -203,8 +204,35 @@ class TestDecoding:
     def test_pair_cap(self):
         system = system_with_hash(4, 4, 1)
         cfg = ChannelConfig(a=1.0, b=1.0, n_uses=4)
+        decoder = MLDecoder(cfg, system, cap=100)
+        y = np.zeros(4)
+        # only marginal decoding builds the table of every (sender, jammer) pair
         with pytest.raises(ResourceCapError):
-            MLDecoder(cfg, system, cap=100)
+            decoder.decode_index(y)
+        assert 0 <= decoder.decode_index(y, "genie", 0) < 1 << system.codebook.n0_bits
+
+
+    @pytest.mark.parametrize("dither_mode", ["zero", "random"])
+    def test_trend_genie_rate_matches_residual_oracle(self, dither_mode):
+        # the trend decides through MLDecoder's genie mode on y itself; deciding
+        # on the residual y - g x2 gives the same error rate
+        seed, trials, rates = 5, 200, []
+        for sigma1 in (1e-6, 0.1, 0.3):
+            cfg = ChannelConfig(a=2.0, b=1.0, noise_var1=sigma1 ** 2)
+            rows = leakage_trend(4, [2, 3, 4], 0.3, 0.05, family=4, seed=seed,
+                                 dither_mode=dither_mode, decode_trials=trials,
+                                 decode_cfg=cfg)
+            for row in rows:
+                cb = make_codebook(4, row.n_bar)
+                if dither_mode == "zero":
+                    d1 = d2 = zero_dithers(cb)
+                else:
+                    d1 = random_dithers(cb, substream(seed, f"dither1-{row.n_bar}"))
+                    d2 = random_dithers(cb, substream(seed, f"dither2-{row.n_bar}"))
+                oracle = genie_error_rate_oracle(cb, d1, d2, cfg, trials, seed + row.n_bar)
+                assert row.decode_error_rate == oracle, (sigma1, row.n_bar)
+                rates.append(oracle)
+        assert rates[0] == 0 and max(rates) > 0
 
 
 @st.composite

@@ -2,6 +2,7 @@ from pathlib import Path
 
 import pytest
 
+from latsec import entropy
 from latsec.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -95,6 +96,16 @@ def test_config_error_exit_code(capsys):
 def test_entropy_check_refuses_unusable_input(capsys, args):
     assert main(["entropy-check", "--grid-max", "2"] + args) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_entropy_check_refuses_the_grid_before_the_floor_sweep(monkeypatch, capsys):
+    def floor_sweep(*args, **kwargs):
+        raise AssertionError("the floor sweep ran before the grid was refused")
+
+    monkeypatch.setattr(entropy, "conditional_entropy_floor_sweep", floor_sweep)
+    for args in (["--grid-step", "0"], ["--grid-max", "6"]):
+        assert main(["entropy-check"] + args) == 2, args
+        assert capsys.readouterr().err.startswith("error: "), args
 
 
 def test_lattice_verify_needs_half_integral_s(capsys):

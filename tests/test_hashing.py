@@ -4,7 +4,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import gf_rank_oracle, greedy_completion_oracle
 from latsec.entropy import renyi2_entropy, shannon_entropy
 from latsec.errors import DomainError, ResourceCapError, ValidationError
 from latsec.hashing import (SOURCE_SUPPORT_CAP, BitLabeling, EncoderKit,
@@ -238,6 +241,27 @@ class TestEncoder:
         g = FiniteFieldMatrix.identity(3)
         kit = build_encoder(g)
         assert kit.g_prime.rows == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([2, 3, 5]), st.integers(1, 8), st.integers(0, 5),
+           st.integers(0, 2 ** 32 - 1))
+    def test_matches_greedy_completion_oracle(self, q, n, r, seed):
+        # one elimination of [g^T | I] picks the same unit rows, and one of
+        # [stack | I] the same inverse, as completing g rank by rank
+        rng = np.random.default_rng(seed)
+        r = min(r, n)
+        while True:
+            g = FiniteFieldMatrix(q, rng.integers(0, q, size=(r, n)))
+            assert g.rank() == gf_rank_oracle(g.entries, q)
+            if g.rank() == r:
+                break
+            with pytest.raises(DomainError):
+                build_encoder(g)
+        g_prime, a_inv = greedy_completion_oracle(g.entries, q)
+        kit = build_encoder(g)
+        assert kit.g_prime.entries.shape == g_prime.shape
+        assert np.array_equal(kit.g_prime.entries, g_prime)
+        assert np.array_equal(kit.a_inv.entries, a_inv)
 
     def test_json_round_trip(self):
         g = sample_linear_hash(2, 5, 2, 3)

@@ -41,3 +41,24 @@ def test_counting_imports_no_latsec_module():
                 or (isinstance(node, ast.Import)
                     and any(alias.name.split(".")[0] == "latsec" for alias in node.names))]
     assert not imported, imported
+
+
+def _calls(node, name):
+    return [call for call in ast.walk(node) if isinstance(call, ast.Call)
+            and name in (getattr(call.func, "id", None), getattr(call.func, "attr", None))]
+
+
+def test_only_the_system_builds_signal_tables():
+    # receiver draws and ML decisions read SecrecySystem's tables; mod_signal,
+    # the one-point form for tests, is the other caller and has none in latsec
+    outside = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        outside += [f"{path.name}:{call.lineno} calls mod_signals"
+                    for top in tree.body
+                    if not (isinstance(top, ast.ClassDef) and top.name == "SecrecySystem")
+                    and not (isinstance(top, ast.FunctionDef) and top.name == "mod_signal")
+                    for call in _calls(top, "mod_signals")]
+        outside += [f"{path.name}:{call.lineno} calls mod_signal"
+                    for call in _calls(tree, "mod_signal")]
+    assert not outside, outside
