@@ -24,8 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from ._rng import gaussian, substream
-from .counting import Coordinate, window_indicator, xlog2x_counts
-from .entropy import xlog2x_sum
+from .counting import Coordinate, hist_xlog2x, window_indicator, xlog2x_counts
 from .errors import ConfigError, DomainError, ResourceCapError
 from .hashing import (BitLabeling, EncoderKit, FiniteFieldMatrix, build_encoder,
                       bits_to_int, encode_label, full_rank_check, int_to_bits,
@@ -156,13 +155,25 @@ class LayeredCodebook:
     def labeling(self) -> BitLabeling:
         return BitLabeling.from_layers(self.layers)
 
+    def dither_vectors(self, dithers=None) -> tuple:
+        """One finite dither vector per layer, each of that layer's dimension;
+        None stands for zero dithers.  Any other count, shape or non-finite
+        entry raises ConfigError."""
+        if dithers is None:
+            return tuple(np.zeros(layer.dim) for layer in self.layers)
+        vecs = tuple(np.atleast_1d(np.asarray(d, dtype=float)) for d in dithers)
+        if [v.shape for v in vecs] != [(layer.dim,) for layer in self.layers] \
+                or not all(np.isfinite(v).all() for v in vecs):
+            raise ConfigError("need one finite dither vector per layer, of its dimension")
+        return vecs
+
     def product_points(self) -> np.ndarray:
         """All size-by-n_bar codebook points in label (lexicographic) order."""
         return label_grid(self.layers, np.arange(self.size))[1]
 
 
 def zero_dithers(codebook: LayeredCodebook) -> tuple:
-    return tuple(np.zeros(layer.dim) for layer in codebook.layers)
+    return codebook.dither_vectors()
 
 
 def random_dithers(codebook: LayeredCodebook, rng: np.random.Generator) -> tuple:
@@ -181,8 +192,9 @@ def mod_signals(codebook: LayeredCodebook, points, dithers) -> tuple[np.ndarray,
     if pts.ndim != 2 or pts.shape[1] != codebook.n_bar:
         raise DomainError(f"expected points of dimension {codebook.n_bar}")
     n = codebook.block_dim
+    layers = zip(codebook.layers, codebook.dither_vectors(dithers))
     per_layer = np.stack([reduce_carry(pts[:, i * n:(i + 1) * n] + d, layer.coarse_scale)[0]
-                          for i, (layer, d) in enumerate(zip(codebook.layers, dithers))], axis=1)
+                          for i, (layer, d) in enumerate(layers)], axis=1)
     return per_layer, per_layer.sum(axis=1)
 
 
@@ -197,7 +209,7 @@ def exact_signal_power(codebook: LayeredCodebook, dithers) -> float:
     n = codebook.block_dim
     coord_power = np.zeros(n)
     mean_sum = np.zeros(n)
-    for layer, d in zip(codebook.layers, dithers):
+    for layer, d in zip(codebook.layers, codebook.dither_vectors(dithers)):
         vals = layer.coordinate_values()
         for j in range(n):
             shifted = reduce_carry(vals + d[j], layer.coarse_scale)[0]
@@ -224,12 +236,8 @@ class SecrecySystem:
     def __post_init__(self):
         if self.kit is not None and self.kit.n_bits != self.codebook.n0_bits:
             raise ConfigError("encoder width does not match the codebook labeling")
-        d1 = tuple(as_vector(d) for d in self.dithers1)
-        d2 = tuple(as_vector(d) for d in self.dithers2)
-        if len(d1) != self.codebook.n_layers or len(d2) != self.codebook.n_layers:
-            raise ConfigError("one dither vector per layer per sender required")
-        object.__setattr__(self, "dithers1", d1)
-        object.__setattr__(self, "dithers2", d2)
+        object.__setattr__(self, "dithers1", self.codebook.dither_vectors(self.dithers1))
+        object.__setattr__(self, "dithers2", self.codebook.dither_vectors(self.dithers2))
 
     @cached_property
     def labeling(self) -> BitLabeling:
@@ -272,9 +280,7 @@ class SecrecySystem:
 
 def build_system(codebook: LayeredCodebook, kit: EncoderKit | None,
                  dithers1=None, dithers2=None) -> SecrecySystem:
-    d1 = zero_dithers(codebook) if dithers1 is None else tuple(dithers1)
-    d2 = zero_dithers(codebook) if dithers2 is None else tuple(dithers2)
-    return SecrecySystem(codebook, kit, d1, d2)
+    return SecrecySystem(codebook, kit, dithers1, dithers2)
 
 
 # ---------------------------------------------------------------------------
@@ -377,6 +383,8 @@ class MLDecoder:
 
     def decode_index(self, y1, mode: str = "marginal", t2_index: int | None = None) -> int:
         y = np.asarray(y1, dtype=float)
+        if y.shape != self._x1.shape[1:]:
+            raise DomainError(f"expected an observation of shape {self._x1.shape[1:]}")
         if mode == "genie":
             if t2_index is None:
                 raise DomainError("genie mode needs the jammer index")
@@ -413,7 +421,8 @@ def run_message_round(cfg: ChannelConfig, system: SecrecySystem, w_bits, seed: i
 def coordinate_specs(codebook: LayeredCodebook, dithers1) -> list[Coordinate]:
     """Each label coordinate's nesting and the cyclic shift the sender's dither induces."""
     return [Coordinate(layer.nesting, int(k))
-            for layer, d in zip(codebook.layers, dithers1) for k in layer.dither_shifts(d)]
+            for layer, d in zip(codebook.layers, codebook.dither_vectors(dithers1))
+            for k in layer.dither_shifts(d)]
 
 
 def _hash_matrix(hash_or_kit) -> FiniteFieldMatrix:
@@ -435,13 +444,11 @@ def exact_leakage(codebook: LayeredCodebook, hash_or_kit, dithers1=None,
     """
     if sign not in ("+", "-"):
         raise DomainError("sign must be '+' or '-'")
-    if dithers1 is None:
-        dithers1 = zero_dithers(codebook)
+    coords = coordinate_specs(codebook, dithers1)
     if hash_or_kit is None:
         return 0.0
     g = _hash_matrix(hash_or_kit)
-    r0 = g.rows
-    if r0 == 0:
+    if g.rows == 0:
         return 0.0
     if g.cols != codebook.n0_bits:
         raise DomainError("hash width must match the codebook label width")
@@ -451,64 +458,48 @@ def exact_leakage(codebook: LayeredCodebook, hash_or_kit, dithers1=None,
     if method == "fast" and not codebook.walsh_countable:
         raise DomainError("fast leakage needs power-of-two layers labeling the whole codebook")
 
-    coords = coordinate_specs(codebook, dithers1)
     sigma_space = math.prod(2 * c.m - 1 for c in coords)
     if sigma_space > cap:
         raise ResourceCapError(f"sum alphabet {sigma_space} exceeds cap {cap}")
 
     if method == "fast":
-        return _leakage_charsum(codebook, g, coords, sign)
-    if method == "enumerate":
-        return _leakage_enumerate(codebook, g, coords, sign, cap)
-    raise DomainError(f"unknown method {method!r}")
+        sum_n, sum_nsig = xlog2x_counts(coords, sign, [[bits_to_int(row) for row in g.entries]])
+    elif method == "enumerate":
+        sum_n, sum_nsig = _enumerated_xlog2x(codebook, g, coords, sign, cap)
+    else:
+        raise DomainError(f"unknown method {method!r}")
 
-
-def _leakage_charsum(codebook: LayeredCodebook, g: FiniteFieldMatrix,
-                     coords: list[Coordinate], sign: str) -> float:
-    # the W marginal is uniform on the hash's column span, 2^rank values
-    # each hit by 2^(n0 - rank) labels; the sigma marginal is the kernel's
-    n0 = codebook.n0_bits
-    rows = [bits_to_int(row) for row in g.entries]
-    sum_n, sum_nsig = xlog2x_counts(coords, sign, [rows])
-    rank = g.rank()
+    # over D = 2^n0 * size (label, jammer) pairs, W is uniform on the hash's
+    # column span: 2^rank values, each hit by 2^(n0 - rank) labels
+    n0, rank = codebook.n0_bits, g.rank()
     per_w_total = float((1 << (n0 - rank)) * codebook.size)
     sum_nw = (1 << rank) * per_w_total * math.log2(per_w_total)
-
     d_total = float(1 << n0) * float(codebook.size)
     mi = math.log2(d_total) + (sum_n - sum_nsig - sum_nw) / d_total
     return max(0.0, mi)
 
 
-def _leakage_enumerate(codebook: LayeredCodebook, g: FiniteFieldMatrix,
-                       coords: list[Coordinate], sign: str, cap: int) -> float:
-    k_size = 1 << codebook.n0_bits
-    sigma_space = math.prod(2 * c.m - 1 for c in coords)
-    if k_size * sigma_space > (cap << 4):
+def _enumerated_xlog2x(codebook: LayeredCodebook, g: FiniteFieldMatrix,
+                       coords: list[Coordinate], sign: str, cap: int) -> tuple[float, float]:
+    """`xlog2x_counts` of one hash for any m: each label adds one to N(k, sigma) on
+    the box of sums its digits fit.  The histograms have the kernel's length,
+    max W + 1, so on power-of-two layers both routes sum the same terms alike."""
+    n0 = codebook.n0_bits
+    shape = tuple(2 * c.m - 1 for c in coords)
+    if (1 << n0) * math.prod(shape) > (cap << 4):
         raise ResourceCapError("enumeration workload exceeds cap")
-
-    windows = [window_indicator(c, sign).astype(float) / c.m for c in coords]
-    digits = label_grid(codebook.layers, np.arange(k_size))[0]
-
-    r0 = g.rows
-    joint = np.zeros((1 << r0, sigma_space))
-    for idx in range(k_size):
-        bits = int_to_bits(idx, codebook.n0_bits)
-        w = bits_to_int((g.entries @ bits) % 2)
-        vec = np.ones(1)
-        for window, i in zip(windows, digits[idx]):
-            col = window[:, i]  # p(sigma | sender index i), shift folded in
-            vec = (vec[:, None] * col[None, :]).ravel()
-        joint[w] += vec / k_size
-    return _mi_from_joint(joint)
-
-
-def _mi_from_joint(joint: np.ndarray) -> float:
-    total = joint.sum()
-    if not math.isclose(total, 1.0, abs_tol=1e-9):
-        raise RuntimeError("joint does not normalize; internal bug")
-    mi = (xlog2x_sum(joint) - xlog2x_sum(joint.sum(axis=0))
-          - xlog2x_sum(joint.sum(axis=1)))
-    return max(0.0, mi)
+    # per coordinate and sender index, the sums that index is consistent with
+    sums = [[np.flatnonzero(col) for col in window_indicator(c, sign).T] for c in coords]
+    labels = np.arange(1 << n0)
+    label_bits = (labels[:, None] >> np.arange(n0 - 1, -1, -1)) & 1
+    keys = (label_bits @ g.entries.T % 2) @ (1 << np.arange(g.rows - 1, -1, -1))
+    counts = np.zeros((1 << g.rows,) + shape, dtype=np.int64)
+    for k, digits in zip(keys, label_grid(codebook.layers, labels)[0]):
+        counts[k][np.ix_(*(s[i] for s, i in zip(sums, digits)))] += 1
+    windows = counts.sum(axis=0)
+    length = int(windows.max()) + 1
+    return (hist_xlog2x(np.bincount(counts.ravel(), minlength=length)),
+            hist_xlog2x(np.bincount(windows.ravel(), minlength=length)))
 
 
 # ---------------------------------------------------------------------------
@@ -541,6 +532,8 @@ def select_secrecy_hash(codebook: LayeredCodebook, r0: int, dithers1=None,
     """
     if r0 < 1:
         raise DomainError("selection needs a positive secret width")
+    if n_candidates < 1:
+        raise DomainError("selection needs at least one candidate")
     if policy not in ("first", "best"):
         raise DomainError("policy must be 'first' or 'best'")
     rng = substream(seed, "hash-select")
@@ -580,6 +573,8 @@ class TrendRow:
 def make_codebook(m: int, n_bar: int, n_layers: int = 1,
                   coarse_scale: float | None = None) -> LayeredCodebook:
     """Constant-rate stack: n_layers copies of (c, m) with block dim n_bar/n_layers."""
+    if n_layers < 1:
+        raise ConfigError("need at least one layer")
     if n_bar % n_layers:
         raise ConfigError("n_bar must be divisible by the layer count")
     c = float(m) if coarse_scale is None else coarse_scale

@@ -149,8 +149,7 @@ def _cmd_hash_bench(args):
 
 def _cmd_amplify(args):
     rows = []
-    c_values = [float(v) for v in args.c_list.split(",")]
-    for c in c_values:
+    for c in _parse_float_grid(args.c_list):
         sources = []
         k_flat = round(2 ** c)
         if abs(np.log2(k_flat) - c) < 1e-12 and k_flat <= 1 << args.n:

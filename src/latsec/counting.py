@@ -120,7 +120,7 @@ def _balanced_cut(widths: Sequence[int]) -> int:
     return best_cut
 
 
-def _hist_xlog2x(hist: np.ndarray) -> float:
+def hist_xlog2x(hist: np.ndarray) -> float:
     """sum over values v of hist[v] * v log2 v, in one fixed order."""
     v = np.arange(hist.size, dtype=float)
     nz = v >= 2  # 0 log 0 := 0 and 1 log 1 = 0
@@ -199,4 +199,4 @@ def xlog2x_counts(coords: Sequence[Coordinate], sign: str, rows,
                         # count (an internal bug) makes bincount raise
                         hist += block_weight * np.bincount(
                             counts.astype(np.int64).ravel(), minlength=hist.size)
-    return _hist_xlog2x(hist), _hist_xlog2x(hist_w)
+    return hist_xlog2x(hist), hist_xlog2x(hist_w)

@@ -23,7 +23,7 @@ import numpy as np
 
 from ._rng import substream
 from .channel import (ChannelConfig, LayeredCodebook, MLDecoder, build_system,
-                      coordinate_specs, scale_channel, zero_dithers)
+                      coordinate_specs, scale_channel)
 from .counting import xlog2x_counts
 from .entropy import DiscreteDistribution, xlog2x_sum
 from .errors import ConfigError, DomainError, ResourceCapError, ValidationError
@@ -131,8 +131,6 @@ def key_secrecy_report(codebook: LayeredCodebook, r: int, dithers1=None,
         raise DomainError("key width must lie in [1, label width]")
     if 1 << (r * n0) > cap:
         raise ResourceCapError(f"2^{r * n0} seeds exceed cap {cap}")
-    if dithers1 is None:
-        dithers1 = zero_dithers(codebook)
 
     # Sum N log2 N over every seed, one seed being r hash rows.  Permuting a
     # seed's rows permutes the key bits and leaves the multiset of counts

@@ -226,6 +226,8 @@ def full_rank_fraction_exhaustive(r: int, n: int) -> float:
 
 def full_rank_fraction_mc(r: int, n: int, trials: int, seed: int = 0) -> float:
     """Monte-Carlo full-row-rank fraction for sizes beyond enumeration."""
+    if trials < 1 or r < 0 or not 1 <= n <= 62:
+        raise DomainError("need at least one trial, r >= 0 rows and 1 <= n <= 62 columns")
     rng = np.random.default_rng(seed)
     draws = rng.integers(0, 1 << n, size=(trials, r), dtype=np.int64)
     hits = 0

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_force_leakage, cyclic_shift_oracle, genie_error_rate_oracle
@@ -15,6 +15,7 @@ from latsec.channel import (ChannelConfig, LayeredCodebook, MLDecoder, TrendRow,
                             secrecy_rate_report, select_secrecy_hash, transmit,
                             zero_dithers)
 from latsec.errors import ConfigError, DomainError, ResourceCapError
+from latsec.extractor import key_secrecy_report
 from latsec.hashing import (FiniteFieldMatrix, build_encoder, full_rank_check,
                             sample_linear_hash)
 from latsec.lattice import NestedLatticePair
@@ -87,6 +88,28 @@ class TestCodebookStack:
     def test_make_codebook_divisibility(self):
         with pytest.raises(ConfigError):
             make_codebook(4, 5, 2)
+
+    def test_bad_dither_tuples_refused_everywhere(self):
+        # every dither consumer goes through LayeredCodebook.dither_vectors
+        cb = make_codebook(4, 4, 2)  # two layers of dimension 2
+        g = sample_linear_hash(2, cb.n0_bits, 2, 19)
+        for bad in [(np.full(2, 0.3),), (np.full(2, 0.3),) * 3,
+                    (np.full(2, 0.3), np.full(3, 0.3)), (np.full(2, 0.3), [0.1, np.nan])]:
+            for method in ("fast", "enumerate"):
+                with pytest.raises(ConfigError):
+                    exact_leakage(cb, g, bad, method=method)
+            with pytest.raises(ConfigError):
+                key_secrecy_report(cb, 1, bad)
+            with pytest.raises(ConfigError):
+                select_secrecy_hash(cb, 2, bad, n_candidates=2)
+            for dithers in ((bad, None), (None, bad)):
+                with pytest.raises(ConfigError):
+                    build_system(cb, None, *dithers)
+            with pytest.raises(ConfigError):
+                exact_signal_power(cb, bad)
+            with pytest.raises(ConfigError):
+                mod_signals(cb, cb.product_points()[:3], bad)
+        assert all(np.array_equal(d, np.zeros(2)) for d in cb.dither_vectors())
 
 
 class TestTransmit:
@@ -201,6 +224,13 @@ class TestDecoding:
             errors += int(tr.decode_error)
         assert abs(errors / trials - 0.75) < 0.12
 
+    def test_observation_shape_checked(self):
+        decoder = MLDecoder(ChannelConfig(a=2.0, b=1.0), system_with_hash(4, 2, 1))
+        for y in (np.zeros(1), np.zeros(3), np.zeros((1, 2)), 0.0):
+            for mode, t2 in (("marginal", None), ("genie", 0)):
+                with pytest.raises(DomainError):
+                    decoder.decode_index(y, mode, t2)
+
     def test_pair_cap(self):
         system = system_with_hash(4, 4, 1)
         cfg = ChannelConfig(a=1.0, b=1.0, n_uses=4)
@@ -290,7 +320,7 @@ class TestExactLeakage:
         fast = exact_leakage(cb, kit, d1, sign, method="fast")
         enum = exact_leakage(cb, kit, d1, sign, method="enumerate")
         assert fast == pytest.approx(oracle, abs=1e-9)
-        assert enum == pytest.approx(oracle, abs=1e-9)
+        assert enum == fast
 
     def test_layered_stack_routes_agree(self):
         cb = make_codebook(4, 4, 2)  # two layers of dimension 2
@@ -336,6 +366,20 @@ class TestExactLeakage:
         with pytest.raises(DomainError):
             exact_leakage(cb, g, method="fast")
         assert exact_leakage(cb, g, method="auto") >= 0.0  # enumerate fallback
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([3, 5]), st.integers(1, 3), st.booleans(), st.integers(1, 3),
+           st.integers(0, 2 ** 16), st.sampled_from(["+", "-"]))
+    def test_enumeration_matches_brute_force_off_power_of_two(self, m, n_bar, layered, r0,
+                                                              seed, sign):
+        cb = make_codebook(m, n_bar, n_bar if layered else 1)
+        rng = np.random.default_rng(seed)
+        d1, d2 = random_dithers(cb, rng), random_dithers(cb, rng)
+        g = sample_linear_hash(min(r0, cb.n0_bits), cb.n0_bits, 2, seed)
+        assume(full_rank_check(g))
+        oracle = brute_force_leakage(cb, build_encoder(g), d1, d2, sign)
+        assert exact_leakage(cb, g, d1, sign, method="enumerate") == pytest.approx(
+            oracle, abs=1e-9)
 
 
 class TestSelection:

@@ -1,3 +1,4 @@
+import warnings
 from pathlib import Path
 
 import pytest
@@ -85,9 +86,21 @@ def test_config_error_exit_code(capsys):
                  ["leakage-trend", "--nbar", "5:2"],
                  ["sdof", "--grid", "1:2:0"],
                  ["keygen", "--nbar", "2", "--m", "4", "--r", "1", "--trials", "0"],
-                 ["amplify", "--n", "40"]):
+                 ["amplify", "--n", "40"],
+                 ["hash-bench", "--r-max", "1", "--n-max", "1", "--mc-trials", "0"],
+                 ["hash-bench", "--r-max", "1", "--n-max", "1", "--mc-n", "70"],
+                 ["hash-bench", "--r-max", "1", "--n-max", "1", "--mc-r", "-1"],
+                 ["amplify", "--c-list", "x"],
+                 ["leakage-trend", "--layers", "0"],
+                 ["leakage-trend", "--nbar", "2", "--family", "0"]):
         assert main(args) == 2, args
         assert "error:" in capsys.readouterr().err, args
+    # an empty family must be refused before numpy warns about its empty mean
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["leakage-trend", "--nbar", "2", "--family", "0"]) == 2
+    err = capsys.readouterr().err
+    assert not caught and err.startswith("error: ") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("args", [["--max-x", "1"], ["--s", "x"], ["--grid-step", "0"],
