@@ -53,6 +53,8 @@ class ChannelConfig:
     n_uses: int = 1
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.a, self.b, self.noise_var1, self.noise_var2))):
+            raise ConfigError("cross gains and noise variances must be finite")
         if not (self.a > 0 and self.b > 0):
             raise ConfigError("cross gains must be positive")
         if self.sign not in (1, -1):
@@ -357,8 +359,15 @@ class MLDecoder:
 
     Marginal mode averages the Gaussian likelihood over every jammer
     hypothesis; genie mode is told the jammer's point.  Both enumerate the
-    full hypothesis space, so they are exact; marginal mode's table of every
-    (sender, jammer) pair is capped.
+    full hypothesis space, so they are exact.  Marginal mode scores label i
+    in squared-distance units, s_i = 2v log sum_j exp(-||x1_i + g x2_j - y||^2
+    / 2v) + ||y||^2 with v the noise variance, through the expansion
+    -||p - y||^2 = 2 p.y - ||p||^2 - ||y||^2: a capped K-by-J table of pair
+    norms ||x1_i + g x2_j||^2 is built once, and each observation costs two
+    matrix-vector products and one log-sum-exp over the table.  Labels whose
+    score is within the expansion's rounding bound of the best are decided
+    again on the direct distances, so near and exact ties go to the first
+    label as an exhaustive direct search would decide them.
     """
 
     def __init__(self, cfg: ChannelConfig, system: SecrecySystem,
@@ -366,20 +375,55 @@ class MLDecoder:
         self.cfg = cfg
         self.system = system
         coeff = scale_channel(cfg)
-        self._noise_var = coeff.noise_std_d1 ** 2
+        self._two_var = 2 * coeff.noise_std_d1 ** 2
         self._cap = cap
         self._x1 = system.sender_signals[1]
-        self._x2 = system.jammer_signals[1]
-        self._gain2 = coeff.gain_x2_at_d1
-        self._pair_sig = None
+        self._gx2 = coeff.gain_x2_at_d1 * system.jammer_signals[1]
+        self._norms = None
 
-    def _pair_signals(self) -> np.ndarray:
-        if self._pair_sig is None:
-            k, j = self._x1.shape[0], self._x2.shape[0]
+    def _norm_table(self) -> np.ndarray:
+        """Q_ij = ||x1_i + g x2_j||^2, built on first use without an n axis."""
+        if self._norms is None:
+            k, j = self._x1.shape[0], self._gx2.shape[0]
             if k * j > self._cap:
                 raise ResourceCapError(f"{k}x{j} hypothesis pairs exceed cap {self._cap}")
-            self._pair_sig = self._x1[:, None, :] + self._gain2 * self._x2[None, :, :]
-        return self._pair_sig
+            n1 = (self._x1 ** 2).sum(axis=1)
+            n2 = (self._gx2 ** 2).sum(axis=1)
+            q = self._x1 @ self._gx2.T
+            q *= 2
+            q += n1[:, None]
+            q += n2[None, :]
+            self._norms = q
+            self._norm_scale = q.max() + n1.max() + n2.max()
+        return self._norms
+
+    def _tie_bound(self, y: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
+        """Rounding bound on the difference of two expanded scores.  The table and
+        the products err by eps (n + const) times the magnitudes they add up
+        (the table's cross term by the norms it cancels against), and the
+        log-sum-exp by eps times 2v log J."""
+        n, j = y.size, self._gx2.shape[0]
+        scale = self._norm_scale + np.abs(a).max() + np.abs(b).max() + y @ y
+        return 32 * np.finfo(float).eps * ((n + 4) * scale
+                                           + self._two_var * (1 + math.log(j)) ** 2)
+
+    def _direct_choice(self, rows: np.ndarray, y: np.ndarray) -> int:
+        """The first of `rows` with the largest score on the direct distances,
+        in row blocks of at most 2^18 table entries."""
+        j, n = self._gx2.shape
+        step = max(1, (1 << 18) // (j * n))
+        best, best_score = -1, -math.inf
+        for start in range(0, rows.size, step):
+            block = rows[start:start + step]
+            d = ((self._x1[block, None, :] + self._gx2[None, :, :] - y) ** 2).sum(axis=2)
+            low = d.min(axis=1, keepdims=True)
+            with np.errstate(over="ignore"):
+                spread = np.exp((low - d) / self._two_var).sum(axis=1)
+            score = self._two_var * np.log(spread) - low[:, 0]
+            i = int(np.argmax(score))
+            if score[i] > best_score:
+                best, best_score = int(block[i]), score[i]
+        return best
 
     def decode_index(self, y1, mode: str = "marginal", t2_index: int | None = None) -> int:
         y = np.asarray(y1, dtype=float)
@@ -388,16 +432,23 @@ class MLDecoder:
         if mode == "genie":
             if t2_index is None:
                 raise DomainError("genie mode needs the jammer index")
-            sig = self._x1 + self._gain2 * self._x2[t2_index]
+            sig = self._x1 + self._gx2[t2_index]
             d = ((sig - y) ** 2).sum(axis=1)
             return int(np.argmin(d))
         if mode != "marginal":
             raise DomainError("mode must be 'marginal' or 'genie'")
-        d = ((self._pair_signals() - y) ** 2).sum(axis=2) / (2 * self._noise_var)
-        neg = -d
-        peak = neg.max(axis=1, keepdims=True)
-        loglik = peak[:, 0] + np.log(np.exp(neg - peak).sum(axis=1))
-        return int(np.argmax(loglik))
+        q = self._norm_table()
+        a = 2 * (self._x1 @ y)
+        b = 2 * (self._gx2 @ y)
+        t = b - q
+        peak = t.max(axis=1)
+        t -= peak[:, None]
+        with np.errstate(over="ignore"):
+            t /= self._two_var
+        np.exp(t, out=t)
+        score = a + peak + self._two_var * np.log(t.sum(axis=1))
+        rows = np.flatnonzero(score >= score.max() - self._tie_bound(y, a, b))
+        return int(rows[0]) if rows.size == 1 else self._direct_choice(rows, y)
 
     def decode_message(self, y1, mode: str = "marginal", t2_index: int | None = None) -> np.ndarray:
         label = int_to_bits(self.decode_index(y1, mode, t2_index), self.system.labeling.n_bits)
@@ -482,8 +533,9 @@ def exact_leakage(codebook: LayeredCodebook, hash_or_kit, dithers1=None,
 def _enumerated_xlog2x(codebook: LayeredCodebook, g: FiniteFieldMatrix,
                        coords: list[Coordinate], sign: str, cap: int) -> tuple[float, float]:
     """`xlog2x_counts` of one hash for any m: each label adds one to N(k, sigma) on
-    the box of sums its digits fit.  The histograms have the kernel's length,
-    max W + 1, so on power-of-two layers both routes sum the same terms alike."""
+    the box of sums its digits fit, one key's sigma slab at a time.  The
+    histograms have the kernel's length, max W + 1, so on power-of-two layers
+    both routes sum the same terms alike."""
     n0 = codebook.n0_bits
     shape = tuple(2 * c.m - 1 for c in coords)
     if (1 << n0) * math.prod(shape) > (cap << 4):
@@ -493,12 +545,20 @@ def _enumerated_xlog2x(codebook: LayeredCodebook, g: FiniteFieldMatrix,
     labels = np.arange(1 << n0)
     label_bits = (labels[:, None] >> np.arange(n0 - 1, -1, -1)) & 1
     keys = (label_bits @ g.entries.T % 2) @ (1 << np.arange(g.rows - 1, -1, -1))
-    counts = np.zeros((1 << g.rows,) + shape, dtype=np.int64)
-    for k, digits in zip(keys, label_grid(codebook.layers, labels)[0]):
-        counts[k][np.ix_(*(s[i] for s, i in zip(sums, digits)))] += 1
-    windows = counts.sum(axis=0)
+    digits = label_grid(codebook.layers, labels)[0]
+    # no count exceeds its window, and no window holds more than size labels
+    hist = np.zeros(codebook.size + 1, dtype=np.int64)
+    windows = np.zeros(shape, dtype=np.int64)
+    slab = np.empty(shape, dtype=np.int64)
+    key_ends = np.cumsum(np.bincount(keys, minlength=1 << g.rows))
+    for group in np.split(np.argsort(keys), key_ends[:-1]):
+        slab.fill(0)
+        for label in group:
+            slab[np.ix_(*(s[i] for s, i in zip(sums, digits[label])))] += 1
+        hist += np.bincount(slab.ravel(), minlength=hist.size)
+        windows += slab
     length = int(windows.max()) + 1
-    return (hist_xlog2x(np.bincount(counts.ravel(), minlength=length)),
+    return (hist_xlog2x(hist[:length]),
             hist_xlog2x(np.bincount(windows.ravel(), minlength=length)))
 
 

@@ -12,7 +12,8 @@ from fractions import Fraction
 import numpy as np
 
 from latsec._rng import gaussian, substream
-from latsec.channel import ChannelConfig, LayeredCodebook, mod_signal, mod_signals, scale_channel
+from latsec.channel import (ChannelConfig, LayeredCodebook, SecrecySystem, mod_signal,
+                            mod_signals, scale_channel)
 from latsec.entropy import (JointDistribution, conditional_shannon, mutual_information,
                             shannon_entropy, side_info_violation_mass)
 from latsec.hashing import EncoderKit, encode_secret, int_to_bits
@@ -252,3 +253,19 @@ def genie_error_rate_oracle(codebook: LayeredCodebook, d1, d2, cfg: ChannelConfi
         if int(np.argmin(((x1_table - resid) ** 2).sum(axis=1))) != i1:
             errors += 1
     return errors / trials
+
+
+def direct_marginal_oracle(cfg: ChannelConfig, system: SecrecySystem, y) -> np.ndarray:
+    """Marginal log-likelihood of every sender label, up to a shared constant.
+
+    Forms every (sender, jammer) pair signal x1_i + g x2_j, takes its squared
+    distance to y over 2v and log-sum-exps over the jammer axis; the marginal
+    ML decision is the first argmax.
+    """
+    coeff = scale_channel(cfg)
+    x1 = system.sender_signals[1]
+    x2 = system.jammer_signals[1]
+    pair = x1[:, None, :] + coeff.gain_x2_at_d1 * x2[None, :, :]
+    neg = -((pair - np.asarray(y, dtype=float)) ** 2).sum(axis=2) / (2 * coeff.noise_std_d1 ** 2)
+    peak = neg.max(axis=1, keepdims=True)
+    return peak[:, 0] + np.log(np.exp(neg - peak).sum(axis=1))

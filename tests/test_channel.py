@@ -1,11 +1,14 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_leakage, cyclic_shift_oracle, genie_error_rate_oracle
+from conftest import (brute_force_leakage, cyclic_shift_oracle, direct_marginal_oracle,
+                      genie_error_rate_oracle)
 from latsec._rng import substream
 from latsec.channel import (ChannelConfig, LayeredCodebook, MLDecoder, TrendRow,
                             build_system, coordinate_specs, exact_leakage,
@@ -64,6 +67,12 @@ class TestScaling:
             ChannelConfig(a=-1.0, b=1.0)
         with pytest.raises(ConfigError):
             ChannelConfig(a=1.0, b=1.0, sign=0)
+        for field in ("a", "b", "noise_var1", "noise_var2"):
+            for bad in (math.inf, -math.inf, math.nan):
+                with pytest.raises(ConfigError):
+                    ChannelConfig(**{"a": 1.0, "b": 1.0, field: bad})
+        # an infinite power budget is no limit at all
+        ChannelConfig(a=1.0, b=1.0, p1_bar=math.inf, p2_bar=math.inf)
 
     def test_config_json_round_trip(self):
         cfg = ChannelConfig(a=2.0, b=1.5, sign=-1, noise_var1=0.25, n_uses=4)
@@ -241,6 +250,66 @@ class TestDecoding:
             decoder.decode_index(y)
         assert 0 <= decoder.decode_index(y, "genie", 0) < 1 << system.codebook.n0_bits
 
+    def test_subnormal_noise_variance_decodes(self):
+        # at sigma1 = 1e-160 the variance is subnormal and a squared distance
+        # over 2v overflows for every pair but the sent one
+        system = system_with_hash(4, 4, 2, dithers=True)
+        cfg = ChannelConfig(a=2.0, b=1.0, noise_var1=1e-160 ** 2)
+        decoder, coeff = MLDecoder(cfg, system), scale_channel(cfg)
+        rng = substream(0, "subnormal-noise")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(200):
+                i1 = int(rng.integers(0, system.codebook.size))
+                i2 = int(rng.integers(0, system.codebook.size))
+                assert decoder.decode_index(system.received(coeff, i1, i2, rng)) == i1
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([(m, n_bar, layers) for m in (2, 4, 8) for n_bar in range(1, 5)
+                            for layers in (1, 2) if m ** n_bar <= 512 and n_bar % layers == 0]),
+           st.booleans(), st.sampled_from([1e-9, 1e-6, 0.1, 0.5, 100.0]),
+           st.integers(0, 2 ** 16))
+    def test_marginal_matches_direct_oracle(self, stack, dithered, sigma1, seed):
+        m, n_bar, n_layers = stack
+        cb = make_codebook(m, n_bar, n_layers)
+        rng = np.random.default_rng(seed)
+        dithers = (random_dithers(cb, rng), random_dithers(cb, rng)) if dithered else ()
+        system = build_system(cb, None, *dithers)
+        cfg = ChannelConfig(a=2.0, b=1.0, noise_var1=sigma1 ** 2)
+        decoder, coeff = MLDecoder(cfg, system), scale_channel(cfg)
+        size = cb.size
+        # noisy observations: the same decision as the direct form
+        for _ in range(4):
+            i1, i2 = (int(i) for i in rng.integers(0, size, size=2))
+            y = system.received(coeff, i1, i2, rng)
+            assert decoder.decode_index(y) == int(np.argmax(direct_marginal_oracle(cfg, system, y)))
+        # midpoints between two pair signals, and y = 0: a label the direct form
+        # scores within a few ulps of the best.  Deciding on the expanded score
+        # alone, without the direct re-check, falls up to 5e-14 below it.
+        pairs = rng.integers(0, size, size=(3, 2, 2))
+        x1, x2 = system.sender_signals[1], system.jammer_signals[1]
+        signals = x1[pairs[..., 0]] + coeff.gain_x2_at_d1 * x2[pairs[..., 1]]
+        for y in [*(signals.sum(axis=1) / 2), np.zeros(cb.block_dim)]:
+            loglik = direct_marginal_oracle(cfg, system, y)
+            best = loglik.max()
+            ties = np.flatnonzero(loglik >= best - 8 * np.finfo(float).eps * max(1.0, abs(best)))
+            assert decoder.decode_index(y) in ties
+
+    def test_first_marginal_decode_memory(self):
+        # the K x J norm table is 8 MiB here; a table of every pair signal
+        # (K x J x n) would be 80 MiB
+        system = build_system(make_codebook(2, 10), None)
+        cfg = ChannelConfig(a=2.0, b=1.0, noise_var1=0.1 ** 2)
+        decoder = MLDecoder(cfg, system)
+        y = system.received(scale_channel(cfg), 5, 700, np.random.default_rng(0))
+        tracemalloc.start()
+        try:
+            decoder.decode_index(y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 << 20
+
 
     @pytest.mark.parametrize("dither_mode", ["zero", "random"])
     def test_trend_genie_rate_matches_residual_oracle(self, dither_mode):
@@ -366,6 +435,20 @@ class TestExactLeakage:
         with pytest.raises(DomainError):
             exact_leakage(cb, g, method="fast")
         assert exact_leakage(cb, g, method="auto") >= 0.0  # enumerate fallback
+
+    def test_enumeration_memory(self):
+        # counted one key's sigma slab at a time; all 2^10 slabs of 3^10 int64
+        # counts at once would take 462 MiB
+        cb = make_codebook(2, 10)
+        g = FiniteFieldMatrix.identity(cb.n0_bits)
+        tracemalloc.start()
+        try:
+            leak = exact_leakage(cb, g, method="enumerate")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 20
+        assert leak == exact_leakage(cb, g, method="fast")
 
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from([3, 5]), st.integers(1, 3), st.booleans(), st.integers(1, 3),

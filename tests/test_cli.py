@@ -92,15 +92,36 @@ def test_config_error_exit_code(capsys):
                  ["hash-bench", "--r-max", "1", "--n-max", "1", "--mc-r", "-1"],
                  ["amplify", "--c-list", "x"],
                  ["leakage-trend", "--layers", "0"],
-                 ["leakage-trend", "--nbar", "2", "--family", "0"]):
+                 ["leakage-trend", "--nbar", "2", "--family", "0"],
+                 ["keygen", "--sigma1", "inf"],
+                 ["keygen", "--a", "inf"],
+                 ["simulate", "--b", "inf"]):
         assert main(args) == 2, args
         assert "error:" in capsys.readouterr().err, args
-    # an empty family must be refused before numpy warns about its empty mean
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert main(["leakage-trend", "--nbar", "2", "--family", "0"]) == 2
-    err = capsys.readouterr().err
-    assert not caught and err.startswith("error: ") and err.count("\n") == 1, err
+    # an empty family must be refused before numpy warns about its empty mean,
+    # and a non-finite channel parameter before any decoding
+    for args in (["leakage-trend", "--nbar", "2", "--family", "0"],
+                 ["keygen", "--sigma1", "inf"], ["keygen", "--a", "inf"],
+                 ["simulate", "--b", "inf"]):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(args) == 2, args
+        err = capsys.readouterr().err
+        assert not caught and err.startswith("error: ") and err.count("\n") == 1, (args, err)
+
+
+def test_subnormal_noise_variance_decodes(capsys):
+    # sigma1 = 1e-160 squares to a subnormal noise variance
+    figures = {}
+    for cmd, column in (("keygen", "agreement_rate"), ("simulate", "decode_error_rate")):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([cmd, "--sigma1", "1e-160", "--trials", "20"]) == 0, cmd
+        captured = capsys.readouterr()
+        assert not caught and captured.err == "", (cmd, captured.err)
+        header, row = captured.out.splitlines()[:2]
+        figures[cmd] = float(dict(zip(header.split(","), row.split(",")))[column])
+    assert figures == {"keygen": 1.0, "simulate": 0.0}
 
 
 @pytest.mark.parametrize("args", [["--max-x", "1"], ["--s", "x"], ["--grid-step", "0"],
