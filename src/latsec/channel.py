@@ -65,6 +65,11 @@ class ChannelConfig:
             raise ConfigError("power budgets must be positive")
         if self.n_uses < 1:
             raise ConfigError("n_uses must be positive")
+        coeff = scale_channel(self)
+        if not all(0 < x < math.inf for x in (coeff.gain_x2_at_d1, coeff.noise_std_d1,
+                                              2 * coeff.noise_std_d1 ** 2)):
+            raise ConfigError("scaled gain sqrt(ab), noise std sqrt(b*noise_var1) and twice "
+                              "its variance must be finite and positive")
 
     def to_json(self) -> str:
         return json.dumps({
@@ -365,9 +370,24 @@ class MLDecoder:
     -||p - y||^2 = 2 p.y - ||p||^2 - ||y||^2: a capped K-by-J table of pair
     norms ||x1_i + g x2_j||^2 is built once, and each observation costs two
     matrix-vector products and one log-sum-exp over the table.  Labels whose
-    score is within the expansion's rounding bound of the best are decided
-    again on the direct distances, so near and exact ties go to the first
-    label as an exhaustive direct search would decide them.
+    score is within the expansion's rounding bound tau of the best are
+    decided again on the direct distances, so near and exact ties go to the
+    first label as an exhaustive direct search would decide them.
+
+    The log-sum-exp runs only on rows that can still reach that tie set.
+    With t_ij = b_j - Q_ij, row i's score is computed as
+    s_i = fl(base_i + L_i), base_i = fl(a_i + max_j t_ij) and
+    L_i = fl(2v fl(log S_i)), where S_i is the computed row sum of
+    exp((t_ij - max_j t_ij) / 2v).  The peak term is exp(0) = 1 exactly and
+    every term lies in [0, 1], so 1 <= S_i <= J (1 + J eps) and
+    0 <= log S_i < ln J + 1; rounding is monotone, so
+    0 <= L_i <= reach = fl(2v fl(ln J + 1)) and
+    base_i <= s_i <= fl(base_i + reach).  Hence max s >= max base, and a
+    row with fl(base_i + reach) < fl(max base - tau) scores below
+    fl(max s - tau): it is neither the argmax nor in the tie set.  The kept
+    rows go through the same subtract, divide, exp, sum and log on the same
+    contiguous rows as the whole table would, so every kept score, the
+    tie set and the decision are those of the unpruned form.
     """
 
     def __init__(self, cfg: ChannelConfig, system: SecrecySystem,
@@ -379,22 +399,28 @@ class MLDecoder:
         self._cap = cap
         self._x1 = system.sender_signals[1]
         self._gx2 = coeff.gain_x2_at_d1 * system.jammer_signals[1]
+        self._reach = self._two_var * (math.log(self._gx2.shape[0]) + 1)
         self._norms = None
 
     def _norm_table(self) -> np.ndarray:
-        """Q_ij = ||x1_i + g x2_j||^2, built on first use without an n axis."""
+        """Q_ij = ||x1_i + g x2_j||^2, built on first use without an n axis.
+        A table whose entries or rounding bound overflow (a huge cross gain)
+        raises ConfigError."""
         if self._norms is None:
-            k, j = self._x1.shape[0], self._gx2.shape[0]
+            (k, n), j = self._x1.shape, self._gx2.shape[0]
             if k * j > self._cap:
                 raise ResourceCapError(f"{k}x{j} hypothesis pairs exceed cap {self._cap}")
-            n1 = (self._x1 ** 2).sum(axis=1)
-            n2 = (self._gx2 ** 2).sum(axis=1)
-            q = self._x1 @ self._gx2.T
-            q *= 2
-            q += n1[:, None]
-            q += n2[None, :]
+            with np.errstate(over="ignore", invalid="ignore"):
+                n1 = (self._x1 ** 2).sum(axis=1)
+                n2 = (self._gx2 ** 2).sum(axis=1)
+                q = self._x1 @ self._gx2.T
+                q *= 2
+                q += n1[:, None]
+                q += n2[None, :]
+                self._norm_scale = q.max() + n1.max() + n2.max()
+                if not (np.isfinite(q).all() and np.isfinite((n + 4) * self._norm_scale)):
+                    raise ConfigError("the scaled cross gain overflows the decoder's pair norms")
             self._norms = q
-            self._norm_scale = q.max() + n1.max() + n2.max()
         return self._norms
 
     def _tie_bound(self, y: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
@@ -403,9 +429,10 @@ class MLDecoder:
         (the table's cross term by the norms it cancels against), and the
         log-sum-exp by eps times 2v log J."""
         n, j = y.size, self._gx2.shape[0]
-        scale = self._norm_scale + np.abs(a).max() + np.abs(b).max() + y @ y
-        return 32 * np.finfo(float).eps * ((n + 4) * scale
-                                           + self._two_var * (1 + math.log(j)) ** 2)
+        with np.errstate(over="ignore"):
+            scale = self._norm_scale + np.abs(a).max() + np.abs(b).max() + y @ y
+            return 32 * np.finfo(float).eps * ((n + 4) * scale
+                                               + self._two_var * (1 + math.log(j)) ** 2)
 
     def _direct_choice(self, rows: np.ndarray, y: np.ndarray) -> int:
         """The first of `rows` with the largest score on the direct distances,
@@ -429,6 +456,8 @@ class MLDecoder:
         y = np.asarray(y1, dtype=float)
         if y.shape != self._x1.shape[1:]:
             raise DomainError(f"expected an observation of shape {self._x1.shape[1:]}")
+        if not np.isfinite(y).all():
+            raise DomainError("the observation must be finite")
         if mode == "genie":
             if t2_index is None:
                 raise DomainError("genie mode needs the jammer index")
@@ -442,12 +471,18 @@ class MLDecoder:
         b = 2 * (self._gx2 @ y)
         t = b - q
         peak = t.max(axis=1)
-        t -= peak[:, None]
+        base = a + peak
+        tau = self._tie_bound(y, a, b)
+        if not math.isfinite(tau):
+            raise DomainError("the observation overflows the decoder's rounding bound")
+        kept = np.flatnonzero(base + self._reach >= base.max() - tau)
+        t = t[kept]
+        t -= peak[kept, None]
         with np.errstate(over="ignore"):
             t /= self._two_var
         np.exp(t, out=t)
-        score = a + peak + self._two_var * np.log(t.sum(axis=1))
-        rows = np.flatnonzero(score >= score.max() - self._tie_bound(y, a, b))
+        score = base[kept] + self._two_var * np.log(t.sum(axis=1))
+        rows = kept[score >= score.max() - tau]
         return int(rows[0]) if rows.size == 1 else self._direct_choice(rows, y)
 
     def decode_message(self, y1, mode: str = "marginal", t2_index: int | None = None) -> np.ndarray:

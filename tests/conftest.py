@@ -31,7 +31,7 @@ def brute_force_leakage(codebook: LayeredCodebook, kit: EncoderKit,
     """
     labeling = codebook.labeling()
     n0, r0 = kit.n_bits, kit.r_secret
-    jam = codebook.product_points()
+    jam_layers = [mod_signal(codebook, p, dithers2)[0] for p in codebook.product_points()]
     counts: dict = {}
     total = 0
     for w_int in range(1 << r0):
@@ -40,8 +40,7 @@ def brute_force_leakage(codebook: LayeredCodebook, kit: EncoderKit,
             sp = int_to_bits(sp_int, n0 - r0)
             t1 = encode_secret(kit, w, sp, labeling)
             x1_layers, _ = mod_signal(codebook, t1, dithers1)
-            for j in range(jam.shape[0]):
-                x2_layers, _ = mod_signal(codebook, jam[j], dithers2)
+            for x2_layers in jam_layers:
                 v = x1_layers + x2_layers if sign == "+" else x1_layers - x2_layers
                 key = tuple(np.round(v.ravel(), 9).tolist())
                 counts[(w_int, key)] = counts.get((w_int, key), 0) + 1

@@ -80,6 +80,19 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+# a non-finite parameter; a scaled gain sqrt(ab) that overflows; a scaled
+# noise variance b * sigma1^2 that underflows to zero; a finite gain whose
+# pair norms overflow, or whose observations overflow the decoder's bound
+UNUSABLE_CHANNELS = (["keygen", "--sigma1", "inf"], ["keygen", "--a", "inf"],
+                        ["simulate", "--b", "inf"],
+                        ["keygen", "--a", "1e300", "--b", "1e300", "--trials", "5"],
+                        ["simulate", "--a", "1e300", "--b", "1e300", "--trials", "5"],
+                        ["keygen", "--b", "1e-30", "--sigma1", "1e-150", "--trials", "5"],
+                        ["keygen", "--a", "1e300", "--b", "1e8", "--trials", "5"],
+                        ["simulate", "--a", "1e300", "--b", "1e8", "--trials", "5"],
+                        ["keygen", "--a", "1e300", "--b", "1e6", "--trials", "5"])
+
+
 def test_config_error_exit_code(capsys):
     for args in (["leakage-trend", "--nbar", "2:3", "--family", "2", "--fixed-r0", "9"],
                  ["leakage-trend", "--nbar", "x"],
@@ -93,16 +106,12 @@ def test_config_error_exit_code(capsys):
                  ["amplify", "--c-list", "x"],
                  ["leakage-trend", "--layers", "0"],
                  ["leakage-trend", "--nbar", "2", "--family", "0"],
-                 ["keygen", "--sigma1", "inf"],
-                 ["keygen", "--a", "inf"],
-                 ["simulate", "--b", "inf"]):
+                 *UNUSABLE_CHANNELS):
         assert main(args) == 2, args
         assert "error:" in capsys.readouterr().err, args
     # an empty family must be refused before numpy warns about its empty mean,
-    # and a non-finite channel parameter before any decoding
-    for args in (["leakage-trend", "--nbar", "2", "--family", "0"],
-                 ["keygen", "--sigma1", "inf"], ["keygen", "--a", "inf"],
-                 ["simulate", "--b", "inf"]):
+    # and a non-finite or overflowing channel before any decoding warns
+    for args in (["leakage-trend", "--nbar", "2", "--family", "0"], *UNUSABLE_CHANNELS):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert main(args) == 2, args
