@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from ._rng import gaussian, substream
-from .counting import Coordinate, hist_xlog2x, window_indicator, xlog2x_counts
+from .counting import Coordinate, count_histograms, hist_xlog2x, window_indicator
 from .errors import ConfigError, DomainError, ResourceCapError
 from .hashing import (BitLabeling, EncoderKit, FiniteFieldMatrix, build_encoder,
                       bits_to_int, encode_label, full_rank_check, int_to_bits,
@@ -388,6 +388,13 @@ class MLDecoder:
     rows go through the same subtract, divide, exp, sum and log on the same
     contiguous rows as the whole table would, so every kept score, the
     tie set and the decision are those of the unpruned form.
+
+    A channel whose float64 sums cannot carry x1 is refused.  With
+    M = max|x1| + g max|x2| and u = ulp(M), no less than the spacing below
+    M, each of the two roundings in fl(x1 + fl(g x2)) errs by at most u/2.
+    Sender points with the same x2 differ in some coordinate by at least
+    delta, the smallest gap between distinct values of one x1 coordinate,
+    so rounded they differ by at least delta - 2u, positive iff u < delta/2.
     """
 
     def __init__(self, cfg: ChannelConfig, system: SecrecySystem,
@@ -399,6 +406,11 @@ class MLDecoder:
         self._cap = cap
         self._x1 = system.sender_signals[1]
         self._gx2 = coeff.gain_x2_at_d1 * system.jammer_signals[1]
+        gaps = (np.diff(np.sort(col)) for col in self._x1.T)
+        delta = min(np.where(g > 0, g, math.inf).min(initial=math.inf) for g in gaps)
+        top = max(self._x1.max(), -self._x1.min()) + max(self._gx2.max(), -self._gx2.min())
+        if not np.spacing(top) < delta / 2:
+            raise ConfigError("the cross gain leaves x1 below float64 resolution in y1")
         self._reach = self._two_var * (math.log(self._gx2.shape[0]) + 1)
         self._norms = None
 
@@ -461,8 +473,10 @@ class MLDecoder:
         if mode == "genie":
             if t2_index is None:
                 raise DomainError("genie mode needs the jammer index")
-            sig = self._x1 + self._gx2[t2_index]
-            d = ((sig - y) ** 2).sum(axis=1)
+            with np.errstate(over="ignore"):
+                d = ((self._x1 + self._gx2[t2_index] - y) ** 2).sum(axis=1)
+            if not np.isfinite(d).all():
+                raise DomainError("the observation overflows the decoder's distances")
             return int(np.argmin(d))
         if mode != "marginal":
             raise DomainError("mode must be 'marginal' or 'genie'")
@@ -549,9 +563,9 @@ def exact_leakage(codebook: LayeredCodebook, hash_or_kit, dithers1=None,
         raise ResourceCapError(f"sum alphabet {sigma_space} exceeds cap {cap}")
 
     if method == "fast":
-        sum_n, sum_nsig = xlog2x_counts(coords, sign, [[bits_to_int(row) for row in g.entries]])
+        hist, hist_w = count_histograms(coords, sign, [[bits_to_int(row) for row in g.entries]])
     elif method == "enumerate":
-        sum_n, sum_nsig = _enumerated_xlog2x(codebook, g, coords, sign, cap)
+        hist, hist_w = _enumerated_histograms(codebook, g, coords, sign, cap)
     else:
         raise DomainError(f"unknown method {method!r}")
 
@@ -561,16 +575,15 @@ def exact_leakage(codebook: LayeredCodebook, hash_or_kit, dithers1=None,
     per_w_total = float((1 << (n0 - rank)) * codebook.size)
     sum_nw = (1 << rank) * per_w_total * math.log2(per_w_total)
     d_total = float(1 << n0) * float(codebook.size)
-    mi = math.log2(d_total) + (sum_n - sum_nsig - sum_nw) / d_total
+    mi = math.log2(d_total) + (hist_xlog2x(hist) - hist_xlog2x(hist_w) - sum_nw) / d_total
     return max(0.0, mi)
 
 
-def _enumerated_xlog2x(codebook: LayeredCodebook, g: FiniteFieldMatrix,
-                       coords: list[Coordinate], sign: str, cap: int) -> tuple[float, float]:
-    """`xlog2x_counts` of one hash for any m: each label adds one to N(k, sigma) on
-    the box of sums its digits fit, one key's sigma slab at a time.  The
-    histograms have the kernel's length, max W + 1, so on power-of-two layers
-    both routes sum the same terms alike."""
+def _enumerated_histograms(codebook: LayeredCodebook, g: FiniteFieldMatrix,
+                           coords: list[Coordinate], sign: str, cap: int) -> tuple:
+    """`count_histograms` of one hash for any m: each label adds one to N(k, sigma)
+    on the box of sums its digits fit, one key's sigma slab at a time.  Trimmed
+    to length max W + 1, the histograms equal the kernel's on power-of-two layers."""
     n0 = codebook.n0_bits
     shape = tuple(2 * c.m - 1 for c in coords)
     if (1 << n0) * math.prod(shape) > (cap << 4):
@@ -593,8 +606,7 @@ def _enumerated_xlog2x(codebook: LayeredCodebook, g: FiniteFieldMatrix,
         hist += np.bincount(slab.ravel(), minlength=hist.size)
         windows += slab
     length = int(windows.max()) + 1
-    return (hist_xlog2x(hist[:length]),
-            hist_xlog2x(np.bincount(windows.ravel(), minlength=length)))
+    return hist[:length], np.bincount(windows.ravel(), minlength=length)
 
 
 # ---------------------------------------------------------------------------

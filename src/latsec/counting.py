@@ -29,8 +29,8 @@ not fold keeps all 2m-1 sums, each counted once.  The kept columns of each
 half-table are grouped by how many folded off-centre coordinates they hold,
 and a block pair's integer histogram is added with weight 2^(that number).
 
-Counts are exact integers.  They are histogrammed across chunks, blocks and
-hash rows, and sum N log2 N is evaluated once from the histogram, so the
+Counts are exact integers, histogrammed across chunks, blocks and hashes;
+callers evaluate sum N log2 N once from the histogram (`hist_xlog2x`), so the
 result depends neither on how the work was chunked nor on the fold.
 """
 from __future__ import annotations
@@ -127,19 +127,16 @@ def hist_xlog2x(hist: np.ndarray) -> float:
     return float((hist[nz] * v[nz] * np.log2(v[nz])).sum())
 
 
-def xlog2x_counts(coords: Sequence[Coordinate], sign: str, rows,
-                  weights=None) -> tuple[float, float]:
-    """Sum N log2 N over hashes and observations, and sum W log2 W over observations.
+def count_histograms(coords: list[Coordinate], sign: str, rows) -> tuple[np.ndarray, np.ndarray]:
+    """Histograms of the counts N(k, sigma) and of the window sizes W(sigma).
 
     rows is an (S, r) array: S hashes, each given by its r rows as n0-bit
-    integers.  The first figure is sum_s w_s sum_{k, sigma} N_s log2 N_s,
-    with unit weights when none are given; the second is the same sum for
-    the window sizes W(sigma) = N summed over k, which no hash changes.
+    integers.  hist[v] is the number of (hash, k, sigma) with N = v, and
+    hist_w[v] the number of sigma whose window W(sigma), N summed over k,
+    holds v labels, which no hash changes; both have length max W + 1.
     Every coordinate's m must be a power of two.
     """
     rows = np.asarray(rows, dtype=np.int64)
-    weights = np.ones(rows.shape[0], dtype=np.int64) if weights is None \
-        else np.asarray(weights, dtype=np.int64)
     kept = [_kept_columns(c, sign) for c in coords]
     cut = _balanced_cut([tab.shape[1] for tab, _ in kept])
     left = _half_blocks(kept[:cut])    # blocks of (2^bits_left, a) columns
@@ -163,7 +160,6 @@ def xlog2x_counts(coords: Sequence[Coordinate], sign: str, rows,
     mus = np.zeros((rows.shape[0], n_k), dtype=np.int64)
     for j in range(r):
         mus ^= ((lam >> (r - 1 - j)) & 1) * rows[:, j:j + 1]
-    groups = [(w, mus[weights == w]) for w in np.flatnonzero(np.bincount(weights))]
 
     # Walsh sums stay below 2^r * max|U| * max|V|; float32 is exact whenever
     # that fits in its 24-bit mantissa
@@ -186,17 +182,15 @@ def xlog2x_counts(coords: Sequence[Coordinate], sign: str, rows,
             width = n_k * max(vb.shape[1], n_k)
             s_chunk = max(1, CHUNK_CELLS // (width * max(a_size, n_k)))
             a_chunk = max(1, min(a_size, CHUNK_CELLS // width))
-            for weight, group in groups:
-                block_weight = int(weight) << (ca + cb)
-                for s0 in range(0, group.shape[0], s_chunk):
-                    mu = group[s0:s0 + s_chunk]
-                    ul = ub[mu >> bits_right].transpose(0, 2, 1)  # (s, a, Lambda)
-                    vr = vb[mu & low][:, None]                    # (s, 1, Lambda, b)
-                    for a0 in range(0, a_size, a_chunk):
-                        counts = np.matmul(signs * ul[:, None, a0:a0 + a_chunk, :], vr)
-                        counts *= scale
-                        # exact integers, so truncation is safe; a negative
-                        # count (an internal bug) makes bincount raise
-                        hist += block_weight * np.bincount(
-                            counts.astype(np.int64).ravel(), minlength=hist.size)
-    return hist_xlog2x(hist), hist_xlog2x(hist_w)
+            for s0 in range(0, mus.shape[0], s_chunk):
+                mu = mus[s0:s0 + s_chunk]
+                ul = ub[mu >> bits_right].transpose(0, 2, 1)  # (s, a, Lambda)
+                vr = vb[mu & low][:, None]                    # (s, 1, Lambda, b)
+                for a0 in range(0, a_size, a_chunk):
+                    counts = np.matmul(signs * ul[:, None, a0:a0 + a_chunk, :], vr)
+                    counts *= scale
+                    # exact integers, so truncation is safe; a negative
+                    # count (an internal bug) makes bincount raise
+                    hist += np.bincount(counts.astype(np.int64).ravel(),
+                                        minlength=hist.size) << (ca + cb)
+    return hist, hist_w

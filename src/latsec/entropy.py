@@ -454,10 +454,3 @@ def violation_mass_grid_sweep(max_x: int = 4, max_t: int = 4, mass_step: int = 8
     (viol_r, max_r), (viol_m, max_m) = tally.values()
     return GridSweepReport(joints, tuple(float(s) for s in s_values), viol_r, viol_m,
                            max_r / step, max_m / step, time.perf_counter() - start)
-
-
-def grid_joint_from_counts(counts, n_x: int, n_t: int, mass_step: int) -> JointDistribution:
-    """Exact-Fraction joint for one grid cell (counts in row-major order)."""
-    rows = tuple(tuple(Fraction(c, mass_step) for c in row)
-                 for row in np.reshape(counts, (n_x, n_t)).tolist())
-    return JointDistribution(tuple(range(n_x)), tuple(range(n_t)), rows)

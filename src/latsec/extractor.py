@@ -13,7 +13,6 @@ key's conditional entropy given that view is computed exhaustively.
 """
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -24,10 +23,10 @@ import numpy as np
 from ._rng import substream
 from .channel import (ChannelConfig, LayeredCodebook, MLDecoder, build_system,
                       coordinate_specs, scale_channel)
-from .counting import xlog2x_counts
-from .entropy import DiscreteDistribution, xlog2x_sum
+from .counting import count_histograms, hist_xlog2x
+from .entropy import xlog2x_sum
 from .errors import ConfigError, DomainError, ResourceCapError, ValidationError
-from .hashing import bits_to_int, exact_hashed_entropy, int_to_bits
+from .hashing import bits_to_int, int_to_bits, row_space_bases
 from .lattice import reduce_carry
 
 DEFAULT_SEED_SPACE_CAP = 1 << 20
@@ -82,12 +81,6 @@ def extract(spec: ExtractorSpec, a_bits, seed: int) -> np.ndarray:
     return (matrix_from_seed(spec, seed) @ a) % 2
 
 
-def avg_output_entropy(spec: ExtractorSpec, source: DiscreteDistribution,
-                       cap: int = 1 << 22) -> float:
-    """H(extract(A, V) | V) with V uniform over all seeds, computed exhaustively."""
-    return exact_hashed_entropy(source, spec.output_len, cap=cap)
-
-
 # ---------------------------------------------------------------------------
 # Exhaustive key-secrecy audit.
 # ---------------------------------------------------------------------------
@@ -120,7 +113,7 @@ def key_secrecy_report(codebook: LayeredCodebook, r: int, dithers1=None,
     Requires power-of-two layers labeling the whole codebook, uniform
     independent sender and jammer points, and fixed dithers.  The count of
     sender points consistent with each observation is an integer windowing
-    problem, evaluated with a character sum once per multiset of seed rows.
+    problem, evaluated with a character sum once per row space of the seeds.
     """
     if sign not in ("+", "-"):
         raise DomainError("sign must be '+' or '-'")
@@ -129,28 +122,23 @@ def key_secrecy_report(codebook: LayeredCodebook, r: int, dithers1=None,
     n0 = codebook.n0_bits
     if r < 1 or r > n0:
         raise DomainError("key width must lie in [1, label width]")
-    if 1 << (r * n0) > cap:
+    seed_space = 1 << (r * n0)
+    if seed_space > cap:
         raise ResourceCapError(f"2^{r * n0} seeds exceed cap {cap}")
 
-    # Sum N log2 N over every seed, one seed being r hash rows.  Permuting a
-    # seed's rows permutes the key bits and leaves the multiset of counts
-    # unchanged, so each multiset of rows is counted once, weighted by its
-    # number of distinct orderings r! / prod(multiplicity!).
-    rows = np.fromiter(itertools.chain.from_iterable(
-        itertools.combinations_with_replacement(range(1 << n0), r)),
-        dtype=np.int64).reshape(-1, r)
-    run = np.ones(rows.shape[0], dtype=np.int64)
-    repeats = np.ones(rows.shape[0], dtype=np.int64)
-    for j in range(1, r):
-        run = np.where(rows[:, j] == rows[:, j - 1], run + 1, 1)
-        repeats *= run
+    # Sum N log2 N over every seed of r hash rows.  A seed with a d-dimensional
+    # row space L is A B, B the reduced basis of L and A one of the
+    # prod_{i<d} (2^r - 2^i) injective r-by-d maps; it keys label x as A (B x),
+    # so its histogram is B's but for the zero bin, which N log2 N ignores.
     coords = coordinate_specs(codebook, dithers1)
-    total_xlogx, sum_w = xlog2x_counts(coords, sign, rows, math.factorial(r) // repeats)
+    hists = [count_histograms(coords, sign, row_space_bases(n0, d)) for d in range(r + 1)]
+    hist = sum(math.prod((1 << r) - (1 << i) for i in range(d)) * hist_d
+               for d, (hist_d, _) in enumerate(hists))
+    total_xlogx, sum_w = hist_xlog2x(hist), hist_xlog2x(hists[0][1])
 
-    # H(K|V,Sigma) = E[log2 W] - 2^(-d) M^(-2) sum_{v,sigma,k} N log2 N, with
+    # H(K|V,Sigma) = E[log2 W] - 2^(-r n0) M^(-2) sum_{v,sigma,k} N log2 N, with
     # the uniform weight p(sigma)/W(sigma) = 1/M^2 on each observation
     m_total = codebook.size
-    seed_space = 1 << (r * n0)
     sigma_space = math.prod(2 * c.m - 1 for c in coords)
     h = sum_w / (m_total * m_total) - total_xlogx / (float(seed_space) * m_total * m_total)
 

@@ -146,6 +146,19 @@ def _reduce(matrix: np.ndarray, q: int) -> tuple[np.ndarray, list[int]]:
     return a, pivots
 
 
+def row_space_bases(n: int, d: int) -> np.ndarray:
+    """The reduced-echelon basis of every d-dimensional subspace of GF(2)^n, as a
+    (count, d) array of n-bit rows, column 0 the most significant bit.  A pivot
+    in the last column is the whole last row, else every row may hold that bit,
+    so count is the Gaussian binomial [n, d] = [n-1, d-1] + 2^d [n-1, d]."""
+    if d == 0 or d > n:
+        return np.zeros((int(d == 0), d), dtype=np.int64)
+    pivoted = np.pad(row_space_bases(n - 1, d - 1) << 1, ((0, 0), (0, 1)), constant_values=1)
+    last = (np.arange(1 << d)[:, None] >> np.arange(d - 1, -1, -1)) & 1
+    free = (row_space_bases(n - 1, d) << 1)[:, None, :] | last
+    return np.concatenate([pivoted, free.reshape(-1, d)])
+
+
 def sample_linear_hash(r: int, n: int, q: int = 2, seed: int = 0) -> FiniteFieldMatrix:
     """Uniform r-by-n matrix over GF(q), deterministic per seed."""
     if r < 1 or n < 1:

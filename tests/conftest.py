@@ -6,14 +6,16 @@ library's factorized fast paths, so agreement is meaningful evidence.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 
 from latsec._rng import gaussian, substream
-from latsec.channel import (ChannelConfig, LayeredCodebook, SecrecySystem, mod_signal,
-                            mod_signals, scale_channel)
+from latsec.channel import (ChannelConfig, LayeredCodebook, SecrecySystem, coordinate_specs,
+                            mod_signal, mod_signals, scale_channel)
+from latsec.counting import count_histograms, hist_xlog2x
 from latsec.entropy import (JointDistribution, conditional_shannon, mutual_information,
                             shannon_entropy, side_info_violation_mass)
 from latsec.hashing import EncoderKit, encode_secret, int_to_bits
@@ -51,15 +53,15 @@ def brute_force_leakage(codebook: LayeredCodebook, kit: EncoderKit,
     return mutual_information(JointDistribution(tuple(xs), tuple(ts), rows))
 
 
-def brute_force_xlog2x_counts(coords, sign: str, rows, weights) -> tuple[float, float]:
-    """`counting.xlog2x_counts` by enumerating every (sender label, jammer index) pair.
+def brute_force_histograms(coords, sign: str, rows) -> tuple[np.ndarray, np.ndarray]:
+    """`counting.count_histograms` by enumerating every (sender label, jammer index) pair.
 
     Coordinate j of a label holds sender index i_j (coordinate 0 in the most
     significant bits); the dither turns it into the value (i_j + shift) mod m,
     to which the jammer adds j2 in [0, m) ("+") or from which it subtracts j2,
     offset by m - 1 ("-").  Each pair gives one observed sum vector, so
-    N(k, sigma) is a histogram over pairs.  The integer histograms of the
-    counts are evaluated in the kernel's order, so the sums compare with ==.
+    N(k, sigma) is a histogram over pairs, and the histograms of N and of the
+    window sizes W have length prod(m) + 1, the size of the largest window.
     """
     ms = [c.m for c in coords]
     bits = [m.bit_length() - 1 for m in ms]
@@ -75,24 +77,54 @@ def brute_force_xlog2x_counts(coords, sign: str, rows, weights) -> tuple[float, 
         s_j = value[:, None] + jams[:, j] if sign == "+" else value[:, None] - jams[:, j] + c.m - 1
         sigma = sigma * (2 * c.m - 1) + s_j
     n_sigma = int(np.prod([2 * m - 1 for m in ms]))
-    size = int(np.prod(ms)) + 1  # no window holds more than prod(m) labels
-
-    def xlog2x(hist):
-        v = np.arange(hist.size, dtype=float)
-        nz = v >= 2
-        return float((hist[nz] * v[nz] * np.log2(v[nz])).sum())
+    size = int(np.prod(ms)) + 1  # the centre window holds all prod(m) labels
 
     hist = np.zeros(size, dtype=np.int64)
-    for hash_rows, weight in zip(np.asarray(rows), weights):
+    for hash_rows in np.asarray(rows):
         k = np.zeros(labels.size, dtype=np.int64)
         for row in hash_rows:
             parity = np.array([bin(int(x)).count("1") & 1 for x in labels & int(row)])
             k = (k << 1) | parity
         n = np.bincount((k[:, None] * n_sigma + sigma).ravel(),
                         minlength=(1 << len(hash_rows)) * n_sigma)
-        hist += int(weight) * np.bincount(n, minlength=size)
+        hist += np.bincount(n, minlength=size)
     w = np.bincount(sigma.ravel(), minlength=n_sigma)
-    return xlog2x(hist), xlog2x(np.bincount(w, minlength=size))
+    return hist, np.bincount(w, minlength=size)
+
+
+def multiset_key_audit(codebook: LayeredCodebook, r: int, dithers1, sign: str) -> float:
+    """`extractor.key_secrecy_report`'s h_key_given_view, summed over seeds by
+    multisets of rows instead of row spaces.
+
+    Permuting a seed's rows permutes the key bits and leaves the multiset of
+    counts unchanged, so each multiset of r rows is counted once, weighted by
+    its number of distinct orderings r! / prod(multiplicity!).
+    """
+    n0 = codebook.n0_bits
+    rows = np.fromiter(itertools.chain.from_iterable(
+        itertools.combinations_with_replacement(range(1 << n0), r)),
+        dtype=np.int64).reshape(-1, r)
+    run = np.ones(rows.shape[0], dtype=np.int64)
+    repeats = np.ones(rows.shape[0], dtype=np.int64)
+    for j in range(1, r):
+        run = np.where(rows[:, j] == rows[:, j - 1], run + 1, 1)
+        repeats *= run
+    weights = math.factorial(r) // repeats
+    coords = coordinate_specs(codebook, dithers1)
+    hist = 0
+    for w in np.unique(weights):
+        hist_rows, hist_w = count_histograms(coords, sign, rows[weights == w])
+        hist = hist + int(w) * hist_rows
+    m_total = codebook.size
+    return (hist_xlog2x(hist_w) / (m_total * m_total)
+            - hist_xlog2x(hist) / (float(1 << (r * n0)) * m_total * m_total))
+
+
+def grid_joint_from_counts(counts, n_x: int, n_t: int, mass_step: int) -> JointDistribution:
+    """Exact-Fraction joint for one grid cell (counts in row-major order)."""
+    rows = tuple(tuple(Fraction(c, mass_step) for c in row)
+                 for row in np.reshape(counts, (n_x, n_t)).tolist())
+    return JointDistribution(tuple(range(n_x)), tuple(range(n_t)), rows)
 
 
 def cyclic_shift_oracle(values: np.ndarray, d: float, c: float) -> int:

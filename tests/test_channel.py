@@ -240,28 +240,45 @@ class TestDecoding:
         assert abs(errors / trials - 0.75) < 0.12
 
     def test_observation_shape_checked(self):
-        # wrong shapes and non-finite entries, refused before any warning
+        # wrong shapes, non-finite entries and a finite y whose squared
+        # distances overflow, refused before any warning
         decoder = MLDecoder(ChannelConfig(a=2.0, b=1.0), system_with_hash(4, 2, 1))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for y in (np.zeros(1), np.zeros(3), np.zeros((1, 2)), 0.0,
                       np.array([math.nan, 0.0]), np.array([math.inf, 0.0]),
-                      np.array([0.0, -math.inf])):
+                      np.array([0.0, -math.inf]), np.array([1e200, 0.0])):
                 for mode, t2 in (("marginal", None), ("genie", 0)):
                     with pytest.raises(DomainError):
                         decoder.decode_index(y, mode, t2)
-            # finite, but too large for the expanded scores' rounding bound
-            with pytest.raises(DomainError):
-                decoder.decode_index(np.array([1e200, 0.0]))
 
     def test_overflowing_norm_table_refused(self):
-        # sqrt(ab) = 1e154 is finite, but g^2 ||x2||^2 is not
-        cfg = ChannelConfig(a=1e300, b=1e8, n_uses=2)
-        decoder = MLDecoder(cfg, system_with_hash(4, 2, 1))
+        # sqrt(ab) = 1e154 is finite, but g^2 ||x2||^2 is not; the decoder
+        # refuses that gain on float resolution already.  At unit gain a
+        # coarse scale of 1e154 resolves every point, but its norms overflow.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ConfigError):
+                MLDecoder(ChannelConfig(a=1e300, b=1e8, n_uses=2), system_with_hash(4, 2, 1))
+            decoder = MLDecoder(ChannelConfig(a=1.0, b=1.0, n_uses=2),
+                                build_system(make_codebook(4, 2, coarse_scale=1e154), None))
+            with pytest.raises(ConfigError):
                 decoder.decode_index(np.zeros(2))
+
+    @pytest.mark.parametrize("mode", ["marginal", "genie"])
+    def test_float_resolution_limits_the_gain(self, mode):
+        # x1 and x2 coordinates take the values -2..1, 1 apart, so the decoder
+        # needs ulp(2 + 2g) < 1/2, i.e. 2 + 2g < 2^51
+        system = system_with_hash(4, 2, 1)
+        with pytest.raises(ConfigError):
+            MLDecoder(ChannelConfig(a=2.0 ** 100, b=1.0, n_uses=2), system)
+        cfg = ChannelConfig(a=(2.0 ** 50 - 2) ** 2, b=1.0, noise_var1=1e-300, n_uses=2)
+        decoder, coeff = MLDecoder(cfg, system), scale_channel(cfg)
+        rng = substream(0, "float-resolution")
+        for i1 in range(system.codebook.size):
+            i2 = int(rng.integers(0, system.codebook.size))
+            y = system.received(coeff, i1, i2, rng)
+            assert decoder.decode_index(y, mode, i2 if mode == "genie" else None) == i1
 
     def test_pair_cap(self):
         system = system_with_hash(4, 4, 1)

@@ -81,8 +81,9 @@ def test_usage_error_exit_code():
 
 
 # a non-finite parameter; a scaled gain sqrt(ab) that overflows; a scaled
-# noise variance b * sigma1^2 that underflows to zero; a finite gain whose
-# pair norms overflow, or whose observations overflow the decoder's bound
+# noise variance b * sigma1^2 that underflows to zero; a finite gain at which
+# y1 = x1 + g x2 + noise no longer resolves x1 in float64 (the first three of
+# these would also overflow the pair norms or the decoder's bound)
 UNUSABLE_CHANNELS = (["keygen", "--sigma1", "inf"], ["keygen", "--a", "inf"],
                         ["simulate", "--b", "inf"],
                         ["keygen", "--a", "1e300", "--b", "1e300", "--trials", "5"],
@@ -90,7 +91,9 @@ UNUSABLE_CHANNELS = (["keygen", "--sigma1", "inf"], ["keygen", "--a", "inf"],
                         ["keygen", "--b", "1e-30", "--sigma1", "1e-150", "--trials", "5"],
                         ["keygen", "--a", "1e300", "--b", "1e8", "--trials", "5"],
                         ["simulate", "--a", "1e300", "--b", "1e8", "--trials", "5"],
-                        ["keygen", "--a", "1e300", "--b", "1e6", "--trials", "5"])
+                        ["keygen", "--a", "1e300", "--b", "1e6", "--trials", "5"],
+                        ["simulate", "--a", "1e290", "--b", "1e10", "--trials", "5"],
+                        ["keygen", "--a", "1e290", "--b", "1e10", "--trials", "5"])
 
 
 def test_config_error_exit_code(capsys):

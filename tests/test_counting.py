@@ -7,10 +7,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_xlog2x_counts
+from conftest import brute_force_histograms
 from latsec import counting
 from latsec.channel import exact_leakage, make_codebook, random_dithers
-from latsec.counting import Coordinate, reflection_folds, xlog2x_counts
+from latsec.counting import Coordinate, count_histograms, reflection_folds
 from latsec.extractor import key_secrecy_report
 from latsec.hashing import FiniteFieldMatrix, sample_linear_hash
 
@@ -52,18 +52,19 @@ def counting_instances(draw):
     n_hashes = draw(st.integers(1, 3))
     rows = draw(st.lists(st.lists(st.integers(0, (1 << n0) - 1), min_size=r, max_size=r),
                          min_size=n_hashes, max_size=n_hashes))
-    weights = draw(st.lists(st.integers(1, 6), min_size=n_hashes, max_size=n_hashes))
-    return coords, draw(st.sampled_from(["+", "-"])), rows, weights
+    return coords, draw(st.sampled_from(["+", "-"])), rows
 
 
 @settings(max_examples=80, deadline=None)
 @given(counting_instances())
 def test_kernel_matches_brute_force_histogram(instance):
-    # the fold and the block weights must reproduce the full histogram
-    # exactly, so both sums agree to the last bit
-    coords, sign, rows, weights = instance
-    assert xlog2x_counts(coords, sign, rows, weights) == \
-        brute_force_xlog2x_counts(coords, sign, rows, weights)
+    # the fold and the block weights must reproduce the full histograms
+    # exactly, the zero-count bin included
+    coords, sign, rows = instance
+    hist, hist_w = count_histograms(coords, sign, rows)
+    want, want_w = brute_force_histograms(coords, sign, rows)
+    assert hist.tolist() == want.tolist()
+    assert hist_w.tolist() == want_w.tolist()
 
 
 @pytest.mark.parametrize("sign", ["+", "-"])

@@ -9,12 +9,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import grid_joint_from_counts
 from latsec import entropy
 from latsec.entropy import (DiscreteDistribution, JointDistribution,
                             conditional_entropy_floor_sweep, conditional_shannon,
                             conditional_shannon_counts, conditional_slice,
-                            grid_joint_from_counts, iter_grid_joints, min_entropy,
-                            mutual_information, renyi2_entropy, shannon_entropy,
+                            iter_grid_joints, min_entropy, mutual_information,
+                            renyi2_entropy, shannon_entropy,
                             side_info_violation_mass, violation_mass_counts,
                             violation_mass_grid_sweep)
 from latsec.errors import DomainError, ResourceCapError, ValidationError

@@ -4,14 +4,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from latsec.channel import ChannelConfig, make_codebook, mod_signal
+from conftest import multiset_key_audit
+from latsec.channel import ChannelConfig, make_codebook, mod_signal, random_dithers
 from latsec.errors import DomainError, ResourceCapError, ValidationError
 from latsec.extractor import (ExtractorSpec, KeyAgreementRunner, KeyProtocolSetup,
-                              avg_output_entropy, extract, key_rate,
-                              key_secrecy_report, matrix_from_seed,
-                              run_key_protocol)
-from latsec.hashing import bits_to_int, flat_bit_source, int_to_bits, privacy_amp_bound
+                              extract, key_rate, key_secrecy_report,
+                              matrix_from_seed, run_key_protocol)
+from latsec.hashing import (bits_to_int, exact_hashed_entropy, flat_bit_source,
+                            int_to_bits, privacy_amp_bound)
 
 
 def zero_dithers(cb):
@@ -61,19 +64,20 @@ class TestOutputEntropy:
 
     def test_point_mass_gives_zero(self):
         spec = ExtractorSpec(3, 2)
-        assert avg_output_entropy(spec, flat_bit_source(3, 1)) == pytest.approx(0.0)
+        assert exact_hashed_entropy(flat_bit_source(3, 1), spec.output_len) == \
+            pytest.approx(0.0)
 
     def test_half_min_entropy_flat_source(self):
         # flat on 2^4 of 2^8 strings, extract 2 bits: exhaustive over all seeds
         spec = ExtractorSpec(8, 2)
         src = flat_bit_source(8, 16)
-        h = avg_output_entropy(spec, src)
+        h = exact_hashed_entropy(src, spec.output_len)
         assert h >= privacy_amp_bound(2, 2, 4.0) - 1e-12
         assert h >= 2 - 2.0 ** (-(4 - 2) / 2)  # leftover budget form
 
     def test_monotone_in_source_entropy(self):
         spec = ExtractorSpec(5, 2)
-        values = [avg_output_entropy(spec, flat_bit_source(5, k))
+        values = [exact_hashed_entropy(flat_bit_source(5, k), spec.output_len)
                   for k in (1, 2, 4, 8, 16, 32)]
         for lo, hi in zip(values, values[1:]):
             assert hi >= lo - 1e-12
@@ -116,6 +120,19 @@ class TestKeySecrecyAudit:
         cb = make_codebook(2, 3, 1)  # label width 3, 512 seeds
         rep = key_secrecy_report(cb, 3)
         assert rep.h_key_given_view == pytest.approx(audit_oracle(cb, 3), abs=1e-9)
+
+    @settings(max_examples=40, deadline=None)
+    @given(m_nbar=st.sampled_from([(2, 1), (2, 2), (2, 3), (2, 4), (4, 1), (4, 2), (4, 3),
+                                   (8, 1), (8, 2)]),
+           r=st.integers(1, 3), sign=st.sampled_from(["+", "-"]),
+           dither_seed=st.none() | st.integers(0, 2 ** 16))
+    def test_row_spaces_match_multiset_oracle(self, m_nbar, r, sign, dither_seed):
+        cb = make_codebook(*m_nbar)
+        r = min(r, cb.n0_bits)
+        d1 = None if dither_seed is None else \
+            random_dithers(cb, np.random.default_rng(dither_seed))
+        rep = key_secrecy_report(cb, r, d1, sign)
+        assert rep.h_key_given_view == multiset_key_audit(cb, r, d1, sign)
 
     def test_peak_memory(self):
         # 2^10 seeds over a 7^5 sum alphabet; a dense 2^n0-by-sigma table

@@ -18,7 +18,7 @@ from latsec.hashing import (SOURCE_SUPPORT_CAP, BitLabeling, EncoderKit,
                             full_rank_fraction_exhaustive, full_rank_fraction_mc,
                             full_rank_lower_bound, geometric_bit_source,
                             gf2_rank_ints, int_to_bits, privacy_amp_bound,
-                            sample_linear_hash, secret_rate_select)
+                            row_space_bases, sample_linear_hash, secret_rate_select)
 from latsec.lattice import NestedLatticePair
 
 
@@ -150,6 +150,34 @@ class TestFullRank:
         exact = exact_full_rank_probability(4, 8)
         sigma = math.sqrt(exact * (1 - exact) / 4000)
         assert abs(frac - exact) <= 4 * sigma
+
+
+class TestRowSpaces:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_one_basis_per_subspace(self, n):
+        for d in range(n + 1):
+            bases = row_space_bases(n, d).tolist()
+            gaussian = (math.prod((1 << (n - i)) - 1 for i in range(d))
+                        // math.prod((1 << (d - i)) - 1 for i in range(d)))
+            assert len(bases) == gaussian and all(len(b) == d for b in bases)
+            assert all(gf2_rank_ints(b) == d for b in bases)
+            spans = set()
+            for basis in bases:
+                span = {0}
+                for row in basis:
+                    span |= {x ^ row for x in span}
+                spans.add(frozenset(span))
+            assert len(spans) == gaussian  # distinct bases span distinct subspaces
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_seeds_per_row_space_sum_to_every_seed(self, n):
+        # an r-row seed spans a d-dimensional L through one of
+        # prod_{i<d} (2^r - 2^i) injective maps onto L's basis
+        for r in range(1, n + 1):
+            seeds = sum(len(row_space_bases(n, d))
+                        * math.prod((1 << r) - (1 << i) for i in range(d))
+                        for d in range(r + 1))
+            assert seeds == 1 << (r * n)
 
 
 class TestPrivacyAmpBound:
