@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .entropy import DiscreteDistribution, renyi2_entropy
+from .entropy import DiscreteDistribution, renyi2_entropy, xlog2x_sum
 from .errors import DomainError, ResourceCapError, ValidationError
 from .lattice import grid_label, label_grid
 
@@ -37,6 +37,8 @@ DEFAULT_MATRIX_CAP = 1 << 22
 # source's k symbols are far cheaper, and it shares the cap only so that
 # one bound covers every source the amplification sweep builds.
 SOURCE_SUPPORT_CAP = 1 << 12
+# entries in the largest temporary of one batched pass over a chunk of matrices
+CHUNK_ENTRIES = 1 << 14
 
 
 def _is_prime(n: int) -> bool:
@@ -208,19 +210,21 @@ def privacy_amp_bound(r: int, q: int, c: float) -> float:
     return bits - (2.0 ** (bits - c)) / math.log(2)
 
 
-def gf2_rank_ints(rows: Sequence[int]) -> int:
-    """Rank over GF(2) of rows packed as integers (one bit per column)."""
-    basis: dict[int, int] = {}
-    for row in rows:
-        cur = int(row)
-        while cur:
-            h = cur.bit_length() - 1
-            if h in basis:
-                cur ^= basis[h]
-            else:
-                basis[h] = cur
-                break
-    return len(basis)
+def gf2_ranks(rows: np.ndarray) -> np.ndarray:
+    """GF(2) rank of each matrix of a (B, r) int64 batch of rows packed as
+    nonnegative integers (one bit per column), by elimination row by row: each
+    pivot's leading bit, found by smearing it down, is cleared from the rows after it."""
+    rows = np.asarray(rows, dtype=np.int64).T.copy()
+    ranks = np.zeros(rows.shape[1], dtype=np.int64)
+    for i, pivot in enumerate(rows):
+        lead = pivot.copy()
+        for shift in (1, 2, 4, 8, 16, 32):
+            lead |= lead >> shift
+        lead ^= lead >> 1
+        ranks += pivot != 0
+        for row in rows[i + 1:]:
+            row ^= np.where(row & lead, pivot, 0)
+    return ranks
 
 
 def full_rank_fraction_exhaustive(r: int, n: int) -> float:
@@ -228,12 +232,13 @@ def full_rank_fraction_exhaustive(r: int, n: int) -> float:
     total = 1 << (r * n)
     if total > DEFAULT_MATRIX_CAP:
         raise ResourceCapError(f"2^{r * n} matrices exceed the enumeration cap")
-    mask = (1 << n) - 1
+    step = CHUNK_ENTRIES // max(r, 1)
     hits = 0
-    for g in range(total):
-        rows = [(g >> (n * i)) & mask for i in range(r)]
-        if gf2_rank_ints(rows) == r:
-            hits += 1
+    for first in range(0, total, step):
+        ids = np.arange(first, min(first + step, total), dtype=np.int64)
+        rows = ids[:, None] >> (n * np.arange(r))
+        rows &= (1 << n) - 1
+        hits += int(np.count_nonzero(gf2_ranks(rows) == r))
     return hits / total
 
 
@@ -242,11 +247,11 @@ def full_rank_fraction_mc(r: int, n: int, trials: int, seed: int = 0) -> float:
     if trials < 1 or r < 0 or not 1 <= n <= 62:
         raise DomainError("need at least one trial, r >= 0 rows and 1 <= n <= 62 columns")
     rng = np.random.default_rng(seed)
-    draws = rng.integers(0, 1 << n, size=(trials, r), dtype=np.int64)
+    step = CHUNK_ENTRIES // max(r, 1)
     hits = 0
-    for k in range(trials):
-        if gf2_rank_ints(draws[k].tolist()) == r:
-            hits += 1
+    for first in range(0, trials, step):
+        draws = rng.integers(0, 1 << n, size=(min(step, trials - first), r), dtype=np.int64)
+        hits += int(np.count_nonzero(gf2_ranks(draws) == r))
     return hits / trials
 
 
@@ -299,25 +304,42 @@ def exact_hashed_entropy(source: DiscreteDistribution, r: int, seed_set=None,
     powers = 1 << np.arange(r - 1, -1, -1, dtype=np.int64)
 
     if seed_set is None:
-        total = 1 << (r * n)
-        if total > cap:
+        count = 1 << (r * n)
+        if count > cap:
             raise ResourceCapError(
                 f"2^{r * n} matrices exceed cap {cap}; pass an explicit seed_set")
-        matrices = (int_to_bits(g_int, r * n).reshape(r, n) for g_int in range(total))
-        count = total
+        bit = r * n - 1 - np.arange(r * n)
+
+        def matrices(ids: range) -> np.ndarray:  # matrix g is int_to_bits(g, r n)
+            return ((np.arange(ids.start, ids.stop)[:, None] >> bit) & 1).reshape(len(ids), r, n)
     else:
-        matrices = (sample_linear_hash(r, n, 2, s).entries for s in seed_set)
-        count = len(seed_set)
+        seeds = list(seed_set)
+        count = len(seeds)
         if count == 0:
             raise DomainError("seed_set must be nonempty")
 
+        def matrices(ids: range) -> np.ndarray:
+            return np.stack([sample_linear_hash(r, n, 2, seeds[i]).entries for i in ids])
+
+    # each matrix's output masses come from one offset bincount that adds the
+    # weights in symbol order, and its entropy from a sum over its nonzero masses
+    # alone, grouped by their number: the floats of a matrix-at-a-time loop
+    step = max(1, CHUNK_ENTRIES // (max(r, 1) * len(weights) + (1 << r)))
     acc = 0.0
-    for g in matrices:
-        out = (sym_matrix @ g.T) % 2
-        idx = out @ powers
-        masses = np.bincount(idx, weights=weights, minlength=1 << r)
-        mask = masses > 0
-        acc += float(-(masses[mask] * np.log2(masses[mask])).sum())
+    for first in range(0, count, step):
+        g = matrices(range(first, min(first + step, count)))
+        idx = powers @ ((g.reshape(-1, n) @ sym_matrix.T).reshape(len(g), r, len(weights)) % 2)
+        idx += (np.arange(len(g)) << r)[:, None]
+        masses = np.bincount(idx.ravel(), weights=np.tile(weights, len(g)),
+                             minlength=len(g) << r).reshape(len(g), -1)
+        nonzero = masses > 0
+        sizes = nonzero.sum(axis=1)
+        h = np.empty(len(g))
+        for k in np.unique(sizes):
+            rows = sizes == k
+            h[rows] = -xlog2x_sum(masses[rows][nonzero[rows]].reshape(-1, k), axis=1)
+        for value in h.tolist():
+            acc += value
     avg = acc / count
 
     if seed_set is None:

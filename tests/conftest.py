@@ -16,9 +16,11 @@ from latsec._rng import gaussian, substream
 from latsec.channel import (ChannelConfig, LayeredCodebook, SecrecySystem, coordinate_specs,
                             mod_signal, mod_signals, scale_channel)
 from latsec.counting import count_histograms, hist_xlog2x
-from latsec.entropy import (JointDistribution, conditional_shannon, mutual_information,
-                            shannon_entropy, side_info_violation_mass)
-from latsec.hashing import EncoderKit, encode_secret, int_to_bits
+from latsec.entropy import (DiscreteDistribution, JointDistribution, conditional_shannon,
+                            mutual_information, renyi2_entropy, shannon_entropy,
+                            side_info_violation_mass, xlog2x_sum)
+from latsec.hashing import (EncoderKit, encode_secret, int_to_bits,
+                            privacy_amp_bound, sample_linear_hash)
 from latsec.lattice import (NestedLatticePair, SumSecrecyReport, dither_encode,
                             enumerate_codebook, reduce_carry)
 
@@ -232,6 +234,86 @@ def gf_rank_oracle(matrix, q: int) -> int:
         if rank == rows:
             break
     return rank
+
+
+def gf2_rank_ints(rows) -> int:
+    """Rank over GF(2) of rows packed as integers (one bit per column), one row
+    at a time against a basis keyed by leading bit."""
+    basis: dict[int, int] = {}
+    for row in rows:
+        cur = int(row)
+        while cur:
+            h = cur.bit_length() - 1
+            if h in basis:
+                cur ^= basis[h]
+            else:
+                basis[h] = cur
+                break
+    return len(basis)
+
+
+def full_rank_fraction_exhaustive_oracle(r: int, n: int) -> float:
+    """`full_rank_fraction_exhaustive` one matrix at a time."""
+    total = 1 << (r * n)
+    mask = (1 << n) - 1
+    hits = sum(gf2_rank_ints([(g >> (n * i)) & mask for i in range(r)]) == r
+               for g in range(total))
+    return hits / total
+
+
+def full_rank_fraction_mc_oracle(r: int, n: int, trials: int, seed: int) -> float:
+    """`full_rank_fraction_mc` from one draw of every trial, one matrix at a time."""
+    draws = np.random.default_rng(seed).integers(0, 1 << n, size=(trials, r), dtype=np.int64)
+    return sum(gf2_rank_ints(row) == r for row in draws.tolist()) / trials
+
+
+def floor_deficit_oracle(weights) -> float:
+    """(H(X) - log2||T||) - H(X|T) of the joint weights / their sum, one call at a time."""
+    p = np.array(weights, dtype=float)
+    p /= p.sum()
+    px = p.sum(axis=1)
+    pt = p.sum(axis=0)
+    h_x = -xlog2x_sum(px)
+    h_xt = -xlog2x_sum(p)
+    h_t = -xlog2x_sum(pt)
+    return (h_x - math.log2(int((pt > 0).sum()))) - (h_xt - h_t)
+
+
+def floor_sweep_oracle(trials: int, max_x: int, max_t: int, seed: int,
+                       tol: float = 1e-9) -> tuple[int, float]:
+    """(violations, max_deficit) of `conditional_entropy_floor_sweep`, one joint at a time."""
+    rng = np.random.default_rng(seed)
+    violations = 0
+    max_deficit = -math.inf
+    for _ in range(trials):
+        nx = int(rng.integers(2, max_x + 1))
+        nt = int(rng.integers(2, max_t + 1))
+        deficit = floor_deficit_oracle(rng.exponential(size=(nx, nt)))
+        max_deficit = max(max_deficit, deficit)
+        violations += deficit > tol
+    return violations, max_deficit
+
+
+def exact_hashed_entropy_oracle(source: DiscreteDistribution, r: int, seed_set=None) -> float:
+    """`exact_hashed_entropy` one matrix at a time: hash every symbol, bincount the
+    masses, and sum -m log2 m over the nonzero ones."""
+    symbols = np.asarray(source.support, dtype=np.int64)
+    weights = np.asarray([float(p) for p in source.probs])
+    n = symbols.shape[1]
+    powers = 1 << np.arange(r - 1, -1, -1, dtype=np.int64)
+    if seed_set is None:
+        matrices = [int_to_bits(g, r * n).reshape(r, n) for g in range(1 << (r * n))]
+    else:
+        matrices = [sample_linear_hash(r, n, 2, s).entries for s in seed_set]
+    acc = 0.0
+    for g in matrices:
+        masses = np.bincount((symbols @ g.T) % 2 @ powers, weights=weights, minlength=1 << r)
+        mask = masses > 0
+        acc += float(-(masses[mask] * np.log2(masses[mask])).sum())
+    avg = acc / len(matrices)
+    if seed_set is None:
+        assert avg >= privacy_amp_bound(r, 2, renyi2_entropy(source)) - 1e-9
+    return avg
 
 
 def greedy_completion_oracle(g, q: int) -> tuple[np.ndarray, np.ndarray]:

@@ -9,12 +9,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import grid_joint_from_counts
+from conftest import floor_deficit_oracle, floor_sweep_oracle, grid_joint_from_counts
 from latsec import entropy
 from latsec.entropy import (DiscreteDistribution, JointDistribution,
                             conditional_entropy_floor_sweep, conditional_shannon,
                             conditional_shannon_counts, conditional_slice,
-                            iter_grid_joints, min_entropy, mutual_information,
+                            floor_deficits, iter_grid_joints, min_entropy, mutual_information,
                             renyi2_entropy, shannon_entropy,
                             side_info_violation_mass, violation_mass_counts,
                             violation_mass_grid_sweep)
@@ -316,6 +316,30 @@ class TestLemmaSweeps:
         rep = conditional_entropy_floor_sweep(1500, 8, 8, seed=4)
         assert rep.violations == 0
         assert rep.max_deficit <= 1e-9
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 3000), st.integers(2, 8), st.integers(2, 8), st.integers(0, 2 ** 32),
+           st.sampled_from([1e-9, -0.2, -0.5, -1.0]))
+    @example(513, 8, 8, 0, -0.5)  # one trial past the first chunk
+    @example(2048, 2, 2, 3, -0.2)
+    def test_floor_sweep_matches_loop_oracle(self, trials, max_x, max_t, seed, tol):
+        # a negative tol counts the deficits above it, so most trials' floats are compared
+        rep = conditional_entropy_floor_sweep(trials, max_x, max_t, seed=seed, tol=tol)
+        assert (rep.violations, rep.max_deficit) == \
+            floor_sweep_oracle(trials, max_x, max_t, seed, tol)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 8), st.integers(2, 8), st.integers(1, 300), st.integers(0, 2 ** 32))
+    def test_floor_deficits_match_loop_oracle(self, n_x, n_t, count, seed):
+        joints = np.random.default_rng(seed).exponential(size=(count, n_x, n_t))
+        assert floor_deficits(joints).tolist() == [floor_deficit_oracle(j) for j in joints]
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    def test_floor_sweep_chunks_do_not_change_it(self, monkeypatch, chunk):
+        monkeypatch.setattr(entropy, "FLOOR_CHUNK_ENTRIES", chunk * 5 * 8)
+        for tol in (1e-9, -0.3):
+            rep = conditional_entropy_floor_sweep(300, 5, 8, seed=chunk, tol=tol)
+            assert (rep.violations, rep.max_deficit) == floor_sweep_oracle(300, 5, 8, chunk, tol)
 
     def test_spoiler_expectation_bound(self):
         # E_T[max_x p(x|t)] never exceeds ||T|| * max_x p(x)

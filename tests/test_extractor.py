@@ -13,7 +13,7 @@ from latsec.errors import DomainError, ResourceCapError, ValidationError
 from latsec.extractor import (ExtractorSpec, KeyAgreementRunner, KeyProtocolSetup,
                               extract, key_rate, key_secrecy_report,
                               matrix_from_seed, run_key_protocol)
-from latsec.hashing import (bits_to_int, exact_hashed_entropy, flat_bit_source,
+from latsec.hashing import (bits_to_int, exact_hashed_entropy, flat_bit_source, gf2_ranks,
                             int_to_bits, privacy_amp_bound)
 
 
@@ -54,8 +54,7 @@ class TestOutputEntropy:
         seed = 0
         while True:
             m = matrix_from_seed(spec, seed)
-            from latsec.hashing import gf2_rank_ints
-            if gf2_rank_ints([bits_to_int(r) for r in m]) == 2:
+            if gf2_ranks([[bits_to_int(r) for r in m]])[0] == 2:
                 break
             seed += 1
         counts = collections.Counter(
@@ -217,9 +216,8 @@ class TestKeyRate:
         cfg = ChannelConfig(a=2.0, b=1.0, noise_var1=1e-12, n_uses=2)
         # force a full-rank seed: the key is then uniform on 2 bits
         tr = run_key_protocol(cfg, setup, seed=1)
-        from latsec.hashing import gf2_rank_ints
         m = matrix_from_seed(spec, tr.v_seed)
-        if gf2_rank_ints([bits_to_int(r) for r in m]) == 2:
+        if gf2_ranks([[bits_to_int(r) for r in m]])[0] == 2:
             assert key_rate([tr], spec, n_uses=2) == pytest.approx(1.0, abs=1e-9)
 
     def test_degenerate_seed_rate_zero(self):

@@ -1,14 +1,17 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import gf_rank_oracle, greedy_completion_oracle
-from latsec.entropy import renyi2_entropy, shannon_entropy
+from conftest import (exact_hashed_entropy_oracle, full_rank_fraction_exhaustive_oracle,
+                      full_rank_fraction_mc_oracle, gf2_rank_ints, gf_rank_oracle,
+                      greedy_completion_oracle)
+from latsec.entropy import DiscreteDistribution, renyi2_entropy, shannon_entropy
 from latsec.errors import DomainError, ResourceCapError, ValidationError
 from latsec.hashing import (SOURCE_SUPPORT_CAP, BitLabeling, EncoderKit,
                             FiniteFieldMatrix, bits_to_int, build_encoder,
@@ -17,7 +20,7 @@ from latsec.hashing import (SOURCE_SUPPORT_CAP, BitLabeling, EncoderKit,
                             flat_bit_source, full_rank_check,
                             full_rank_fraction_exhaustive, full_rank_fraction_mc,
                             full_rank_lower_bound, geometric_bit_source,
-                            gf2_rank_ints, int_to_bits, privacy_amp_bound,
+                            gf2_ranks, int_to_bits, privacy_amp_bound,
                             row_space_bases, sample_linear_hash, secret_rate_select)
 from latsec.lattice import NestedLatticePair
 
@@ -55,7 +58,19 @@ class TestFieldMatrix:
             r, n = int(rng.integers(1, 5)), int(rng.integers(1, 7))
             m = FiniteFieldMatrix(2, rng.integers(0, 2, size=(r, n)))
             packed = [bits_to_int(row) for row in m.entries]
-            assert m.rank() == gf2_rank_ints(packed)
+            assert m.rank() == gf2_ranks([packed])[0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 9), st.integers(1, 62), st.integers(1, 40), st.integers(0, 2 ** 32))
+    def test_batched_rank_matches_loop_oracle(self, r, n, batch, seed):
+        rng = np.random.default_rng(seed)
+        rows = rng.integers(0, 1 << n, size=(batch, r), dtype=np.int64)
+        # sparse and repeated rows make rank-deficient matrices common
+        rows[:, ::2] &= rng.integers(0, 1 << n, size=rows[:, ::2].shape, dtype=np.int64)
+        rows[: batch // 2, -1:] = rows[: batch // 2, :1]
+        before = rows.copy()
+        assert gf2_ranks(rows).tolist() == [gf2_rank_ints(row) for row in rows.tolist()]
+        assert np.array_equal(rows, before)
 
     def test_rank_gf3(self):
         m = FiniteFieldMatrix(3, np.array([[1, 2], [2, 4 % 3]]))
@@ -151,6 +166,30 @@ class TestFullRank:
         sigma = math.sqrt(exact * (1 - exact) / 4000)
         assert abs(frac - exact) <= 4 * sigma
 
+    @pytest.mark.parametrize("r, n", [(r, n) for r in range(15) for n in range(1, 15)
+                                      if r * n <= 14])
+    def test_exhaustive_matches_loop_oracle(self, r, n):
+        assert full_rank_fraction_exhaustive(r, n) == full_rank_fraction_exhaustive_oracle(r, n)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 40), st.integers(1, 62), st.integers(1, 3000),
+           st.integers(0, 2 ** 32))
+    @example(40, 62, 3000, 1)  # eight draw chunks, the last one short
+    @example(3, 2, 3000, 2)
+    def test_monte_carlo_matches_loop_oracle(self, r, n, trials, seed):
+        assert full_rank_fraction_mc(r, n, trials, seed) == \
+            full_rank_fraction_mc_oracle(r, n, trials, seed)
+
+    def test_monte_carlo_memory_does_not_grow_with_trials(self):
+        full_rank_fraction_mc(8, 16, 10)
+        tracemalloc.start()
+        try:
+            full_rank_fraction_mc(8, 16, 200_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
+
 
 class TestRowSpaces:
     @pytest.mark.parametrize("n", range(1, 7))
@@ -161,6 +200,7 @@ class TestRowSpaces:
                         // math.prod((1 << (d - i)) - 1 for i in range(d)))
             assert len(bases) == gaussian and all(len(b) == d for b in bases)
             assert all(gf2_rank_ints(b) == d for b in bases)
+            assert (gf2_ranks(row_space_bases(n, d)) == d).all()
             spans = set()
             for basis in bases:
                 span = {0}
@@ -228,6 +268,36 @@ class TestHashedEntropy:
     def test_cap(self):
         with pytest.raises(ResourceCapError):
             exact_hashed_entropy(flat_bit_source(8, 4), 4, cap=100)
+
+    @pytest.mark.parametrize("source, r", [
+        (flat_bit_source(3, 8), 4), (flat_bit_source(4, 11), 3), (geometric_bit_source(3), 4),
+        (geometric_bit_source(4), 3), (geometric_bit_source(2), 1), (flat_bit_source(6, 1), 2)])
+    def test_exhaustive_matches_loop_oracle(self, source, r):
+        # up to 8 nonzero masses per matrix: numpy's unrolled pairwise sum
+        assert exact_hashed_entropy(source, r) == exact_hashed_entropy_oracle(source, r)
+
+    @pytest.mark.parametrize("source", [geometric_bit_source(6), flat_bit_source(5, 27)])
+    def test_sampled_family_matches_loop_oracle(self, source):
+        # up to 16 nonzero masses per matrix, in chunks of several matrices
+        seeds = list(range(500))
+        assert exact_hashed_entropy(source, 4, seed_set=seeds) == \
+            exact_hashed_entropy_oracle(source, 4, seeds)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 4), st.data())
+    def test_matches_loop_oracle_on_random_rational_sources(self, n, r, data):
+        size = data.draw(st.integers(1, 1 << n))
+        symbols = sorted(data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=size,
+                                            max_size=size, unique=True)))
+        weights = data.draw(st.lists(st.integers(1, 1000), min_size=size, max_size=size))
+        source = DiscreteDistribution(tuple(tuple(int(b) for b in int_to_bits(x, n))
+                                            for x in symbols),
+                                      tuple(Fraction(w, sum(weights)) for w in weights))
+        seeds = data.draw(st.lists(st.integers(0, 2 ** 62), min_size=1, max_size=300))
+        assert exact_hashed_entropy(source, r, seed_set=seeds) == \
+            exact_hashed_entropy_oracle(source, r, seeds)
+        if r * n <= 10:
+            assert exact_hashed_entropy(source, r) == exact_hashed_entropy_oracle(source, r)
 
 
 class TestEncoder:
