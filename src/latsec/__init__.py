@@ -18,7 +18,7 @@ from .hashing import (BitLabeling, EncoderKit, FiniteFieldMatrix, build_encoder,
                       exact_hashed_entropy, full_rank_check, full_rank_lower_bound,
                       privacy_amp_bound, sample_linear_hash, secret_rate_select)
 from .extractor import (ExtractorSpec, KeyProtocolSetup, KeyTranscript, extract,
-                        key_rate, key_secrecy_report, run_key_protocol)
+                        key_rate, key_secrecy_report)
 from .channel import (ChannelConfig, LayeredCodebook, SecrecySystem, Transcript,
                       exact_leakage, leakage_trend, make_codebook, scale_channel,
                       secrecy_rate_report, select_secrecy_hash, transmit)

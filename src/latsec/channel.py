@@ -29,7 +29,7 @@ from .errors import ConfigError, DomainError, ResourceCapError
 from .hashing import (BitLabeling, EncoderKit, FiniteFieldMatrix, build_encoder,
                       bits_to_int, encode_label, full_rank_check, int_to_bits,
                       sample_linear_hash, secret_rate_select)
-from .lattice import NestedLatticePair, as_vector, label_grid, reduce_carry
+from .lattice import NestedLatticePair, label_grid, reduce_carry
 
 DEFAULT_PAIR_CAP = 1 << 22
 DEFAULT_SIGMA_SPACE_CAP = 1 << 23
@@ -70,21 +70,6 @@ class ChannelConfig:
                                               2 * coeff.noise_std_d1 ** 2)):
             raise ConfigError("scaled gain sqrt(ab), noise std sqrt(b*noise_var1) and twice "
                               "its variance must be finite and positive")
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "a": self.a, "b": self.b, "sign": self.sign,
-            "noise_var1": self.noise_var1, "noise_var2": self.noise_var2,
-            "p1_bar": self.p1_bar, "p2_bar": self.p2_bar, "n_uses": self.n_uses,
-        }, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ChannelConfig":
-        obj = json.loads(text)
-        return cls(a=obj["a"], b=obj["b"], sign=int(obj["sign"]),
-                   noise_var1=obj["noise_var1"], noise_var2=obj["noise_var2"],
-                   p1_bar=obj["p1_bar"], p2_bar=obj["p2_bar"],
-                   n_uses=int(obj["n_uses"]))
 
 
 @dataclass(frozen=True)
@@ -160,7 +145,7 @@ class LayeredCodebook:
         return all(layer.nesting & (layer.nesting - 1) == 0 for layer in self.layers)
 
     def labeling(self) -> BitLabeling:
-        return BitLabeling.from_layers(self.layers)
+        return BitLabeling(self.layers)
 
     def dither_vectors(self, dithers=None) -> tuple:
         """One finite dither vector per layer, each of that layer's dimension;
@@ -177,10 +162,6 @@ class LayeredCodebook:
     def product_points(self) -> np.ndarray:
         """All size-by-n_bar codebook points in label (lexicographic) order."""
         return label_grid(self.layers, np.arange(self.size))[1]
-
-
-def zero_dithers(codebook: LayeredCodebook) -> tuple:
-    return codebook.dither_vectors()
 
 
 def random_dithers(codebook: LayeredCodebook, rng: np.random.Generator) -> tuple:
@@ -203,12 +184,6 @@ def mod_signals(codebook: LayeredCodebook, points, dithers) -> tuple[np.ndarray,
     per_layer = np.stack([reduce_carry(pts[:, i * n:(i + 1) * n] + d, layer.coarse_scale)[0]
                           for i, (layer, d) in enumerate(layers)], axis=1)
     return per_layer, per_layer.sum(axis=1)
-
-
-def mod_signal(codebook: LayeredCodebook, point, dithers) -> tuple[np.ndarray, np.ndarray]:
-    """mod_signals of one point: its (L, n) reductions and their superposition."""
-    per_layer, total = mod_signals(codebook, as_vector(point)[None], dithers)
-    return per_layer[0], total[0]
 
 
 def exact_signal_power(codebook: LayeredCodebook, dithers) -> float:

@@ -34,8 +34,7 @@ def _fmt(value) -> str:
 
 def _render(rows: list[dict], columns: list[str], fmt: str) -> str:
     if fmt == "json":
-        clean = [{k: (None if row.get(k) is None else row.get(k)) for k in columns}
-                 for row in rows]
+        clean = [{k: row.get(k) for k in columns} for row in rows]
         return json.dumps({"columns": columns, "rows": clean}, sort_keys=True) + "\n"
     lines = [",".join(columns)]
     for row in rows:
@@ -98,13 +97,12 @@ def _cmd_entropy_check(args):
 def _cmd_lattice_verify(args):
     pair = lattice.NestedLatticePair(args.n, float(args.m if args.c is None else args.c),
                                      args.m)
+    codebook = channel.LayeredCodebook((pair,))
     if args.dither == "random":
         rng = substream(args.seed, "lattice-verify-dither")
-        d1 = pair.coarse_scale * rng.random(args.n) - pair.coarse_scale / 2
-        d2 = pair.coarse_scale * rng.random(args.n) - pair.coarse_scale / 2
+        d1, d2 = (channel.random_dithers(codebook, rng)[0] for _ in range(2))
     else:
-        d1 = np.zeros(args.n)
-        d2 = np.zeros(args.n)
+        d1 = d2 = codebook.dither_vectors()[0]
     rows = []
     for measure in ("shannon", "renyi2", "min"):
         rep = lattice.dithered_sum_secrecy_report(
@@ -174,11 +172,11 @@ def _cmd_keygen(args):
     if not codebook.walsh_countable:
         raise ConfigError("keygen needs power-of-two layers labeling the whole codebook")
     spec = extractor.ExtractorSpec(codebook.n0_bits, args.r)
-    report = extractor.key_secrecy_report(codebook, args.r, sign="+" if args.sign == "+" else "-")
+    report = extractor.key_secrecy_report(codebook, args.r, sign=args.sign)
     cfg = channel.ChannelConfig(a=args.a, b=args.b, sign=1 if args.sign == "+" else -1,
                                 noise_var1=args.sigma1 ** 2, n_uses=codebook.block_dim)
-    setup = extractor.KeyProtocolSetup(codebook, spec, channel.zero_dithers(codebook),
-                                       channel.zero_dithers(codebook))
+    setup = extractor.KeyProtocolSetup(codebook, spec, codebook.dither_vectors(),
+                                       codebook.dither_vectors())
     runner = extractor.KeyAgreementRunner(cfg, setup)
     base = int(substream(args.seed, "keygen-trials").integers(0, 2 ** 31))
     rate = runner.agreement_rate(args.trials, base, mode=args.mode)

@@ -14,7 +14,6 @@ to `violation_mass_counts` and `conditional_shannon_counts` instead.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import time
 from dataclasses import dataclass
@@ -66,17 +65,6 @@ class DiscreteDistribution:
     @property
     def is_exact(self) -> bool:
         return all(isinstance(p, Fraction) for p in self.probs)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"support": list(self.support), "probs": [_num_out(p) for p in self.probs]}
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "DiscreteDistribution":
-        obj = json.loads(text)
-        return cls(tuple(_as_symbol(s) for s in obj["support"]),
-                   tuple(_num_in(p) for p in obj["probs"]))
 
 
 @dataclass(frozen=True)
@@ -137,32 +125,6 @@ class JointDistribution:
         rows = tuple(tuple(self.probs[i][j] for i in range(len(self.x_support)))
                      for j in range(len(self.t_support)))
         return JointDistribution(self.t_support, self.x_support, rows)
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "x_support": list(self.x_support),
-            "t_support": list(self.t_support),
-            "probs": [[_num_out(p) for p in row] for row in self.probs],
-        })
-
-    @classmethod
-    def from_json(cls, text: str) -> "JointDistribution":
-        obj = json.loads(text)
-        return cls(tuple(_as_symbol(s) for s in obj["x_support"]),
-                   tuple(_as_symbol(s) for s in obj["t_support"]),
-                   tuple(tuple(_num_in(p) for p in row) for row in obj["probs"]))
-
-
-def _num_out(p):
-    return str(p) if isinstance(p, Fraction) else float(p)
-
-
-def _num_in(p):
-    return Fraction(p) if isinstance(p, str) else float(p)
-
-
-def _as_symbol(s):
-    return tuple(s) if isinstance(s, list) else s
 
 
 def shannon_entropy(d: DiscreteDistribution) -> float:

@@ -37,22 +37,16 @@ class ExtractorSpec:
     """Seeded-linear-hash extractor: input_len bits in, output_len bits out.
 
     The seed length is input_len * output_len (one bit per matrix entry).
-    delta1 caps the seed length as a multiple of the input length; the
-    default admits exactly the matrix seed.
     """
 
     input_len: int
     output_len: int
-    delta1: float | None = None
 
     def __post_init__(self):
         if self.input_len < 1 or self.output_len < 1:
             raise ValidationError("extractor lengths must be positive")
         if self.output_len > self.input_len:
             raise ValidationError("cannot extract more bits than provided")
-        cap = self.output_len if self.delta1 is None else self.delta1
-        if self.seed_len > cap * self.input_len:
-            raise ValidationError("seed length exceeds delta1 * input_len")
 
     @property
     def seed_len(self) -> int:
@@ -257,12 +251,6 @@ def _eavesdropper_pair(codebook: LayeredCodebook, x1_layers, x2_layers, sign: in
         masked.extend(np.round(w, 9).tolist())
         carry.extend(z.tolist())
     return tuple(masked), tuple(carry)
-
-
-def run_key_protocol(cfg: ChannelConfig, setup: KeyProtocolSetup, seed: int,
-                     mode: str = "marginal") -> KeyTranscript:
-    """Single end-to-end key round; see KeyAgreementRunner for batches."""
-    return KeyAgreementRunner(cfg, setup).run_one(seed, mode=mode)
 
 
 def key_rate(transcripts: Sequence[KeyTranscript], spec: ExtractorSpec,

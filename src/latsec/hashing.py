@@ -16,11 +16,9 @@ package is `lattice.reduce_carry`.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -93,11 +91,6 @@ class FiniteFieldMatrix:
     def cols(self) -> int:
         return self.entries.shape[1]
 
-    def matmul(self, other: "FiniteFieldMatrix") -> "FiniteFieldMatrix":
-        if self.q != other.q or self.cols != other.rows:
-            raise DomainError("incompatible matrices")
-        return FiniteFieldMatrix(self.q, (self.entries @ other.entries) % self.q)
-
     def apply(self, vec) -> np.ndarray:
         v = np.asarray(vec, dtype=np.int64) % self.q
         if v.shape != (self.cols,):
@@ -109,17 +102,6 @@ class FiniteFieldMatrix:
 
     def equals(self, other: "FiniteFieldMatrix") -> bool:
         return self.q == other.q and np.array_equal(self.entries, other.entries)
-
-    def row_strings(self) -> list[str]:
-        return ["".join(str(int(v)) for v in row) for row in self.entries]
-
-    @classmethod
-    def from_row_strings(cls, q: int, rows: Sequence[str],
-                         cols: int | None = None) -> "FiniteFieldMatrix":
-        if not rows:
-            return cls(q, np.zeros((0, 0 if cols is None else cols), dtype=np.int64))
-        data = [[int(ch) for ch in row] for row in rows]
-        return cls(q, np.asarray(data, dtype=np.int64))
 
     @classmethod
     def identity(cls, n: int, q: int = 2) -> "FiniteFieldMatrix":
@@ -246,8 +228,14 @@ def full_rank_fraction_mc(r: int, n: int, trials: int, seed: int = 0) -> float:
     """Monte-Carlo full-row-rank fraction for sizes beyond enumeration."""
     if trials < 1 or r < 0 or not 1 <= n <= 62:
         raise DomainError("need at least one trial, r >= 0 rows and 1 <= n <= 62 columns")
-    rng = np.random.default_rng(seed)
     step = CHUNK_ENTRIES // max(r, 1)
+    # a chunk of `step` matrices costs its CHUNK_ENTRIES drawn rows plus r^2 row
+    # updates of about 32 entries' cost each, 45-80 ns a unit on a 2-vCPU x86 VM:
+    # past 4 DEFAULT_MATRIX_CAP units (about a second) refuse before drawing
+    chunks = -(-trials // max(step, 1))  # r > CHUNK_ENTRIES is refused here
+    if chunks * (CHUNK_ENTRIES + 32 * r * r) > DEFAULT_MATRIX_CAP << 2:
+        raise ResourceCapError(f"{trials} trials of {r} rows exceed the elimination cap")
+    rng = np.random.default_rng(seed)
     hits = 0
     for first in range(0, trials, step):
         draws = rng.integers(0, 1 << n, size=(min(step, trials - first), r), dtype=np.int64)
@@ -374,27 +362,6 @@ class EncoderKit:
     def r_secret(self) -> int:
         return self.g.rows
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "q": self.g.q,
-            "g": self.g.row_strings(),
-            "g_prime": self.g_prime.row_strings(),
-            "A": self.a_inv.row_strings(),
-        })
-
-    @classmethod
-    def from_json(cls, text: str) -> "EncoderKit":
-        obj = json.loads(text)
-        q = int(obj["q"])
-        n = len(obj["A"])
-        g = FiniteFieldMatrix.from_row_strings(q, obj["g"])
-        if obj["g_prime"]:
-            gp = FiniteFieldMatrix.from_row_strings(q, obj["g_prime"])
-        else:
-            gp = FiniteFieldMatrix(q, np.zeros((0, n), dtype=np.int64))
-        a = FiniteFieldMatrix.from_row_strings(q, obj["A"])
-        return cls(g, gp, a)
-
 
 def build_encoder(g: FiniteFieldMatrix) -> EncoderKit:
     """Complete a full-row-rank g to an invertible [g'; g] and invert it.
@@ -438,11 +405,6 @@ class BitLabeling:
         object.__setattr__(self, "layers", layers)
         object.__setattr__(self, "n_bits", n_bits)
         object.__setattr__(self, "points", pts)
-
-    @classmethod
-    def from_layers(cls, layers) -> "BitLabeling":
-        """Label the product codebook of the given nested-lattice layers."""
-        return cls(tuple(layers))
 
     def index_of(self, point) -> int:
         label = grid_label(self.layers, point)

@@ -26,8 +26,6 @@ sigma, and the audit counts labels in the window
 """
 from __future__ import annotations
 
-import io
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -137,14 +135,6 @@ class NestedLatticePair:
             raise DomainError(f"expected a dither of dimension {self.dim}")
         return reduce_carry(self.coordinate_values()[:, None] + d,
                             self.coarse_scale)[1].sum(axis=0) % self.nesting
-
-    def to_json(self) -> str:
-        return json.dumps({"N": self.dim, "c": self.coarse_scale, "m": self.nesting})
-
-    @classmethod
-    def from_json(cls, text: str) -> "NestedLatticePair":
-        obj = json.loads(text)
-        return cls(int(obj["N"]), float(obj["c"]), int(obj["m"]))
 
 
 def mod_coarse(x, pair: NestedLatticePair) -> LatticeVector:
@@ -395,11 +385,3 @@ def dithered_sum_secrecy_report(pair: NestedLatticePair, d1, d2, sign: str = "+"
                             tail_bound, masked_independent, max_labels,
                             passed and max_mass <= tail_bound + 1e-15)
 
-
-def codebook_to_csv(pair: NestedLatticePair, cap: int = DEFAULT_ENUM_CAP) -> str:
-    """Codebook dump, one point per row, coordinates as columns."""
-    out = io.StringIO()
-    out.write(",".join(f"x{j}" for j in range(pair.dim)) + "\n")
-    for p in enumerate_codebook(pair, cap=cap):
-        out.write(",".join(repr(float(v)) for v in p) + "\n")
-    return out.getvalue()

@@ -14,7 +14,7 @@ import numpy as np
 
 from latsec._rng import gaussian, substream
 from latsec.channel import (ChannelConfig, LayeredCodebook, SecrecySystem, coordinate_specs,
-                            mod_signal, mod_signals, scale_channel)
+                            mod_signals, scale_channel)
 from latsec.counting import count_histograms, hist_xlog2x
 from latsec.entropy import (DiscreteDistribution, JointDistribution, conditional_shannon,
                             mutual_information, renyi2_entropy, shannon_entropy,
@@ -35,7 +35,8 @@ def brute_force_leakage(codebook: LayeredCodebook, kit: EncoderKit,
     """
     labeling = codebook.labeling()
     n0, r0 = kit.n_bits, kit.r_secret
-    jam_layers = [mod_signal(codebook, p, dithers2)[0] for p in codebook.product_points()]
+    jam_layers = [mod_signals(codebook, [p], dithers2)[0][0]
+                  for p in codebook.product_points()]
     counts: dict = {}
     total = 0
     for w_int in range(1 << r0):
@@ -43,7 +44,7 @@ def brute_force_leakage(codebook: LayeredCodebook, kit: EncoderKit,
         for sp_int in range(1 << (n0 - r0)):
             sp = int_to_bits(sp_int, n0 - r0)
             t1 = encode_secret(kit, w, sp, labeling)
-            x1_layers, _ = mod_signal(codebook, t1, dithers1)
+            x1_layers = mod_signals(codebook, [t1], dithers1)[0][0]
             for x2_layers in jam_layers:
                 v = x1_layers + x2_layers if sign == "+" else x1_layers - x2_layers
                 key = tuple(np.round(v.ravel(), 9).tolist())

@@ -135,7 +135,7 @@ def test_07_encoder_bijectivity_and_uniformity():
     checked = 0
     for n_bits, r in ((4, 1), (6, 2), (8, 3), (10, 4)):
         pair = NestedLatticePair(1, float(1 << n_bits), 1 << n_bits)
-        labeling = BitLabeling.from_layers([pair])
+        labeling = BitLabeling([pair])
         g = next(sample_linear_hash(r, n_bits, 2, s) for s in range(50)
                  if full_rank_check(sample_linear_hash(r, n_bits, 2, s)))
         kit = build_encoder(g)

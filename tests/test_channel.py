@@ -13,10 +13,9 @@ from latsec._rng import substream
 from latsec.channel import (ChannelConfig, LayeredCodebook, MLDecoder, TrendRow,
                             build_system, coordinate_specs, exact_leakage,
                             exact_signal_power, fitted_log2_slope, leakage_trend,
-                            make_codebook, mod_signal, mod_signals, random_dithers,
+                            make_codebook, mod_signals, random_dithers,
                             run_message_round, scale_channel,
-                            secrecy_rate_report, select_secrecy_hash, transmit,
-                            zero_dithers)
+                            secrecy_rate_report, select_secrecy_hash, transmit)
 from latsec.errors import ConfigError, DomainError, ResourceCapError
 from latsec.extractor import key_secrecy_report
 from latsec.hashing import (FiniteFieldMatrix, build_encoder, full_rank_check,
@@ -79,10 +78,6 @@ class TestScaling:
                 ChannelConfig(**kwargs)
         # an infinite power budget is no limit at all
         ChannelConfig(a=1.0, b=1.0, p1_bar=math.inf, p2_bar=math.inf)
-
-    def test_config_json_round_trip(self):
-        cfg = ChannelConfig(a=2.0, b=1.5, sign=-1, noise_var1=0.25, n_uses=4)
-        assert ChannelConfig.from_json(cfg.to_json()) == cfg
 
 
 class TestCodebookStack:
@@ -192,9 +187,9 @@ class TestDecoding:
         dithers = random_dithers(cb, rng)
         for points in (cb.labeling().points, cb.product_points()):
             per_layer, total = mod_signals(cb, points, dithers)
-            one_point = [mod_signal(cb, p, dithers) for p in points]
-            assert np.array_equal(per_layer, np.stack([lay for lay, _ in one_point]))
-            assert np.array_equal(total, np.stack([sig for _, sig in one_point]))
+            one_point = [mod_signals(cb, [p], dithers) for p in points]
+            assert np.array_equal(per_layer, np.concatenate([lay for lay, _ in one_point]))
+            assert np.array_equal(total, np.concatenate([sig for _, sig in one_point]))
 
     def test_tiny_noise_always_decodes(self):
         system = system_with_hash(4, 2, 2)
@@ -365,7 +360,7 @@ class TestDecoding:
             for row in rows:
                 cb = make_codebook(4, row.n_bar)
                 if dither_mode == "zero":
-                    d1 = d2 = zero_dithers(cb)
+                    d1 = d2 = cb.dither_vectors()
                 else:
                     d1 = random_dithers(cb, substream(seed, f"dither1-{row.n_bar}"))
                     d2 = random_dithers(cb, substream(seed, f"dither2-{row.n_bar}"))

@@ -95,6 +95,12 @@ UNUSABLE_CHANNELS = (["keygen", "--sigma1", "inf"], ["keygen", "--a", "inf"],
                         ["simulate", "--a", "1e290", "--b", "1e10", "--trials", "5"],
                         ["keygen", "--a", "1e290", "--b", "1e10", "--trials", "5"])
 
+# Monte-Carlo rank checks past the elimination cap: half a day of trials, more
+# rows than one draw chunk holds, and minutes of row updates
+MC_OVER_CAP = (["hash-bench", "--mc-trials", "100000000000"],
+               ["hash-bench", "--mc-r", "20000", "--mc-trials", "10"],
+               ["hash-bench", "--mc-r", "2000", "--mc-trials", "1000"])
+
 
 def test_config_error_exit_code(capsys):
     for args in (["leakage-trend", "--nbar", "2:3", "--family", "2", "--fixed-r0", "9"],
@@ -106,6 +112,7 @@ def test_config_error_exit_code(capsys):
                  ["hash-bench", "--r-max", "1", "--n-max", "1", "--mc-trials", "0"],
                  ["hash-bench", "--r-max", "1", "--n-max", "1", "--mc-n", "70"],
                  ["hash-bench", "--r-max", "1", "--n-max", "1", "--mc-r", "-1"],
+                 *MC_OVER_CAP,
                  ["amplify", "--c-list", "x"],
                  ["leakage-trend", "--layers", "0"],
                  ["leakage-trend", "--nbar", "2", "--family", "0"],
@@ -114,7 +121,8 @@ def test_config_error_exit_code(capsys):
         assert "error:" in capsys.readouterr().err, args
     # an empty family must be refused before numpy warns about its empty mean,
     # and a non-finite or overflowing channel before any decoding warns
-    for args in (["leakage-trend", "--nbar", "2", "--family", "0"], *UNUSABLE_CHANNELS):
+    for args in (["leakage-trend", "--nbar", "2", "--family", "0"], *UNUSABLE_CHANNELS,
+                 *MC_OVER_CAP):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert main(args) == 2, args

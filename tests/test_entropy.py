@@ -1,6 +1,5 @@
 import dataclasses
 import itertools
-import json
 import math
 from fractions import Fraction
 
@@ -393,29 +392,3 @@ class TestLemmaSweeps:
             dataclasses.replace(want, elapsed_s=0.0))
         assert want.max_mass_renyi2 > 0 and want.max_mass_min > 0
         assert type(want.max_mass_renyi2) is float
-
-
-class TestSerialization:
-    def test_distribution_round_trip(self):
-        d = DiscreteDistribution(("a", "b"), (0.25, 0.75))
-        d2 = DiscreteDistribution.from_json(d.to_json())
-        assert d2.support == d.support
-        assert d2.probs == d.probs
-
-    def test_fraction_round_trip(self):
-        d = DiscreteDistribution((0, 1), (Fraction(1, 3), Fraction(2, 3)))
-        d2 = DiscreteDistribution.from_json(d.to_json())
-        assert d2.probs == (Fraction(1, 3), Fraction(2, 3))
-        assert d2.is_exact
-
-    def test_joint_round_trip(self):
-        j = JointDistribution((0, 1), ("x", "y"), ((0.1, 0.2), (0.3, 0.4)))
-        j2 = JointDistribution.from_json(j.to_json())
-        assert j2.probs == j.probs
-        assert j2.t_support == ("x", "y")
-
-    def test_joint_json_schema(self):
-        j = copy_joint(2)
-        obj = json.loads(j.to_json())
-        assert set(obj) == {"x_support", "t_support", "probs"}
-        assert obj["probs"] == [[0.5, 0.0], [0.0, 0.5]]

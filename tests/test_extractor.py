@@ -8,17 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import multiset_key_audit
-from latsec.channel import ChannelConfig, make_codebook, mod_signal, random_dithers
+from latsec.channel import ChannelConfig, make_codebook, mod_signals, random_dithers
 from latsec.errors import DomainError, ResourceCapError, ValidationError
 from latsec.extractor import (ExtractorSpec, KeyAgreementRunner, KeyProtocolSetup,
                               extract, key_rate, key_secrecy_report,
-                              matrix_from_seed, run_key_protocol)
+                              matrix_from_seed)
 from latsec.hashing import (bits_to_int, exact_hashed_entropy, flat_bit_source, gf2_ranks,
                             int_to_bits, privacy_amp_bound)
-
-
-def zero_dithers(cb):
-    return tuple(np.zeros(layer.dim) for layer in cb.layers)
 
 
 class TestSpec:
@@ -32,8 +28,6 @@ class TestSpec:
     def test_validation(self):
         with pytest.raises(ValidationError):
             ExtractorSpec(4, 5)
-        with pytest.raises(ValidationError):
-            ExtractorSpec(4, 2, delta1=1.0)  # seed 8 > 1.0 * 4
 
     def test_extract_is_linear_hash(self):
         spec = ExtractorSpec(3, 2)
@@ -86,8 +80,8 @@ def audit_oracle(cb, r):
     """H(key | seed, real sum) by enumerating every seed and every label pair."""
     spec = ExtractorSpec(cb.n0_bits, r)
     pts = cb.product_points()
-    d = zero_dithers(cb)
-    layers = [mod_signal(cb, p, d)[0] for p in pts]
+    d = cb.dither_vectors()
+    layers = [mod_signals(cb, [p], d)[0][0] for p in pts]
     joint = collections.Counter()
     for v in range(spec.seed_space):
         for i1 in range(pts.shape[0]):
@@ -174,7 +168,7 @@ class TestProtocol:
         self.cb = make_codebook(4, 2, 1)
         self.spec = ExtractorSpec(self.cb.n0_bits, 2)
         self.setup = KeyProtocolSetup(self.cb, self.spec,
-                                      zero_dithers(self.cb), zero_dithers(self.cb))
+                                      self.cb.dither_vectors(), self.cb.dither_vectors())
         self.cfg = ChannelConfig(a=2.0, b=1.0, noise_var1=1e-12, n_uses=2)
 
     def test_agreement_at_tiny_noise(self):
@@ -186,7 +180,7 @@ class TestProtocol:
         assert runner.agreement_rate(25, seed=3, mode="genie") == 1.0
 
     def test_single_round_fields(self):
-        tr = run_key_protocol(self.cfg, self.setup, seed=11)
+        tr = KeyAgreementRunner(self.cfg, self.setup).run_one(11)
         assert tr.agreement
         assert not tr.decode_failed
         assert len(tr.k1_bits) == 2
@@ -205,17 +199,17 @@ class TestProtocol:
     def test_width_mismatch_rejected(self):
         with pytest.raises(Exception):
             KeyProtocolSetup(self.cb, ExtractorSpec(self.cb.n0_bits + 1, 1),
-                             zero_dithers(self.cb), zero_dithers(self.cb))
+                             self.cb.dither_vectors(), self.cb.dither_vectors())
 
 
 class TestKeyRate:
     def test_uniform_key_rate(self):
         cb = make_codebook(4, 2, 1)
         spec = ExtractorSpec(cb.n0_bits, 2)
-        setup = KeyProtocolSetup(cb, spec, zero_dithers(cb), zero_dithers(cb))
+        setup = KeyProtocolSetup(cb, spec, cb.dither_vectors(), cb.dither_vectors())
         cfg = ChannelConfig(a=2.0, b=1.0, noise_var1=1e-12, n_uses=2)
         # force a full-rank seed: the key is then uniform on 2 bits
-        tr = run_key_protocol(cfg, setup, seed=1)
+        tr = KeyAgreementRunner(cfg, setup).run_one(1)
         m = matrix_from_seed(spec, tr.v_seed)
         if gf2_ranks([[bits_to_int(r) for r in m]])[0] == 2:
             assert key_rate([tr], spec, n_uses=2) == pytest.approx(1.0, abs=1e-9)
@@ -223,9 +217,9 @@ class TestKeyRate:
     def test_degenerate_seed_rate_zero(self):
         cb = make_codebook(4, 2, 1)
         spec = ExtractorSpec(cb.n0_bits, 2)
-        tr = run_key_protocol(
+        tr = KeyAgreementRunner(
             ChannelConfig(a=2.0, b=1.0, noise_var1=1e-12, n_uses=2),
-            KeyProtocolSetup(cb, spec, zero_dithers(cb), zero_dithers(cb)), seed=1)
+            KeyProtocolSetup(cb, spec, cb.dither_vectors(), cb.dither_vectors())).run_one(1)
         tr.v_seed = 0  # the all-zero matrix maps every label to key 0
         assert key_rate([tr], spec, n_uses=2) == pytest.approx(0.0, abs=1e-12)
 

@@ -12,8 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from latsec.channel import (ChannelConfig, MLDecoder, build_system, make_codebook,
-                            random_dithers, run_message_round, select_secrecy_hash,
-                            zero_dithers)
+                            random_dithers, run_message_round, select_secrecy_hash)
 from latsec.extractor import ExtractorSpec, KeyAgreementRunner, KeyProtocolSetup
 from latsec.hashing import int_to_bits
 
@@ -22,7 +21,7 @@ TRANSCRIPTS = Path(__file__).resolve().parent / "golden" / "transcripts.jsonl"
 
 def _dithers(codebook, kind: str, seed: int):
     if kind == "zero":
-        return zero_dithers(codebook), zero_dithers(codebook)
+        return codebook.dither_vectors(), codebook.dither_vectors()
     return (random_dithers(codebook, np.random.default_rng(seed)),
             random_dithers(codebook, np.random.default_rng(seed + 1)))
 

@@ -13,8 +13,8 @@ from conftest import (exact_hashed_entropy_oracle, full_rank_fraction_exhaustive
                       greedy_completion_oracle)
 from latsec.entropy import DiscreteDistribution, renyi2_entropy, shannon_entropy
 from latsec.errors import DomainError, ResourceCapError, ValidationError
-from latsec.hashing import (SOURCE_SUPPORT_CAP, BitLabeling, EncoderKit,
-                            FiniteFieldMatrix, bits_to_int, build_encoder,
+from latsec.hashing import (SOURCE_SUPPORT_CAP, BitLabeling, FiniteFieldMatrix,
+                            bits_to_int, build_encoder,
                             collision_probability, decode_secret, encode_secret,
                             exact_full_rank_probability, exact_hashed_entropy,
                             flat_bit_source, full_rank_check,
@@ -190,6 +190,13 @@ class TestFullRank:
             tracemalloc.stop()
         assert peak < 2 << 20
 
+    @pytest.mark.parametrize("r, trials", [(8, 10 ** 11), (20000, 10), (2000, 1000),
+                                           (16385, 1), (0, 1 << 40)])
+    def test_monte_carlo_refuses_work_past_the_cap(self, r, trials):
+        # too many trials, a row count past the chunk size, or both
+        with pytest.raises(ResourceCapError, match="elimination cap"):
+            full_rank_fraction_mc(r, 16, trials)
+
 
 class TestRowSpaces:
     @pytest.mark.parametrize("n", range(1, 7))
@@ -361,20 +368,10 @@ class TestEncoder:
         assert np.array_equal(kit.g_prime.entries, g_prime)
         assert np.array_equal(kit.a_inv.entries, a_inv)
 
-    def test_json_round_trip(self):
-        g = sample_linear_hash(2, 5, 2, 3)
-        if not full_rank_check(g):
-            g = FiniteFieldMatrix(2, np.eye(5, dtype=np.int64)[:2])
-        kit = build_encoder(g)
-        again = EncoderKit.from_json(kit.to_json())
-        assert again.g.equals(kit.g)
-        assert again.g_prime.equals(kit.g_prime)
-        assert again.a_inv.equals(kit.a_inv)
-
 
 def _labeling_for(n_bits):
     pair = NestedLatticePair(1, 2.0 ** n_bits, 2 ** n_bits)
-    return BitLabeling.from_layers([pair])
+    return BitLabeling([pair])
 
 
 class TestSecretCodec:
@@ -416,7 +413,7 @@ class TestSecretCodec:
 
     def test_partial_codebook_labeling(self):
         pair = NestedLatticePair(1, 3.0, 3)  # 3 points -> 1 labeled bit
-        lab = BitLabeling.from_layers([pair])
+        lab = BitLabeling([pair])
         assert lab.n_bits == 1
         assert lab.points.shape == (2, 1)
         assert lab.index_of(lab.points[1]) == 1

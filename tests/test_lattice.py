@@ -10,7 +10,7 @@ from conftest import nearest_coarse_point_oracle, sum_secrecy_oracle
 from latsec import lattice
 from latsec.errors import DomainError, ResourceCapError, ValidationError
 from latsec.lattice import (NestedLatticePair, RepresentationIndex, ScaledLattice,
-                            codebook_rate, codebook_to_csv, dither_encode,
+                            codebook_rate, dither_encode,
                             dithered_sum_secrecy_report, enumerate_codebook,
                             grid_label, group_add, in_codebook, label_grid,
                             mod_coarse, reconstruct_sum, reduce_carry,
@@ -126,10 +126,6 @@ class TestCodebook:
             NestedLatticePair(1, -1.0, 2)
         with pytest.raises(ValidationError):
             NestedLatticePair(1, 2.0, 1)
-
-    def test_csv_dump(self):
-        text = codebook_to_csv(NestedLatticePair(1, 2.0, 2))
-        assert text.splitlines() == ["x0", "-1.0", "0.0"]
 
 
 class TestGroupLaw:
@@ -352,11 +348,3 @@ class TestSumSecrecyReport:
             dithered_sum_secrecy_report(NestedLatticePair(4, 2.0, 4),
                                         np.zeros(4), np.zeros(4), "+", 1.0,
                                         "shannon", cap=100)
-
-
-class TestSerialization:
-    def test_pair_round_trip(self):
-        pair = NestedLatticePair(3, 2.5, 4)
-        again = NestedLatticePair.from_json(pair.to_json())
-        assert again == pair
-        assert '"N": 3' in pair.to_json()

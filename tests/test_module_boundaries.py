@@ -49,16 +49,26 @@ def _calls(node, name):
 
 
 def test_only_the_system_builds_signal_tables():
-    # receiver draws and ML decisions read SecrecySystem's tables; mod_signal,
-    # the one-point form for tests, is the other caller and has none in latsec
+    # receiver draws and ML decisions read SecrecySystem's tables
     outside = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         outside += [f"{path.name}:{call.lineno} calls mod_signals"
                     for top in tree.body
                     if not (isinstance(top, ast.ClassDef) and top.name == "SecrecySystem")
-                    and not (isinstance(top, ast.FunctionDef) and top.name == "mod_signal")
                     for call in _calls(top, "mod_signals")]
-        outside += [f"{path.name}:{call.lineno} calls mod_signal"
-                    for call in _calls(tree, "mod_signal")]
     assert not outside, outside
+
+
+@pytest.mark.parametrize("path", sorted(set(SRC.glob("*.py")) - {SRC / "__init__.py"}),
+                         ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    # __init__.py imports only to re-export, so it is left out
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {(alias.asname or alias.name).split(".")[0]: node.lineno
+                for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names if alias.name != "annotations"}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = [f"{path.name}:{line} imports {name}"
+              for name, line in imported.items() if name not in used]
+    assert not unused, unused
