@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from ._rng import gaussian, substream
-from .counting import Coordinate, count_histograms, hist_xlog2x, window_indicator
+from .counting import Coordinate, WalshCounter, hist_xlog2x, window_indicator
 from .errors import ConfigError, DomainError, ResourceCapError
 from .hashing import (BitLabeling, EncoderKit, FiniteFieldMatrix, build_encoder,
                       bits_to_int, encode_label, full_rank_check, int_to_bits,
@@ -517,16 +517,22 @@ def exact_leakage(codebook: LayeredCodebook, hash_or_kit, dithers1=None,
     carried by (modular sum, carry index); the eavesdropper's noisy
     observation can only be a further degraded function of that pair.
     """
+    return _family_leakages(codebook, [hash_or_kit], dithers1, sign, method, cap)[0]
+
+
+def _family_leakages(codebook: LayeredCodebook, hashes: Sequence, dithers1, sign: str,
+                     method: str, cap: int) -> list[float]:
+    """`exact_leakage` of each hash, validating once and, on the Walsh route,
+    building the hash-independent tables once for the whole family."""
     if sign not in ("+", "-"):
         raise DomainError("sign must be '+' or '-'")
     coords = coordinate_specs(codebook, dithers1)
-    if hash_or_kit is None:
-        return 0.0
-    g = _hash_matrix(hash_or_kit)
-    if g.rows == 0:
-        return 0.0
-    if g.cols != codebook.n0_bits:
-        raise DomainError("hash width must match the codebook label width")
+    gs = [None if h is None else _hash_matrix(h) for h in hashes]
+    for g in gs:
+        if g is not None and g.rows and g.cols != codebook.n0_bits:
+            raise DomainError("hash width must match the codebook label width")
+    if all(g is None or g.rows == 0 for g in gs):
+        return [0.0] * len(gs)
 
     if method == "auto":
         method = "fast" if codebook.walsh_countable else "enumerate"
@@ -538,27 +544,38 @@ def exact_leakage(codebook: LayeredCodebook, hash_or_kit, dithers1=None,
         raise ResourceCapError(f"sum alphabet {sigma_space} exceeds cap {cap}")
 
     if method == "fast":
-        hist, hist_w = count_histograms(coords, sign, [[bits_to_int(row) for row in g.entries]])
-    elif method == "enumerate":
-        hist, hist_w = _enumerated_histograms(codebook, g, coords, sign, cap)
-    else:
+        counter = WalshCounter(coords, sign)
+        sum_w = hist_xlog2x(counter.hist_w)
+    elif method != "enumerate":
         raise DomainError(f"unknown method {method!r}")
-
-    # over D = 2^n0 * size (label, jammer) pairs, W is uniform on the hash's
-    # column span: 2^rank values, each hit by 2^(n0 - rank) labels
-    n0, rank = codebook.n0_bits, g.rank()
-    per_w_total = float((1 << (n0 - rank)) * codebook.size)
-    sum_nw = (1 << rank) * per_w_total * math.log2(per_w_total)
-    d_total = float(1 << n0) * float(codebook.size)
-    mi = math.log2(d_total) + (hist_xlog2x(hist) - hist_xlog2x(hist_w) - sum_nw) / d_total
-    return max(0.0, mi)
+    leakages = []
+    for g in gs:
+        if g is None or g.rows == 0:
+            leakages.append(0.0)
+            continue
+        # each hash's histogram is evaluated at once and not kept
+        if method == "fast":
+            sum_n = hist_xlog2x(counter.histogram([[bits_to_int(row) for row in g.entries]]))
+        else:
+            hist, hist_w = _enumerated_histograms(codebook, g, coords, sign, cap)
+            sum_n, sum_w = hist_xlog2x(hist), hist_xlog2x(hist_w)
+        # over D = 2^n0 * size (label, jammer) pairs, W is uniform on the hash's
+        # column span: 2^rank values, each hit by 2^(n0 - rank) labels
+        n0, rank = codebook.n0_bits, g.rank()
+        per_w_total = float((1 << (n0 - rank)) * codebook.size)
+        sum_nw = (1 << rank) * per_w_total * math.log2(per_w_total)
+        d_total = float(1 << n0) * float(codebook.size)
+        mi = math.log2(d_total) + (sum_n - sum_w - sum_nw) / d_total
+        leakages.append(max(0.0, mi))
+    return leakages
 
 
 def _enumerated_histograms(codebook: LayeredCodebook, g: FiniteFieldMatrix,
                            coords: list[Coordinate], sign: str, cap: int) -> tuple:
-    """`count_histograms` of one hash for any m: each label adds one to N(k, sigma)
-    on the box of sums its digits fit, one key's sigma slab at a time.  Trimmed
-    to length max W + 1, the histograms equal the kernel's on power-of-two layers."""
+    """`WalshCounter`'s two histograms for one hash and any m: each label adds
+    one to N(k, sigma) on the box of sums its digits fit, one key's sigma slab
+    at a time.  Trimmed to length max W + 1, the histograms equal the kernel's
+    on power-of-two layers."""
     n0 = codebook.n0_bits
     shape = tuple(2 * c.m - 1 for c in coords)
     if (1 << n0) * math.prod(shape) > (cap << 4):
@@ -621,7 +638,8 @@ def select_secrecy_hash(codebook: LayeredCodebook, r0: int, dithers1=None,
     rng = substream(seed, "hash-select")
     cand_seeds = [int(s) for s in rng.integers(0, 2 ** 63 - 1, size=n_candidates)]
     matrices = [sample_linear_hash(r0, codebook.n0_bits, 2, s) for s in cand_seeds]
-    leakages = [exact_leakage(codebook, m, dithers1, sign) for m in matrices]
+    leakages = _family_leakages(codebook, matrices, dithers1, sign, "auto",
+                                DEFAULT_SIGMA_SPACE_CAP)
     ranks = [full_rank_check(m) for m in matrices]
     avg = float(np.mean(leakages))
 
@@ -699,6 +717,8 @@ def leakage_trend(m: int, n_bar_values: Sequence[int], eps: float, delta: float,
     """
     if dither_mode not in ("zero", "random"):
         raise ConfigError("dither_mode must be 'zero' or 'random'")
+    if decode_trials < 0:
+        raise ConfigError("decode trials must be non-negative")
     rate0 = math.log2(m)
     rows = []
     for n_bar in n_bar_values:

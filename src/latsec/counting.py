@@ -29,9 +29,12 @@ not fold keeps all 2m-1 sums, each counted once.  The kept columns of each
 half-table are grouped by how many folded off-centre coordinates they hold,
 and a block pair's integer histogram is added with weight 2^(that number).
 
-Counts are exact integers, histogrammed across chunks, blocks and hashes;
-callers evaluate sum N log2 N once from the histogram (`hist_xlog2x`), so the
-result depends neither on how the work was chunked nor on the fold.
+None of this depends on the hash, so a `WalshCounter` builds it once per
+(coordinates, sign) and counts every hash of a family, or every row space of
+a key audit, against the same tables.  Counts are exact integers,
+histogrammed across chunks, blocks and hashes; callers evaluate sum N log2 N
+once from the histogram (`hist_xlog2x`), so the result depends neither on
+how the work was chunked nor on the fold.
 """
 from __future__ import annotations
 
@@ -127,70 +130,95 @@ def hist_xlog2x(hist: np.ndarray) -> float:
     return float((hist[nz] * v[nz] * np.log2(v[nz])).sum())
 
 
-def count_histograms(coords: list[Coordinate], sign: str, rows) -> tuple[np.ndarray, np.ndarray]:
-    """Histograms of the counts N(k, sigma) and of the window sizes W(sigma).
+class WalshCounter:
+    """The kernel's hash-independent tables for one set of coordinates and sign.
 
-    rows is an (S, r) array: S hashes, each given by its r rows as n0-bit
-    integers.  hist[v] is the number of (hash, k, sigma) with N = v, and
-    hist_w[v] the number of sigma whose window W(sigma), N summed over k,
-    holds v labels, which no hash changes; both have length max W + 1.
-    Every coordinate's m must be a power of two.
+    Building the counter computes the kept char-table columns, the balanced
+    cut, the half-table blocks and the window histogram once; `histogram`
+    then counts any number of hashes against them, keeping the blocks in the
+    float dtype of the latest call.  Every coordinate's m must be a power of
+    two.
+
+    hist_w[v] is the number of sigma whose window W(sigma), N summed over k,
+    holds v labels, which no hash changes; it has length max W + 1.
     """
-    rows = np.asarray(rows, dtype=np.int64)
-    kept = [_kept_columns(c, sign) for c in coords]
-    cut = _balanced_cut([tab.shape[1] for tab, _ in kept])
-    left = _half_blocks(kept[:cut])    # blocks of (2^bits_left, a) columns
-    right = _half_blocks(kept[cut:])   # blocks of (2^bits_right, b) columns
-    bits_right = sum(c.m.bit_length() - 1 for c in coords[cut:])
 
-    # the lambda = 0 row of P holds the plain window sizes, which bound
-    # every count; the largest is at the centre, which every coordinate keeps
-    w_max = max(int(ub[0].max()) for _, ub in left) * max(int(vb[0].max()) for _, vb in right)
-    hist_w = np.zeros(w_max + 1, dtype=np.int64)
-    for ca, ub in left:
-        lv, lc = np.unique(ub[0], return_counts=True)
-        for cb, vb in right:
-            rv, rc = np.unique(vb[0], return_counts=True)
-            np.add.at(hist_w, np.outer(lv, rv).ravel(), np.outer(lc, rc).ravel() << (ca + cb))
-    hist = np.zeros_like(hist_w)
+    def __init__(self, coords: list[Coordinate], sign: str):
+        kept = [_kept_columns(c, sign) for c in coords]
+        cut = _balanced_cut([tab.shape[1] for tab, _ in kept])
+        self._left = _half_blocks(kept[:cut])    # blocks of (2^bits_left, a) columns
+        self._right = _half_blocks(kept[cut:])   # blocks of (2^bits_right, b) columns
+        self._bits_right = sum(c.m.bit_length() - 1 for c in coords[cut:])
+        self._u_max = float(max(np.abs(ub).max() for _, ub in self._left))
+        self._v_max = float(max(np.abs(vb).max() for _, vb in self._right))
 
-    r = rows.shape[1]
-    n_k = 1 << r
-    lam = np.arange(n_k)
-    mus = np.zeros((rows.shape[0], n_k), dtype=np.int64)
-    for j in range(r):
-        mus ^= ((lam >> (r - 1 - j)) & 1) * rows[:, j:j + 1]
+        # the lambda = 0 row of P holds the plain window sizes, which bound
+        # every count; the largest is at the centre, which every coordinate keeps
+        w_max = (max(int(ub[0].max()) for _, ub in self._left)
+                 * max(int(vb[0].max()) for _, vb in self._right))
+        self.hist_w = np.zeros(w_max + 1, dtype=np.int64)
+        for ca, ub in self._left:
+            lv, lc = np.unique(ub[0], return_counts=True)
+            for cb, vb in self._right:
+                rv, rc = np.unique(vb[0], return_counts=True)
+                np.add.at(self.hist_w, np.outer(lv, rv).ravel(),
+                          np.outer(lc, rc).ravel() << (ca + cb))
 
-    # Walsh sums stay below 2^r * max|U| * max|V|; float32 is exact whenever
-    # that fits in its 24-bit mantissa
-    bound = (n_k * float(max(np.abs(ub).max() for _, ub in left))
-             * float(max(np.abs(vb).max() for _, vb in right)))
-    dtype = np.float32 if bound < (1 << 24) else np.float64
-    signs = _hadamard(n_k).astype(dtype)[None, :, None, :]  # (1, K, 1, Lambda)
-    scale = dtype(1.0 / n_k)  # counts = 2^-r * Walsh sum, exactly integral
-    low = (1 << bits_right) - 1
-    left = [(ca, ub.astype(dtype)) for ca, ub in left]
-    right = [(cb, vb.astype(dtype)) for cb, vb in right]
+    def _blocks(self, dtype) -> tuple[list, list]:
+        """The half-table blocks, held in one dtype at a time and recast block by
+        block.  Every entry is an integer no larger than the Walsh bound, so it
+        is exact in whichever dtype that bound picks, and recasting loses nothing."""
+        for blocks in (self._left, self._right):
+            for i, (c, block) in enumerate(blocks):
+                if block.dtype != dtype:
+                    blocks[i] = (c, block.astype(dtype))
+        return self._left, self._right
 
-    for ca, ub in left:
-        a_size = ub.shape[1]
-        for cb, vb in right:
-            # the chunk bounds every intermediate, not just the counts
-            # (s, K, a, b): the signed product (s, K, a, Lambda) and the
-            # gathered rows (s, a, Lambda), (s, Lambda, b) too, since in a
-            # narrow block they can outgrow the counts
-            width = n_k * max(vb.shape[1], n_k)
-            s_chunk = max(1, CHUNK_CELLS // (width * max(a_size, n_k)))
-            a_chunk = max(1, min(a_size, CHUNK_CELLS // width))
-            for s0 in range(0, mus.shape[0], s_chunk):
-                mu = mus[s0:s0 + s_chunk]
-                ul = ub[mu >> bits_right].transpose(0, 2, 1)  # (s, a, Lambda)
-                vr = vb[mu & low][:, None]                    # (s, 1, Lambda, b)
-                for a0 in range(0, a_size, a_chunk):
-                    counts = np.matmul(signs * ul[:, None, a0:a0 + a_chunk, :], vr)
-                    counts *= scale
-                    # exact integers, so truncation is safe; a negative
-                    # count (an internal bug) makes bincount raise
-                    hist += np.bincount(counts.astype(np.int64).ravel(),
-                                        minlength=hist.size) << (ca + cb)
-    return hist, hist_w
+    def histogram(self, rows) -> np.ndarray:
+        """hist[v], the number of (hash, k, sigma) with N(k, sigma) = v.
+
+        rows is an (S, r) array: S hashes, each given by its r rows as n0-bit
+        integers.  The histogram has the length of hist_w.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        hist = np.zeros_like(self.hist_w)
+        bits_right = self._bits_right
+
+        r = rows.shape[1]
+        n_k = 1 << r
+        lam = np.arange(n_k)
+        mus = np.zeros((rows.shape[0], n_k), dtype=np.int64)
+        for j in range(r):
+            mus ^= ((lam >> (r - 1 - j)) & 1) * rows[:, j:j + 1]
+
+        # Walsh sums stay below 2^r * max|U| * max|V|; float32 is exact whenever
+        # that fits in its 24-bit mantissa
+        bound = n_k * self._u_max * self._v_max
+        dtype = np.float32 if bound < (1 << 24) else np.float64
+        signs = _hadamard(n_k).astype(dtype)[None, :, None, :]  # (1, K, 1, Lambda)
+        scale = dtype(1.0 / n_k)  # counts = 2^-r * Walsh sum, exactly integral
+        low = (1 << bits_right) - 1
+        left, right = self._blocks(dtype)
+
+        for ca, ub in left:
+            a_size = ub.shape[1]
+            for cb, vb in right:
+                # the chunk bounds every intermediate, not just the counts
+                # (s, K, a, b): the signed product (s, K, a, Lambda) and the
+                # gathered rows (s, a, Lambda), (s, Lambda, b) too, since in a
+                # narrow block they can outgrow the counts
+                width = n_k * max(vb.shape[1], n_k)
+                s_chunk = max(1, CHUNK_CELLS // (width * max(a_size, n_k)))
+                a_chunk = max(1, min(a_size, CHUNK_CELLS // width))
+                for s0 in range(0, mus.shape[0], s_chunk):
+                    mu = mus[s0:s0 + s_chunk]
+                    ul = ub[mu >> bits_right].transpose(0, 2, 1)  # (s, a, Lambda)
+                    vr = vb[mu & low][:, None]                    # (s, 1, Lambda, b)
+                    for a0 in range(0, a_size, a_chunk):
+                        counts = np.matmul(signs * ul[:, None, a0:a0 + a_chunk, :], vr)
+                        counts *= scale
+                        # exact integers, so truncation is safe; a negative
+                        # count (an internal bug) makes bincount raise
+                        hist += np.bincount(counts.astype(np.int64).ravel(),
+                                            minlength=hist.size) << (ca + cb)
+        return hist

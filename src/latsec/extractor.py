@@ -23,7 +23,7 @@ import numpy as np
 from ._rng import substream
 from .channel import (ChannelConfig, LayeredCodebook, MLDecoder, build_system,
                       coordinate_specs, scale_channel)
-from .counting import count_histograms, hist_xlog2x
+from .counting import WalshCounter, hist_xlog2x
 from .entropy import xlog2x_sum
 from .errors import ConfigError, DomainError, ResourceCapError, ValidationError
 from .hashing import bits_to_int, int_to_bits, row_space_bases
@@ -125,10 +125,10 @@ def key_secrecy_report(codebook: LayeredCodebook, r: int, dithers1=None,
     # prod_{i<d} (2^r - 2^i) injective r-by-d maps; it keys label x as A (B x),
     # so its histogram is B's but for the zero bin, which N log2 N ignores.
     coords = coordinate_specs(codebook, dithers1)
-    hists = [count_histograms(coords, sign, row_space_bases(n0, d)) for d in range(r + 1)]
-    hist = sum(math.prod((1 << r) - (1 << i) for i in range(d)) * hist_d
-               for d, (hist_d, _) in enumerate(hists))
-    total_xlogx, sum_w = hist_xlog2x(hist), hist_xlog2x(hists[0][1])
+    counter = WalshCounter(coords, sign)
+    hist = sum(math.prod((1 << r) - (1 << i) for i in range(d))
+               * counter.histogram(row_space_bases(n0, d)) for d in range(r + 1))
+    total_xlogx, sum_w = hist_xlog2x(hist), hist_xlog2x(counter.hist_w)
 
     # H(K|V,Sigma) = E[log2 W] - 2^(-r n0) M^(-2) sum_{v,sigma,k} N log2 N, with
     # the uniform weight p(sigma)/W(sigma) = 1/M^2 on each observation

@@ -14,12 +14,12 @@ import numpy as np
 
 from latsec._rng import gaussian, substream
 from latsec.channel import (ChannelConfig, LayeredCodebook, SecrecySystem, coordinate_specs,
-                            mod_signals, scale_channel)
-from latsec.counting import count_histograms, hist_xlog2x
+                            exact_leakage, mod_signals, scale_channel)
+from latsec.counting import WalshCounter, hist_xlog2x
 from latsec.entropy import (DiscreteDistribution, JointDistribution, conditional_shannon,
                             mutual_information, renyi2_entropy, shannon_entropy,
                             side_info_violation_mass, xlog2x_sum)
-from latsec.hashing import (EncoderKit, encode_secret, int_to_bits,
+from latsec.hashing import (EncoderKit, encode_secret, full_rank_check, int_to_bits,
                             privacy_amp_bound, sample_linear_hash)
 from latsec.lattice import (NestedLatticePair, SumSecrecyReport, dither_encode,
                             enumerate_codebook, reduce_carry)
@@ -57,7 +57,7 @@ def brute_force_leakage(codebook: LayeredCodebook, kit: EncoderKit,
 
 
 def brute_force_histograms(coords, sign: str, rows) -> tuple[np.ndarray, np.ndarray]:
-    """`counting.count_histograms` by enumerating every (sender label, jammer index) pair.
+    """`counting.WalshCounter`'s histograms by enumerating every (sender label, jammer index) pair.
 
     Coordinate j of a label holds sender index i_j (coordinate 0 in the most
     significant bits); the dither turns it into the value (i_j + shift) mod m,
@@ -95,6 +95,17 @@ def brute_force_histograms(coords, sign: str, rows) -> tuple[np.ndarray, np.ndar
     return hist, np.bincount(w, minlength=size)
 
 
+def per_candidate_leakages(codebook: LayeredCodebook, r0: int, dithers1, sign: str,
+                           n_candidates: int, seed: int) -> tuple[list, list]:
+    """`select_secrecy_hash`'s leakages and full-rank flags, one fresh
+    `exact_leakage` call per candidate, drawn as the selection draws them."""
+    rng = substream(seed, "hash-select")
+    seeds = rng.integers(0, 2 ** 63 - 1, size=n_candidates)
+    matrices = [sample_linear_hash(r0, codebook.n0_bits, 2, int(s)) for s in seeds]
+    return ([exact_leakage(codebook, g, dithers1, sign) for g in matrices],
+            [full_rank_check(g) for g in matrices])
+
+
 def multiset_key_audit(codebook: LayeredCodebook, r: int, dithers1, sign: str) -> float:
     """`extractor.key_secrecy_report`'s h_key_given_view, summed over seeds by
     multisets of rows instead of row spaces.
@@ -113,13 +124,12 @@ def multiset_key_audit(codebook: LayeredCodebook, r: int, dithers1, sign: str) -
         run = np.where(rows[:, j] == rows[:, j - 1], run + 1, 1)
         repeats *= run
     weights = math.factorial(r) // repeats
-    coords = coordinate_specs(codebook, dithers1)
+    counter = WalshCounter(coordinate_specs(codebook, dithers1), sign)
     hist = 0
     for w in np.unique(weights):
-        hist_rows, hist_w = count_histograms(coords, sign, rows[weights == w])
-        hist = hist + int(w) * hist_rows
+        hist = hist + int(w) * counter.histogram(rows[weights == w])
     m_total = codebook.size
-    return (hist_xlog2x(hist_w) / (m_total * m_total)
+    return (hist_xlog2x(counter.hist_w) / (m_total * m_total)
             - hist_xlog2x(hist) / (float(1 << (r * n0)) * m_total * m_total))
 
 

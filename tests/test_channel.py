@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (brute_force_leakage, cyclic_shift_oracle, direct_marginal_oracle,
-                      genie_error_rate_oracle)
+                      genie_error_rate_oracle, per_candidate_leakages)
 from latsec._rng import substream
 from latsec.channel import (ChannelConfig, LayeredCodebook, MLDecoder, TrendRow,
                             build_system, coordinate_specs, exact_leakage,
@@ -508,7 +508,29 @@ class TestSelection:
         assert full_rank_check(sel.kit.g)
         assert sel.chosen_leakage <= 2 * sel.family_avg_leakage + 1e-12
         assert not sel.fallback
-        assert exact_leakage(cb, sel.kit) == pytest.approx(sel.chosen_leakage)
+        assert exact_leakage(cb, sel.kit) == sel.chosen_leakage
+
+    @settings(max_examples=40, deadline=None)
+    @given(m=st.sampled_from([2, 3, 4, 8]), n_bar=st.integers(1, 3),
+           sign=st.sampled_from(["+", "-"]), dither_seed=st.none() | st.integers(0, 2 ** 16),
+           family=st.integers(1, 6), seed=st.integers(0, 2 ** 16), data=st.data())
+    def test_family_leakages_equal_per_candidate_calls(self, m, n_bar, sign, dither_seed,
+                                                       family, seed, data):
+        # one table build for the whole family must give every candidate the
+        # leakage a fresh exact_leakage call gives it (m = 3 enumerates)
+        cb = make_codebook(m, n_bar, 1)
+        d1 = None if dither_seed is None else random_dithers(
+            cb, np.random.default_rng(dither_seed))
+        r0 = data.draw(st.integers(1, min(cb.n0_bits, 3)))
+        want, ranks = per_candidate_leakages(cb, r0, d1, sign, family, seed)
+        if not any(ranks):
+            with pytest.raises(DomainError):
+                select_secrecy_hash(cb, r0, d1, sign, n_candidates=family, seed=seed)
+            return
+        sel = select_secrecy_hash(cb, r0, d1, sign, n_candidates=family, seed=seed)
+        assert len(sel.leakages) == len(want)
+        assert all(got == leak for got, leak in zip(sel.leakages, want))
+        assert sel.full_ranks == tuple(ranks)
 
     def test_deterministic(self):
         cb = make_codebook(4, 2, 1)
@@ -548,6 +570,10 @@ class TestTrend:
     def test_fixed_width_margin_guard(self):
         with pytest.raises(ConfigError):
             leakage_trend(4, [2, 3], 0.3, 0.05, family=4, fixed_r0=3)
+
+    def test_negative_decode_trials_refused(self):
+        with pytest.raises(ConfigError):
+            leakage_trend(4, [2, 3], 0.3, 0.05, family=2, decode_trials=-1)
 
     def test_slope_needs_positive_rows(self):
         rows = [TrendRow(2, 0, 0.0, 0.0, None, 1.0, 1.0, 0)]

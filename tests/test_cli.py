@@ -101,6 +101,9 @@ MC_OVER_CAP = (["hash-bench", "--mc-trials", "100000000000"],
                ["hash-bench", "--mc-r", "20000", "--mc-trials", "10"],
                ["hash-bench", "--mc-r", "2000", "--mc-trials", "1000"])
 
+# used to exit 0 and skip decoding without a word
+NEGATIVE_DECODE_TRIALS = ["leakage-trend", "--nbar", "2:3", "--decode-trials", "-1"]
+
 
 def test_config_error_exit_code(capsys):
     for args in (["leakage-trend", "--nbar", "2:3", "--family", "2", "--fixed-r0", "9"],
@@ -116,13 +119,14 @@ def test_config_error_exit_code(capsys):
                  ["amplify", "--c-list", "x"],
                  ["leakage-trend", "--layers", "0"],
                  ["leakage-trend", "--nbar", "2", "--family", "0"],
+                 NEGATIVE_DECODE_TRIALS,
                  *UNUSABLE_CHANNELS):
         assert main(args) == 2, args
         assert "error:" in capsys.readouterr().err, args
     # an empty family must be refused before numpy warns about its empty mean,
     # and a non-finite or overflowing channel before any decoding warns
-    for args in (["leakage-trend", "--nbar", "2", "--family", "0"], *UNUSABLE_CHANNELS,
-                 *MC_OVER_CAP):
+    for args in (["leakage-trend", "--nbar", "2", "--family", "0"], NEGATIVE_DECODE_TRIALS,
+                 *UNUSABLE_CHANNELS, *MC_OVER_CAP):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert main(args) == 2, args

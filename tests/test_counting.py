@@ -1,5 +1,6 @@
 """The Walsh counting kernel against the enumeration route and a brute-force
-oracle, its reflection fold, its chunking and its memory."""
+oracle, its reflection fold, its reuse across hashes, its chunking and its
+memory."""
 import tracemalloc
 
 import numpy as np
@@ -9,8 +10,8 @@ from hypothesis import strategies as st
 
 from conftest import brute_force_histograms
 from latsec import counting
-from latsec.channel import exact_leakage, make_codebook, random_dithers
-from latsec.counting import Coordinate, count_histograms, reflection_folds
+from latsec.channel import exact_leakage, make_codebook, random_dithers, select_secrecy_hash
+from latsec.counting import Coordinate, WalshCounter, reflection_folds
 from latsec.extractor import key_secrecy_report
 from latsec.hashing import FiniteFieldMatrix, sample_linear_hash
 
@@ -61,10 +62,42 @@ def test_kernel_matches_brute_force_histogram(instance):
     # the fold and the block weights must reproduce the full histograms
     # exactly, the zero-count bin included
     coords, sign, rows = instance
-    hist, hist_w = count_histograms(coords, sign, rows)
+    counter = WalshCounter(coords, sign)
+    hist, hist_w = counter.histogram(rows), counter.hist_w
     want, want_w = brute_force_histograms(coords, sign, rows)
     assert hist.tolist() == want.tolist()
     assert hist_w.tolist() == want_w.tolist()
+
+
+def test_counter_reuse_matches_fresh_counters():
+    # four m = 16 coordinates: the Walsh bound 2^r * 256 * 256 reaches 2^24 at
+    # r = 8, so that call counts in float64 and the others in float32; one
+    # counter serves every width in any order, each as a fresh one would
+    coords = [Coordinate(16, s) for s in (0, 4, 8, 12)]
+    rng = np.random.default_rng(3)
+    counter = WalshCounter(coords, "-")
+    for r, n_hashes in ((2, 3), (8, 1), (1, 2), (3, 1), (2, 1)):
+        rows = rng.integers(0, 1 << 16, size=(n_hashes, r))
+        fresh = WalshCounter(coords, "-")
+        assert counter.histogram(rows).tolist() == fresh.histogram(rows).tolist()
+        assert counter.hist_w.tolist() == fresh.hist_w.tolist()
+
+
+def test_selection_memory_stays_at_one_leakage():
+    # the family's histograms are evaluated and dropped one by one, so a
+    # family of 16 peaks where a single exact_leakage call does
+    cb = make_codebook(8, 4)
+    g = sample_linear_hash(3, cb.n0_bits, 2, 1)
+    peaks = []
+    for run in (lambda: exact_leakage(cb, g, None, "-"),
+                lambda: select_secrecy_hash(cb, 3, None, "-", n_candidates=16)):
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.2 * peaks[0]
 
 
 @pytest.mark.parametrize("sign", ["+", "-"])
