@@ -517,22 +517,16 @@ def exact_leakage(codebook: LayeredCodebook, hash_or_kit, dithers1=None,
     carried by (modular sum, carry index); the eavesdropper's noisy
     observation can only be a further degraded function of that pair.
     """
-    return _family_leakages(codebook, [hash_or_kit], dithers1, sign, method, cap)[0]
-
-
-def _family_leakages(codebook: LayeredCodebook, hashes: Sequence, dithers1, sign: str,
-                     method: str, cap: int) -> list[float]:
-    """`exact_leakage` of each hash, validating once and, on the Walsh route,
-    building the hash-independent tables once for the whole family."""
     if sign not in ("+", "-"):
         raise DomainError("sign must be '+' or '-'")
     coords = coordinate_specs(codebook, dithers1)
-    gs = [None if h is None else _hash_matrix(h) for h in hashes]
-    for g in gs:
-        if g is not None and g.rows and g.cols != codebook.n0_bits:
-            raise DomainError("hash width must match the codebook label width")
-    if all(g is None or g.rows == 0 for g in gs):
-        return [0.0] * len(gs)
+    if hash_or_kit is None:
+        return 0.0
+    g = _hash_matrix(hash_or_kit)
+    if g.rows == 0:
+        return 0.0
+    if g.cols != codebook.n0_bits:
+        raise DomainError("hash width must match the codebook label width")
 
     if method == "auto":
         method = "fast" if codebook.walsh_countable else "enumerate"
@@ -544,30 +538,39 @@ def _family_leakages(codebook: LayeredCodebook, hashes: Sequence, dithers1, sign
         raise ResourceCapError(f"sum alphabet {sigma_space} exceeds cap {cap}")
 
     if method == "fast":
-        counter = WalshCounter(coords, sign)
-        sum_w = hist_xlog2x(counter.hist_w)
-    elif method != "enumerate":
+        counter = _walsh_counter(coords, sign)
+        hist = counter.histogram([[bits_to_int(row) for row in g.entries]])
+        sum_w = counter.w_xlog2x
+    elif method == "enumerate":
+        hist, hist_w = _enumerated_histograms(codebook, g, coords, sign, cap)
+        sum_w = hist_xlog2x(hist_w)
+    else:
         raise DomainError(f"unknown method {method!r}")
-    leakages = []
-    for g in gs:
-        if g is None or g.rows == 0:
-            leakages.append(0.0)
-            continue
-        # each hash's histogram is evaluated at once and not kept
-        if method == "fast":
-            sum_n = hist_xlog2x(counter.histogram([[bits_to_int(row) for row in g.entries]]))
-        else:
-            hist, hist_w = _enumerated_histograms(codebook, g, coords, sign, cap)
-            sum_n, sum_w = hist_xlog2x(hist), hist_xlog2x(hist_w)
-        # over D = 2^n0 * size (label, jammer) pairs, W is uniform on the hash's
-        # column span: 2^rank values, each hit by 2^(n0 - rank) labels
-        n0, rank = codebook.n0_bits, g.rank()
-        per_w_total = float((1 << (n0 - rank)) * codebook.size)
-        sum_nw = (1 << rank) * per_w_total * math.log2(per_w_total)
-        d_total = float(1 << n0) * float(codebook.size)
-        mi = math.log2(d_total) + (sum_n - sum_w - sum_nw) / d_total
-        leakages.append(max(0.0, mi))
-    return leakages
+
+    # over D = 2^n0 * size (label, jammer) pairs, W is uniform on the hash's
+    # column span: 2^rank values, each hit by 2^(n0 - rank) labels
+    n0, rank = codebook.n0_bits, g.rank()
+    per_w_total = float((1 << (n0 - rank)) * codebook.size)
+    sum_nw = (1 << rank) * per_w_total * math.log2(per_w_total)
+    d_total = float(1 << n0) * float(codebook.size)
+    mi = math.log2(d_total) + (hist_xlog2x(hist) - sum_w - sum_nw) / d_total
+    return max(0.0, mi)
+
+
+# the tables of the latest (coordinates, sign): a selection screens every
+# candidate against one codebook and dither, so its calls build them once.
+# The selection empties it when it returns; kept tables would sit beside
+# every later computation's own
+_LAST_COUNTER: dict = {}
+
+
+def _walsh_counter(coords: list[Coordinate], sign: str) -> WalshCounter:
+    key = (tuple(coords), sign)
+    counter = _LAST_COUNTER.get(key)
+    if counter is None:
+        _LAST_COUNTER.clear()  # release the old tables before building new ones
+        counter = _LAST_COUNTER[key] = WalshCounter(coords, sign)
+    return counter
 
 
 def _enumerated_histograms(codebook: LayeredCodebook, g: FiniteFieldMatrix,
@@ -638,8 +641,10 @@ def select_secrecy_hash(codebook: LayeredCodebook, r0: int, dithers1=None,
     rng = substream(seed, "hash-select")
     cand_seeds = [int(s) for s in rng.integers(0, 2 ** 63 - 1, size=n_candidates)]
     matrices = [sample_linear_hash(r0, codebook.n0_bits, 2, s) for s in cand_seeds]
-    leakages = _family_leakages(codebook, matrices, dithers1, sign, "auto",
-                                DEFAULT_SIGMA_SPACE_CAP)
+    try:
+        leakages = [exact_leakage(codebook, m, dithers1, sign) for m in matrices]
+    finally:
+        _LAST_COUNTER.clear()
     ranks = [full_rank_check(m) for m in matrices]
     avg = float(np.mean(leakages))
 

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -163,6 +164,12 @@ class WalshCounter:
                 rv, rc = np.unique(vb[0], return_counts=True)
                 np.add.at(self.hist_w, np.outer(lv, rv).ravel(),
                           np.outer(lc, rc).ravel() << (ca + cb))
+
+    @cached_property
+    def w_xlog2x(self) -> float:
+        """sum over sigma of W log2 W, which no hash changes: evaluated once, not
+        once per hash, so a family's calls allocate no window-sized temporaries."""
+        return hist_xlog2x(self.hist_w)
 
     def _blocks(self, dtype) -> tuple[list, list]:
         """The half-table blocks, held in one dtype at a time and recast block by

@@ -128,7 +128,7 @@ def key_secrecy_report(codebook: LayeredCodebook, r: int, dithers1=None,
     counter = WalshCounter(coords, sign)
     hist = sum(math.prod((1 << r) - (1 << i) for i in range(d))
                * counter.histogram(row_space_bases(n0, d)) for d in range(r + 1))
-    total_xlogx, sum_w = hist_xlog2x(hist), hist_xlog2x(counter.hist_w)
+    total_xlogx, sum_w = hist_xlog2x(hist), counter.w_xlog2x
 
     # H(K|V,Sigma) = E[log2 W] - 2^(-r n0) M^(-2) sum_{v,sigma,k} N log2 N, with
     # the uniform weight p(sigma)/W(sigma) = 1/M^2 on each observation

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from latsec import channel
 from latsec._rng import gaussian, substream
 from latsec.channel import (ChannelConfig, LayeredCodebook, SecrecySystem, coordinate_specs,
                             exact_leakage, mod_signals, scale_channel)
@@ -97,13 +98,16 @@ def brute_force_histograms(coords, sign: str, rows) -> tuple[np.ndarray, np.ndar
 
 def per_candidate_leakages(codebook: LayeredCodebook, r0: int, dithers1, sign: str,
                            n_candidates: int, seed: int) -> tuple[list, list]:
-    """`select_secrecy_hash`'s leakages and full-rank flags, one fresh
-    `exact_leakage` call per candidate, drawn as the selection draws them."""
+    """`select_secrecy_hash`'s leakages and full-rank flags, one `exact_leakage`
+    call per candidate on freshly built tables, drawn as the selection draws them."""
     rng = substream(seed, "hash-select")
     seeds = rng.integers(0, 2 ** 63 - 1, size=n_candidates)
     matrices = [sample_linear_hash(r0, codebook.n0_bits, 2, int(s)) for s in seeds]
-    return ([exact_leakage(codebook, g, dithers1, sign) for g in matrices],
-            [full_rank_check(g) for g in matrices])
+    leakages = []
+    for g in matrices:
+        channel._LAST_COUNTER.clear()
+        leakages.append(exact_leakage(codebook, g, dithers1, sign))
+    return leakages, [full_rank_check(g) for g in matrices]
 
 
 def multiset_key_audit(codebook: LayeredCodebook, r: int, dithers1, sign: str) -> float:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import (brute_force_leakage, cyclic_shift_oracle, direct_marginal_oracle,
                       genie_error_rate_oracle, per_candidate_leakages)
+from latsec import channel
 from latsec._rng import substream
 from latsec.channel import (ChannelConfig, LayeredCodebook, MLDecoder, TrendRow,
                             build_system, coordinate_specs, exact_leakage,
@@ -516,21 +517,43 @@ class TestSelection:
            family=st.integers(1, 6), seed=st.integers(0, 2 ** 16), data=st.data())
     def test_family_leakages_equal_per_candidate_calls(self, m, n_bar, sign, dither_seed,
                                                        family, seed, data):
-        # one table build for the whole family must give every candidate the
-        # leakage a fresh exact_leakage call gives it (m = 3 enumerates)
+        # the tables shared across the family must give every candidate the
+        # leakage freshly built ones give it (m = 3 enumerates)
         cb = make_codebook(m, n_bar, 1)
         d1 = None if dither_seed is None else random_dithers(
             cb, np.random.default_rng(dither_seed))
         r0 = data.draw(st.integers(1, min(cb.n0_bits, 3)))
+        # the selection runs first, on whatever tables the last example left
+        try:
+            sel = select_secrecy_hash(cb, r0, d1, sign, n_candidates=family, seed=seed)
+        except DomainError:
+            sel = None
         want, ranks = per_candidate_leakages(cb, r0, d1, sign, family, seed)
         if not any(ranks):
-            with pytest.raises(DomainError):
-                select_secrecy_hash(cb, r0, d1, sign, n_candidates=family, seed=seed)
+            assert sel is None
             return
-        sel = select_secrecy_hash(cb, r0, d1, sign, n_candidates=family, seed=seed)
         assert len(sel.leakages) == len(want)
         assert all(got == leak for got, leak in zip(sel.leakages, want))
         assert sel.full_ranks == tuple(ranks)
+
+    def test_shared_tables_follow_dithers_and_sign(self):
+        # the tables kept from the last call are reused only while neither the
+        # dither shifts nor the sign change; every call must read as on fresh ones
+        cb = make_codebook(4, 3, 1)
+        g = sample_linear_hash(2, cb.n0_bits, 2, 7)
+        rng = np.random.default_rng(1)
+        dithers = [None, random_dithers(cb, rng), random_dithers(cb, rng)]
+        calls = [(i, sign) for sign in ("+", "-") for i in (0, 1, 1, 0, 2)]
+        fresh = {}
+        for i, sign in calls:
+            channel._LAST_COUNTER.clear()
+            fresh[i, sign] = exact_leakage(cb, g, dithers[i], sign)
+        assert len({fresh[i, "+"] for i in range(3)}) == 3  # the dithers tell apart
+        for i, sign in calls:
+            assert exact_leakage(cb, g, dithers[i], sign) == fresh[i, sign]
+        # a selection keeps no tables once it returns
+        select_secrecy_hash(cb, 2, dithers[1], n_candidates=2)
+        assert not channel._LAST_COUNTER
 
     def test_deterministic(self):
         cb = make_codebook(4, 2, 1)

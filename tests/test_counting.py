@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_force_histograms
-from latsec import counting
+from latsec import channel, counting
 from latsec.channel import exact_leakage, make_codebook, random_dithers, select_secrecy_hash
 from latsec.counting import Coordinate, WalshCounter, reflection_folds
 from latsec.extractor import key_secrecy_report
@@ -85,12 +85,14 @@ def test_counter_reuse_matches_fresh_counters():
 
 def test_selection_memory_stays_at_one_leakage():
     # the family's histograms are evaluated and dropped one by one, so a
-    # family of 16 peaks where a single exact_leakage call does
+    # family of 16 peaks where a single exact_leakage call does, each
+    # measured from a build of the tables
     cb = make_codebook(8, 4)
     g = sample_linear_hash(3, cb.n0_bits, 2, 1)
     peaks = []
     for run in (lambda: exact_leakage(cb, g, None, "-"),
                 lambda: select_secrecy_hash(cb, 3, None, "-", n_candidates=16)):
+        channel._LAST_COUNTER.clear()
         tracemalloc.start()
         try:
             run()
