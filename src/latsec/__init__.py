@@ -6,22 +6,19 @@ seeded-extractor key generation, a wiretap-channel simulator with exact
 leakage accounting, and the closed-form secure-degrees-of-freedom map.
 """
 
-from .entropy import (DiscreteDistribution, JointDistribution, conditional_shannon,
-                      conditional_slice, min_entropy, mutual_information,
-                      renyi2_entropy, shannon_entropy, side_info_violation_mass)
+from .entropy import DiscreteDistribution, renyi2_entropy, shannon_entropy
 from .lattice import (LatticeVector, NestedLatticePair, RepresentationIndex,
-                      ScaledLattice, codebook_rate, dither_encode,
-                      dithered_sum_secrecy_report, enumerate_codebook, group_add,
-                      mod_coarse, reconstruct_sum, representation_index)
+                      ScaledLattice, dithered_sum_secrecy_report, reconstruct_sum,
+                      representation_index)
 from .hashing import (BitLabeling, EncoderKit, FiniteFieldMatrix, build_encoder,
-                      collision_probability, decode_secret, encode_secret,
-                      exact_hashed_entropy, full_rank_check, full_rank_lower_bound,
-                      privacy_amp_bound, sample_linear_hash, secret_rate_select)
+                      decode_secret, encode_secret, exact_hashed_entropy,
+                      full_rank_check, full_rank_lower_bound, privacy_amp_bound,
+                      sample_linear_hash, secret_rate_select)
 from .extractor import (ExtractorSpec, KeyProtocolSetup, KeyTranscript, extract,
-                        key_rate, key_secrecy_report)
+                        key_secrecy_report)
 from .channel import (ChannelConfig, LayeredCodebook, SecrecySystem, Transcript,
-                      exact_leakage, leakage_trend, make_codebook, scale_channel,
-                      secrecy_rate_report, select_secrecy_hash, transmit)
+                      build_system, exact_leakage, leakage_trend, make_codebook,
+                      scale_channel, secrecy_rate_report, select_secrecy_hash, transmit)
 from .sdof import (DofPoint, GainDecomposition, alpha_of, beta_of, decompose_gain,
                    sdof_landscape, sdof_of)
 

@@ -131,13 +131,6 @@ class LayeredCodebook:
     def n0_bits(self) -> int:
         return self.size.bit_length() - 1
 
-    def rates(self) -> list[float]:
-        return [math.log2(layer.nesting) for layer in self.layers]
-
-    @property
-    def avg_rate(self) -> float:
-        return sum(self.rates()) / self.n_layers
-
     @property
     def walsh_countable(self) -> bool:
         """Power-of-two layers, so the labeling covers the whole codebook and the

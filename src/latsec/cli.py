@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -18,6 +19,9 @@ import numpy as np
 from . import channel, entropy, extractor, hashing, lattice, sdof
 from ._rng import substream
 from .errors import ConfigError, DomainError, ResourceCapError, ValidationError
+
+# points one start:stop:step grid may expand to
+GRID_POINT_CAP = 1 << 16
 
 
 def _fmt(value) -> str:
@@ -59,13 +63,19 @@ def _parse_int_range(text: str) -> list[int]:
 def _parse_float_grid(text: str) -> list[float]:
     parts = text.split(":")
     try:
-        if len(parts) != 3:
-            return [float(v) for v in text.split(",")]
-        start, stop, step = (float(p) for p in parts)
+        values = [float(v) for v in (parts if len(parts) == 3 else text.split(","))]
     except ValueError:
         raise ConfigError(f"bad grid {text!r}") from None
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"grid values must be finite, got {text!r}")
+    if len(parts) != 3:
+        return values
+    start, stop, step = values
     if not step > 0:
         raise ConfigError(f"grid step must be positive, got {step!r}")
+    # np.arange's point count, checked before anything is allocated
+    if not (stop + step / 2 - start) / step <= GRID_POINT_CAP:
+        raise ConfigError(f"grid {text!r} has more than {GRID_POINT_CAP} points")
     return [float(v) for v in np.arange(start, stop + step / 2, step)]
 
 
@@ -146,14 +156,19 @@ def _cmd_hash_bench(args):
 
 
 def _cmd_amplify(args):
+    c_values = _parse_float_grid(args.c_list)
+    if any(c < 0 for c in c_values):
+        raise ConfigError(f"amplify needs every c >= 0, got {args.c_list!r}")
+    geo = hashing.geometric_bit_source(args.n)
+    h_geo = entropy.renyi2_entropy(geo)
     rows = []
-    for c in _parse_float_grid(args.c_list):
+    for c in c_values:
         sources = []
-        k_flat = round(2 ** c)
+        # past n + 1 bits no flat source fits, and 2 ** c may overflow
+        k_flat = round(2 ** min(c, args.n + 1))
         if abs(np.log2(k_flat) - c) < 1e-12 and k_flat <= 1 << args.n:
             sources.append((f"flat{k_flat}", hashing.flat_bit_source(args.n, k_flat)))
-        geo = hashing.geometric_bit_source(args.n)
-        if entropy.renyi2_entropy(geo) >= c:
+        if h_geo >= c:
             sources.append(("geometric", geo))
         for name, src in sources:
             h = hashing.exact_hashed_entropy(src, args.r)
@@ -384,7 +399,11 @@ def main(argv=None) -> int:
         return 2
     text = _render(rows, columns, args.format)
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     for name in failed:

@@ -1,15 +1,16 @@
 """Exact entropy measures on finite distributions and side-information bounds.
 
 Probabilities may be floats or `fractions.Fraction`.  Entropies are float
-bits with the usual 0*log2(0) := 0 convention.  The side-information
-violation test compares probability *ratios* rather than log gaps, so
-Fraction-valued inputs are decided exactly: a distribution can never be
-pushed over a sharp bound by float rounding.
+bits with the usual 0*log2(0) := 0 convention.
 
-The alphabet size of the conditioning variable counts only symbols that
-carry strictly positive mass; zero-mass symbols are not side information.
-The exhaustive checks pass integer count matrices c (the joint c / c.sum())
-to `violation_mass_counts` and `conditional_shannon_counts` instead.
+A joint of X and T is an integer count matrix c (the joint c / c.sum()),
+rows indexed by x and columns by t.  `conditional_shannon_counts` gives
+H(X|T).  `violation_mass_counts` gives the mass of the columns where
+conditioning drops the entropy by more than log2||T|| + s; it compares
+probability *ratios* in integers rather than log gaps, so a joint can never
+be pushed over a sharp bound by float rounding.  ||T|| counts only columns
+that carry strictly positive mass; zero-mass symbols are not side
+information.
 """
 from __future__ import annotations
 
@@ -17,7 +18,6 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -31,8 +31,6 @@ GRID_BATCH = 2048
 GRID_JOINT_CAP = 1 << 25
 # joint entries the floor sweep draws before evaluating them (512 trials at 8 x 8)
 FLOOR_CHUNK_ENTRIES = 1 << 15
-
-_MEASURES = ("shannon", "renyi2", "min")
 
 
 def _check_probs(probs) -> None:
@@ -62,70 +60,6 @@ class DiscreteDistribution:
             raise ValidationError("support symbols must be pairwise distinct")
         _check_probs(self.probs)
 
-    @property
-    def is_exact(self) -> bool:
-        return all(isinstance(p, Fraction) for p in self.probs)
-
-
-@dataclass(frozen=True)
-class JointDistribution:
-    """Joint table p(X=x, T=t); rows indexed by x, columns by t."""
-
-    x_support: tuple
-    t_support: tuple
-    probs: tuple  # tuple of row tuples, row-major
-
-    def __post_init__(self):
-        object.__setattr__(self, "x_support", tuple(self.x_support))
-        object.__setattr__(self, "t_support", tuple(self.t_support))
-        object.__setattr__(self, "probs", tuple(tuple(row) for row in self.probs))
-        if len(set(self.x_support)) != len(self.x_support):
-            raise ValidationError("x symbols must be pairwise distinct")
-        if len(set(self.t_support)) != len(self.t_support):
-            raise ValidationError("t symbols must be pairwise distinct")
-        if len(self.probs) != len(self.x_support):
-            raise ValidationError("row count must match x support")
-        for row in self.probs:
-            if len(row) != len(self.t_support):
-                raise ValidationError("column count must match t support")
-        _check_probs([p for row in self.probs for p in row])
-
-    @property
-    def is_exact(self) -> bool:
-        return all(isinstance(p, Fraction) for row in self.probs for p in row)
-
-    def x_masses(self):
-        return [sum(row) for row in self.probs]
-
-    def t_masses(self):
-        return [sum(row[j] for row in self.probs) for j in range(len(self.t_support))]
-
-    def marginal_x(self) -> DiscreteDistribution:
-        return DiscreteDistribution(self.x_support, tuple(self.x_masses()))
-
-    def marginal_t(self) -> DiscreteDistribution:
-        return DiscreteDistribution(self.t_support, tuple(self.t_masses()))
-
-    def realized_t_count(self) -> int:
-        """Number of t symbols with strictly positive marginal mass."""
-        return sum(1 for m in self.t_masses() if m > 0)
-
-    def conditional_x_given_t(self, t) -> DiscreteDistribution:
-        j = self.t_support.index(t)
-        mass = sum(row[j] for row in self.probs)
-        if mass <= 0:
-            raise DomainError(f"conditioning on zero-mass symbol {t!r}")
-        if isinstance(mass, Fraction):
-            col = tuple(Fraction(row[j]) / mass for row in self.probs)
-        else:
-            col = tuple(row[j] / mass for row in self.probs)
-        return DiscreteDistribution(self.x_support, col)
-
-    def transpose(self) -> "JointDistribution":
-        rows = tuple(tuple(self.probs[i][j] for i in range(len(self.x_support)))
-                     for j in range(len(self.t_support)))
-        return JointDistribution(self.t_support, self.x_support, rows)
-
 
 def shannon_entropy(d: DiscreteDistribution) -> float:
     """-sum p log2 p in bits; lies in [0, log2 |support|]."""
@@ -143,28 +77,13 @@ def renyi2_entropy(d: DiscreteDistribution) -> float:
     return -math.log2(s)
 
 
-def min_entropy(d: DiscreteDistribution) -> float:
-    """-log2 max p; the most conservative of the three measures."""
-    return -math.log2(float(max(d.probs)))
-
-
-_MEASURE_FN = {"shannon": shannon_entropy, "renyi2": renyi2_entropy, "min": min_entropy}
-
-
-def conditional_shannon(j: JointDistribution) -> float:
-    """H(X|T) = sum_t p(t) H(X|T=t)."""
-    h = 0.0
-    for t, mass in zip(j.t_support, j.t_masses()):
-        if mass > 0:
-            h += float(mass) * shannon_entropy(j.conditional_x_given_t(t))
-    return h
-
-
 def conditional_shannon_counts(counts) -> float:
-    """`conditional_shannon` of the joint counts / total of an integer (X, T) matrix.
+    """H(X|T) = sum_t p(t) H(X|T=t) of the joint counts / total of an integer (X, T)
+    matrix.
 
     The floats are those of the exact joint, operation for operation: int true
-    division rounds correctly, as `float(Fraction)` does.
+    division rounds correctly, as `float(Fraction)` does, so the result equals
+    `conditional_shannon_oracle` in tests/conftest.py with `==`.
     """
     rows = np.asarray(counts, dtype=np.int64).tolist()
     total = sum(map(sum, rows))
@@ -177,82 +96,6 @@ def conditional_shannon_counts(counts) -> float:
     return h
 
 
-def conditional_slice(j: JointDistribution, t, measure: str) -> float:
-    """Entropy of p(X | T=t) under the chosen measure.
-
-    Raises DomainError when the slice carries no mass (the conditional
-    distribution is undefined there).
-    """
-    if measure not in _MEASURES:
-        raise DomainError(f"unknown measure {measure!r}")
-    return _MEASURE_FN[measure](j.conditional_x_given_t(t))
-
-
-def mutual_information(j: JointDistribution) -> float:
-    """I(X;T) = H(X) - H(X|T) in bits; zero iff X and T are independent."""
-    return shannon_entropy(j.marginal_x()) - conditional_shannon(j)
-
-
-def _collision_stat(probs):
-    """sum p^2, exact when the inputs are Fractions."""
-    if all(isinstance(p, Fraction) for p in probs):
-        return sum(p * p for p in probs)
-    return sum(float(p) * float(p) for p in probs)
-
-
-def _gap_exceeds(stat_cond, stat_uncond, t_count: int, s) -> bool:
-    """Does the entropy drop log2(stat_cond/stat_uncond) exceed log2(t_count) + s?
-
-    For renyi2 the statistics are collision sums; for min they are max
-    probabilities.  In both cases the drop equals log2 of their ratio.
-    When the statistics are Fractions and 2*s is an integer, the
-    comparison is made exactly by squaring both sides.
-    """
-    two_s = 2.0 * float(s)
-    exact = (isinstance(stat_cond, Fraction) and isinstance(stat_uncond, Fraction)
-             and float(two_s).is_integer())
-    if exact:
-        k = int(round(two_s))
-        lhs = Fraction(stat_cond, stat_uncond) ** 2
-        rhs = Fraction(t_count * t_count) * (Fraction(2) ** k)
-        return lhs > rhs
-    return math.log2(float(stat_cond) / float(stat_uncond)) > math.log2(t_count) + float(s)
-
-
-def side_info_violation_mass(j: JointDistribution, measure: str, s) -> float | Fraction:
-    """Total mass of t where conditioning drops the entropy by more than log2||T|| + s.
-
-    ||T|| is the number of t symbols with positive marginal mass.  The tail
-    bounds guaranteed for this quantity are 2^(1 - s/2) for renyi2 and 2^(-s)
-    for min; callers assert against those.  Returns a Fraction when the
-    joint is exact, else a float.
-    """
-    if not float(s) > 0:
-        raise DomainError("s must be positive")
-    if measure not in ("renyi2", "min"):
-        raise DomainError(f"measure must be renyi2 or min, got {measure!r}")
-
-    t_count = j.realized_t_count()
-    marg_x = j.x_masses()
-    if measure == "renyi2":
-        stat_uncond = _collision_stat(marg_x)
-    else:
-        stat_uncond = max(marg_x)
-
-    total = Fraction(0) if j.is_exact else 0.0
-    for t, mass in zip(j.t_support, j.t_masses()):
-        if mass <= 0:
-            continue
-        cond = j.conditional_x_given_t(t)
-        if measure == "renyi2":
-            stat_cond = _collision_stat(cond.probs)
-        else:
-            stat_cond = max(cond.probs)
-        if _gap_exceeds(stat_cond, stat_uncond, t_count, s):
-            total += mass
-    return total
-
-
 def _two_s(s) -> int:
     """2s as an int; the exact drop tests need s > 0 with 2s integral."""
     if not (float(s) > 0 and float(2 * s).is_integer()):
@@ -261,12 +104,15 @@ def _two_s(s) -> int:
 
 
 def violation_mass_counts(counts, measure: str, s) -> np.ndarray:
-    """`side_info_violation_mass` of each count joint of an int64 batch (B, X, T).
+    """Violation mass of each count joint of an int64 batch (B, X, T): the mass of
+    the columns where the renyi2 or min entropy drops by more than log2||T|| + s.
 
     Joint b is counts[b] / total_b; its mass comes back as the integer numerator
     over total_b.  ||T|| counts the nonzero columns.  The test (stat ratio)^2 >
     ||T||^2 2^(2s) is decided in int64: 2s must be integral, and a batch whose
-    terms could leave int64 is refused."""
+    terms could leave int64 is refused.  The tail bounds guaranteed for this
+    mass are 2^(1 - s/2) for renyi2 and 2^(-s) for min; `violation_mass_oracle`
+    in tests/conftest.py decides the same test in Fractions."""
     k = _two_s(s)
     return _violating_mass(*_drop_terms(counts, measure), k)
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -24,7 +23,6 @@ from ._rng import substream
 from .channel import (ChannelConfig, LayeredCodebook, MLDecoder, build_system,
                       coordinate_specs, scale_channel)
 from .counting import WalshCounter, hist_xlog2x
-from .entropy import xlog2x_sum
 from .errors import ConfigError, DomainError, ResourceCapError, ValidationError
 from .hashing import bits_to_int, int_to_bits, row_space_bases
 from .lattice import reduce_carry
@@ -180,9 +178,6 @@ class KeyTranscript:
     masked_sum: tuple
     carry: tuple
 
-    def key_hex(self) -> str:
-        return format(bits_to_int(self.k1_bits), "x")
-
     def to_json(self) -> str:
         return json.dumps({
             "v_seed": self.v_seed,
@@ -251,27 +246,3 @@ def _eavesdropper_pair(codebook: LayeredCodebook, x1_layers, x2_layers, sign: in
         masked.extend(np.round(w, 9).tolist())
         carry.extend(z.tolist())
     return tuple(masked), tuple(carry)
-
-
-def key_rate(transcripts: Sequence[KeyTranscript], spec: ExtractorSpec,
-             n_uses: int) -> float:
-    """H(K1)/n for the realized seed mixture, computed from exact pushforwards.
-
-    For each seed in the transcript set the key is the image of a uniform
-    label under the seed matrix; the marginal key law is the uniform
-    mixture over the observed seeds.
-    """
-    if not transcripts:
-        raise DomainError("need at least one transcript")
-    n0, r = spec.input_len, spec.output_len
-    labels = np.array([int_to_bits(i, n0) for i in range(1 << n0)])
-    powers = 1 << np.arange(r - 1, -1, -1, dtype=np.int64)
-    marginal = np.zeros(1 << r)
-    for tr in transcripts:
-        m = matrix_from_seed(spec, tr.v_seed)
-        out = (labels @ m.T) % 2
-        idx = out @ powers
-        marginal += np.bincount(idx, minlength=1 << r) / float(1 << n0)
-    marginal /= len(transcripts)
-    h = -xlog2x_sum(marginal)
-    return h / n_uses

@@ -100,14 +100,6 @@ class FiniteFieldMatrix:
     def rank(self) -> int:
         return len(_reduce(self.entries, self.q)[1])
 
-    def equals(self, other: "FiniteFieldMatrix") -> bool:
-        return self.q == other.q and np.array_equal(self.entries, other.entries)
-
-    @classmethod
-    def identity(cls, n: int, q: int = 2) -> "FiniteFieldMatrix":
-        return cls(q, np.eye(n, dtype=np.int64))
-
-
 def _reduce(matrix: np.ndarray, q: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form over GF(q), by Gauss-Jordan elimination, and its
     pivot columns; a column is a pivot iff it lies outside the span of the
@@ -149,23 +141,6 @@ def sample_linear_hash(r: int, n: int, q: int = 2, seed: int = 0) -> FiniteField
         raise DomainError("dimensions must be positive")
     rng = np.random.default_rng(seed)
     return FiniteFieldMatrix(q, rng.integers(0, q, size=(r, n), dtype=np.int64))
-
-
-def collision_probability(r: int, n: int, q: int = 2, x1=None, x2=None) -> float:
-    """Pr over a uniform matrix G that G x1 = G x2, for distinct inputs.
-
-    G (x1 - x2) is uniform on GF(q)^r whenever x1 - x2 is nonzero, so the
-    probability is exactly q^-r regardless of the particular pair.
-    """
-    if not _is_prime(q):
-        raise ValidationError(f"field size {q} is not prime")
-    v1 = np.asarray(x1, dtype=np.int64) % q
-    v2 = np.asarray(x2, dtype=np.int64) % q
-    if v1.shape != (n,) or v2.shape != (n,):
-        raise DomainError(f"inputs must be length-{n} vectors")
-    if np.array_equal(v1, v2):
-        raise DomainError("inputs must be distinct (collision is certain)")
-    return float(q) ** (-r)
 
 
 def full_rank_check(matrix: FiniteFieldMatrix) -> bool:

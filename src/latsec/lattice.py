@@ -26,7 +26,6 @@ sigma, and the audit counts labels in the window
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -75,13 +74,6 @@ class ScaledLattice:
         if not self.spacing > 0:
             raise ValidationError("spacing must be positive")
 
-    def reduce(self, x) -> LatticeVector:
-        """Quantization error of x: the representative of x in the fundamental box."""
-        v = as_vector(x)
-        if v.shape != (self.dim,):
-            raise DomainError(f"expected a vector of dimension {self.dim}")
-        return reduce_carry(v, self.spacing)[0]
-
     def contains_in_region(self, x) -> bool:
         v = as_vector(x)
         half = self.spacing / 2
@@ -103,10 +95,6 @@ class NestedLatticePair:
             raise ValidationError("coarse scale must be positive")
         if self.nesting < 2:
             raise ValidationError("nesting factor must be an integer >= 2")
-
-    @property
-    def coarse(self) -> ScaledLattice:
-        return ScaledLattice(self.dim, self.coarse_scale)
 
     @property
     def fine(self) -> ScaledLattice:
@@ -137,11 +125,6 @@ class NestedLatticePair:
                             self.coarse_scale)[1].sum(axis=0) % self.nesting
 
 
-def mod_coarse(x, pair: NestedLatticePair) -> LatticeVector:
-    """x reduced into the coarse fundamental box [-c/2, c/2)^N."""
-    return pair.coarse.reduce(x)
-
-
 def label_grid(pairs: Sequence[NestedLatticePair], labels) -> tuple[np.ndarray, np.ndarray]:
     """Digit vectors and points, both (P, n_bar), of P labels of the product
     codebook of `pairs`, each pair contributing its dim coordinates in order."""
@@ -163,42 +146,6 @@ def grid_label(pairs: Sequence[NestedLatticePair], point) -> int:
             if np.all(np.abs(label_grid(pairs, [label])[1][0] - v) <= 1e-9):
                 return label
     raise DomainError("point is not on the product grid")
-
-
-def enumerate_codebook(pair: NestedLatticePair, cap: int = DEFAULT_ENUM_CAP) -> list:
-    """All m^N codebook points in lexicographic coordinate order."""
-    if pair.codebook_size > cap:
-        raise ResourceCapError(
-            f"codebook size {pair.codebook_size} exceeds enumeration cap {cap}")
-    return list(label_grid([pair], np.arange(pair.codebook_size))[1])
-
-
-def in_codebook(x, pair: NestedLatticePair, tol: float = 1e-9) -> bool:
-    v = as_vector(x)
-    if v.shape != (pair.dim,):
-        return False
-    delta = pair.coarse_scale / pair.nesting
-    on_fine = np.all(np.abs(v / delta - np.round(v / delta)) <= tol)
-    return bool(on_fine) and pair.coarse.contains_in_region(v)
-
-
-def group_add(x, y, pair: NestedLatticePair) -> LatticeVector:
-    """Codebook group law: (x + y) mod c*Z^N; inputs must be codebook members."""
-    if not in_codebook(x, pair) or not in_codebook(y, pair):
-        raise DomainError("group_add requires codebook members")
-    return mod_coarse(as_vector(x) + as_vector(y), pair)
-
-
-def dither_encode(u, d, pair: NestedLatticePair) -> LatticeVector:
-    """Channel input (u + d) mod c*Z^N for codebook point u and dither d."""
-    if not in_codebook(u, pair):
-        raise DomainError("dither_encode requires a codebook point")
-    return mod_coarse(as_vector(u) + as_vector(d), pair)
-
-
-def codebook_rate(pair: NestedLatticePair) -> float:
-    """Bits per channel use: (1/N) log2 m^N = log2 m."""
-    return math.log2(pair.nesting)
 
 
 @dataclass(frozen=True)

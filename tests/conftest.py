@@ -17,13 +17,47 @@ from latsec._rng import gaussian, substream
 from latsec.channel import (ChannelConfig, LayeredCodebook, SecrecySystem, coordinate_specs,
                             exact_leakage, mod_signals, scale_channel)
 from latsec.counting import WalshCounter, hist_xlog2x
-from latsec.entropy import (DiscreteDistribution, JointDistribution, conditional_shannon,
-                            mutual_information, renyi2_entropy, shannon_entropy,
-                            side_info_violation_mass, xlog2x_sum)
+from latsec.entropy import DiscreteDistribution, renyi2_entropy, shannon_entropy, xlog2x_sum
 from latsec.hashing import (EncoderKit, encode_secret, full_rank_check, int_to_bits,
                             privacy_amp_bound, sample_linear_hash)
-from latsec.lattice import (NestedLatticePair, SumSecrecyReport, dither_encode,
-                            enumerate_codebook, reduce_carry)
+from latsec.lattice import NestedLatticePair, SumSecrecyReport, label_grid, reduce_carry
+
+
+# Exact joints are Fraction mass matrices: a list of rows, row x, column t.
+
+def conditional_shannon_oracle(probs) -> float:
+    """H(X|T) = sum_t p(t) H(X|T=t) of an exact joint."""
+    h = 0.0
+    for col in zip(*probs):
+        mass = sum(col)
+        if mass > 0:
+            h += float(mass) * shannon_entropy(
+                DiscreteDistribution(range(len(col)), [p / mass for p in col]))
+    return h
+
+
+def mutual_information_oracle(probs) -> float:
+    """I(X;T) = H(X) - H(X|T) of an exact joint."""
+    px = DiscreteDistribution(range(len(probs)), [sum(row) for row in probs])
+    return shannon_entropy(px) - conditional_shannon_oracle(probs)
+
+
+def violation_mass_oracle(probs, measure: str, s) -> Fraction:
+    """Mass of the columns t of an exact joint where conditioning drops the renyi2
+    or min entropy of X by more than log2||T|| + s, ||T|| the number of columns
+    with positive mass.
+
+    A drop is log2 of the ratio of the conditional to the unconditional
+    statistic (collision sum or largest mass), so with 2s integral the test is
+    made in Fractions as ratio^2 > ||T||^2 2^(2s).
+    """
+    assert measure in ("renyi2", "min") and float(2 * s).is_integer()
+    stat = max if measure == "min" else (lambda ps: sum(p * p for p in ps))
+    cols = [(sum(col), col) for col in zip(*probs) if sum(col) > 0]
+    uncond = stat([sum(row) for row in probs])
+    bound = len(cols) ** 2 * Fraction(2) ** int(2 * s)
+    return sum((mass for mass, col in cols
+                if (stat([p / mass for p in col]) / uncond) ** 2 > bound), Fraction(0))
 
 
 def brute_force_leakage(codebook: LayeredCodebook, kit: EncoderKit,
@@ -31,8 +65,7 @@ def brute_force_leakage(codebook: LayeredCodebook, kit: EncoderKit,
     """I(secret; per-layer real sums) by full enumeration of (S, S', t2).
 
     Builds the exact joint over the eavesdropper's real-valued observation
-    with Fraction masses and evaluates the mutual information through the
-    entropy module.
+    with Fraction masses and evaluates its mutual information.
     """
     labeling = codebook.labeling()
     n0, r0 = kit.n_bits, kit.r_secret
@@ -53,8 +86,8 @@ def brute_force_leakage(codebook: LayeredCodebook, kit: EncoderKit,
                 total += 1
     xs = sorted({x for x, _ in counts})
     ts = sorted({t for _, t in counts})
-    rows = tuple(tuple(Fraction(counts.get((x, t), 0), total) for t in ts) for x in xs)
-    return mutual_information(JointDistribution(tuple(xs), tuple(ts), rows))
+    return mutual_information_oracle([[Fraction(counts.get((x, t), 0), total) for t in ts]
+                                      for x in xs])
 
 
 def brute_force_histograms(coords, sign: str, rows) -> tuple[np.ndarray, np.ndarray]:
@@ -137,11 +170,10 @@ def multiset_key_audit(codebook: LayeredCodebook, r: int, dithers1, sign: str) -
             - hist_xlog2x(hist) / (float(1 << (r * n0)) * m_total * m_total))
 
 
-def grid_joint_from_counts(counts, n_x: int, n_t: int, mass_step: int) -> JointDistribution:
-    """Exact-Fraction joint for one grid cell (counts in row-major order)."""
-    rows = tuple(tuple(Fraction(c, mass_step) for c in row)
-                 for row in np.reshape(counts, (n_x, n_t)).tolist())
-    return JointDistribution(tuple(range(n_x)), tuple(range(n_t)), rows)
+def grid_joint_from_counts(counts, n_x: int, n_t: int, mass_step: int) -> list:
+    """Exact joint for one grid cell (counts in row-major order)."""
+    return [[Fraction(c, mass_step) for c in row]
+            for row in np.reshape(counts, (n_x, n_t)).tolist()]
 
 
 def cyclic_shift_oracle(values: np.ndarray, d: float, c: float) -> int:
@@ -181,9 +213,9 @@ def sum_secrecy_oracle(pair: NestedLatticePair, d1, d2, sign: str, s: float,
     Symbols are sorted, which fixes the float summation order of the
     entropies, so the report compares with the library's by repr.
     """
-    book = enumerate_codebook(pair)
-    x1s = [dither_encode(u, d1, pair) for u in book]
-    x2s = [dither_encode(u, d2, pair) for u in book]
+    book = label_grid([pair], np.arange(pair.codebook_size))[1]
+    x1s, x2s = (reduce_carry(book + np.asarray(d, dtype=float), pair.coarse_scale)[0]
+                for d in (d1, d2))
     size = len(book)
     total = size * size
     masked: dict = {}
@@ -200,23 +232,21 @@ def sum_secrecy_oracle(pair: NestedLatticePair, d1, d2, sign: str, s: float,
 
     def joint(counts, n):
         ts = sorted({t for (_, t) in counts})
-        rows = tuple(tuple(Fraction(counts.get((x, t), 0), n) for t in ts)
-                     for x in range(size))
-        return JointDistribution(tuple(range(size)), tuple(ts), rows)
+        return [[Fraction(counts.get((x, t), 0), n) for t in ts] for x in range(size)]
 
     joint_masked = joint(masked, total)
-    h_given_masked = conditional_shannon(joint_masked)
-    gap = h_given_masked - conditional_shannon(joint(full, total))
-    independent = (len(set(joint_masked.marginal_t().probs)) == 1
-                   and abs(h_given_masked - shannon_entropy(joint_masked.marginal_x())) <= 1e-9)
+    h_given_masked = conditional_shannon_oracle(joint_masked)
+    gap = h_given_masked - conditional_shannon_oracle(joint(full, total))
+    h_u1 = shannon_entropy(DiscreteDistribution(range(size), [sum(r) for r in joint_masked]))
+    independent = (len({sum(col) for col in zip(*joint_masked)}) == 1
+                   and abs(h_given_masked - h_u1) <= 1e-9)
     max_labels = max(len({z for (_, z) in sl}) for sl in per_masked.values())
     bound = float(pair.dim)
     ok = gap <= bound + 1e-9 and independent and max_labels <= 2 ** pair.dim
     if measure == "shannon":
         return SumSecrecyReport(measure, sign, None, gap, bound, None, None, None,
                                 independent, max_labels, ok)
-    masses = [(sum(sl.values()), side_info_violation_mass(joint(sl, sum(sl.values())),
-                                                          measure, s))
+    masses = [(sum(sl.values()), violation_mass_oracle(joint(sl, sum(sl.values())), measure, s))
               for sl in per_masked.values()]
     max_mass = max(mass for _, mass in masses)
     joint_mass = sum(Fraction(n, total) * mass for n, mass in masses)

@@ -3,8 +3,6 @@
 Run only when an output change is intended, and say why in CHANGES.md:
     PYTHONPATH=src python tests/make_golden.py
 """
-from pathlib import Path
-
 from latsec.cli import main
 from test_cli import GOLDEN, SMALL_INVOCATIONS
 from test_golden import TRANSCRIPTS, transcript_lines

@@ -18,7 +18,7 @@ from latsec.entropy import (conditional_entropy_floor_sweep,
                             violation_mass_grid_sweep)
 from latsec.extractor import (ExtractorSpec, KeyAgreementRunner,
                               KeyProtocolSetup, key_secrecy_report)
-from latsec.hashing import (FiniteFieldMatrix, BitLabeling, build_encoder,
+from latsec.hashing import (BitLabeling, build_encoder,
                             decode_secret, encode_secret, exact_hashed_entropy,
                             exact_full_rank_probability, flat_bit_source,
                             full_rank_fraction_exhaustive, full_rank_fraction_mc,

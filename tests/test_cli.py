@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from latsec import entropy
-from latsec.cli import main
+from latsec.cli import GRID_POINT_CAP, _parse_float_grid, main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -104,6 +104,15 @@ MC_OVER_CAP = (["hash-bench", "--mc-trials", "100000000000"],
 # used to exit 0 and skip decoding without a word
 NEGATIVE_DECODE_TRIALS = ["leakage-trend", "--nbar", "2:3", "--decode-trials", "-1"]
 
+# used to end in a traceback (a non-finite or oversized float grid) or, for a
+# negative c, in a numpy warning and exit 0; the last grid is one point over the
+# cap, refused before np.arange allocates it
+BAD_FLOAT_GRIDS = [["sdof", "--grid", "inf"], ["amplify", "--c-list", "nan"],
+                   ["amplify", "--c-list", "inf"], ["sdof", "--grid", "1:inf:0.1"],
+                   ["entropy-check", "--s", "1:inf:1"], ["sdof", "--grid", "1:2:inf"],
+                   ["sdof", "--grid", "1:2:1e-320"], ["amplify", "--c-list=-1"],
+                   ["sdof", "--grid", f"0:{GRID_POINT_CAP}:1"]]
+
 
 def test_config_error_exit_code(capsys):
     for args in (["leakage-trend", "--nbar", "2:3", "--family", "2", "--fixed-r0", "9"],
@@ -120,18 +129,30 @@ def test_config_error_exit_code(capsys):
                  ["leakage-trend", "--layers", "0"],
                  ["leakage-trend", "--nbar", "2", "--family", "0"],
                  NEGATIVE_DECODE_TRIALS,
-                 *UNUSABLE_CHANNELS):
+                 *UNUSABLE_CHANNELS,
+                 *BAD_FLOAT_GRIDS):
         assert main(args) == 2, args
         assert "error:" in capsys.readouterr().err, args
     # an empty family must be refused before numpy warns about its empty mean,
     # and a non-finite or overflowing channel before any decoding warns
     for args in (["leakage-trend", "--nbar", "2", "--family", "0"], NEGATIVE_DECODE_TRIALS,
-                 *UNUSABLE_CHANNELS, *MC_OVER_CAP):
+                 *UNUSABLE_CHANNELS, *MC_OVER_CAP, *BAD_FLOAT_GRIDS):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert main(args) == 2, args
         err = capsys.readouterr().err
         assert not caught and err.startswith("error: ") and err.count("\n") == 1, (args, err)
+
+
+def test_grid_cap_admits_its_own_size():
+    assert len(_parse_float_grid(f"1:{GRID_POINT_CAP}:1")) == GRID_POINT_CAP
+
+
+def test_unwritable_out_is_a_config_error(tmp_path, capsys):
+    for out in (tmp_path / "missing" / "x.csv", tmp_path):
+        assert main(["sdof", "--grid", "1.5", "--out", str(out)]) == 2, out
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_subnormal_noise_variance_decodes(capsys):

@@ -8,14 +8,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import floor_deficit_oracle, floor_sweep_oracle, grid_joint_from_counts
+from conftest import (conditional_shannon_oracle, floor_deficit_oracle, floor_sweep_oracle,
+                      grid_joint_from_counts, mutual_information_oracle, violation_mass_oracle)
 from latsec import entropy
-from latsec.entropy import (DiscreteDistribution, JointDistribution,
-                            conditional_entropy_floor_sweep, conditional_shannon,
-                            conditional_shannon_counts, conditional_slice,
-                            floor_deficits, iter_grid_joints, min_entropy, mutual_information,
-                            renyi2_entropy, shannon_entropy,
-                            side_info_violation_mass, violation_mass_counts,
+from latsec.entropy import (DiscreteDistribution, conditional_entropy_floor_sweep,
+                            conditional_shannon_counts, floor_deficits, iter_grid_joints,
+                            renyi2_entropy, shannon_entropy, violation_mass_counts,
                             violation_mass_grid_sweep)
 from latsec.errors import DomainError, ResourceCapError, ValidationError
 
@@ -24,21 +22,20 @@ def uniform(n):
     return DiscreteDistribution(tuple(range(n)), tuple(1 / n for _ in range(n)))
 
 
-def random_joint(rng, nx, nt):
-    p = rng.exponential(size=(nx, nt))
-    p /= p.sum()
-    return JointDistribution(tuple(range(nx)), tuple(range(nt)),
-                             tuple(tuple(row) for row in p))
+def random_counts(rng, nx, nt):
+    counts = rng.integers(0, 20, size=(nx, nt))
+    counts[0, 0] += 1  # a positive total
+    return counts
 
 
-def independent_joint(px, pt):
-    rows = tuple(tuple(a * b for b in pt) for a in px)
-    return JointDistribution(tuple(range(len(px))), tuple(range(len(pt))), rows)
+def exact(counts):
+    """The exact joint counts / total as a Fraction mass matrix."""
+    return grid_joint_from_counts(counts, *np.shape(counts), int(np.sum(counts)))
 
 
-def copy_joint(n):
-    rows = tuple(tuple(1 / n if i == j else 0.0 for j in range(n)) for i in range(n))
-    return JointDistribution(tuple(range(n)), tuple(range(n)), rows)
+# the independent count joint (5, 3, 2) x (1, 3) and the copy joint of 4 symbols
+INDEPENDENT = np.outer([5, 3, 2], [1, 3])
+COPY = np.eye(4, dtype=np.int64)
 
 
 class TestValidation:
@@ -53,10 +50,6 @@ class TestValidation:
     def test_duplicate_symbols_rejected(self):
         with pytest.raises(ValidationError):
             DiscreteDistribution(("a", "a"), (0.5, 0.5))
-
-    def test_joint_shape_mismatch(self):
-        with pytest.raises(ValidationError):
-            JointDistribution((0, 1), (0, 1), ((0.5, 0.5),))
 
 
 class TestMeasures:
@@ -85,13 +78,6 @@ class TestMeasures:
         d = DiscreteDistribution((0, 1), probs)
         assert renyi2_entropy(d) == pytest.approx(oracle, abs=1e-12)
 
-    def test_min_entropy_examples(self):
-        assert min_entropy(uniform(8)) == pytest.approx(3.0, abs=1e-12)
-        point = DiscreteDistribution((0, 1), (1.0, 0.0))
-        assert min_entropy(point) == 0.0
-        d = DiscreteDistribution((0, 1), (0.75, 0.25))
-        assert min_entropy(d) == pytest.approx(math.log2(4 / 3), abs=1e-12)
-
     def test_measure_ordering(self):
         rng = np.random.default_rng(12)
         for _ in range(300):
@@ -99,97 +85,79 @@ class TestMeasures:
             p = rng.exponential(size=n)
             p /= p.sum()
             d = DiscreteDistribution(tuple(range(n)), tuple(p))
-            h, h2, hm = shannon_entropy(d), renyi2_entropy(d), min_entropy(d)
+            h, h2, hm = shannon_entropy(d), renyi2_entropy(d), -math.log2(p.max())
             assert hm <= h2 + 1e-9
             assert h2 <= h + 1e-9
 
 
 class TestConditional:
     def test_independent_keeps_entropy(self):
-        j = independent_joint((0.5, 0.3, 0.2), (0.25, 0.75))
-        assert conditional_shannon(j) == pytest.approx(
-            shannon_entropy(j.marginal_x()), abs=1e-12)
+        px = DiscreteDistribution(range(3), INDEPENDENT.sum(axis=1) / INDEPENDENT.sum())
+        assert conditional_shannon_counts(INDEPENDENT) == pytest.approx(
+            shannon_entropy(px), abs=1e-12)
 
     def test_copy_is_deterministic(self):
-        assert conditional_shannon(copy_joint(4)) == pytest.approx(0.0, abs=1e-12)
+        assert conditional_shannon_counts(COPY) == pytest.approx(0.0, abs=1e-12)
 
     def test_chain_rule_oracle(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
-            j = random_joint(rng, 3, 3)
-            flat = [p for row in j.probs for p in row]
-            h_joint = -sum(p * math.log2(p) for p in flat if p > 0)
-            h_t = shannon_entropy(j.marginal_t())
-            assert conditional_shannon(j) == pytest.approx(h_joint - h_t, abs=1e-9)
+            counts = random_counts(rng, 3, 3)
+            p = counts / counts.sum()
+            h_joint = -sum(q * math.log2(q) for q in p.ravel() if q > 0)
+            h_t = shannon_entropy(DiscreteDistribution(range(3), p.sum(axis=0)))
+            assert conditional_shannon_counts(counts) == pytest.approx(h_joint - h_t, abs=1e-9)
 
     def test_slice_independent(self):
-        j = independent_joint((0.5, 0.5), (0.25, 0.75))
+        # one column is the slice T = t: its H(X|T) is H(X | T = t)
+        px = DiscreteDistribution(range(3), INDEPENDENT.sum(axis=1) / INDEPENDENT.sum())
         for t in (0, 1):
-            for m in ("shannon", "renyi2", "min"):
-                d = j.marginal_x()
-                expected = {"shannon": shannon_entropy, "renyi2": renyi2_entropy,
-                            "min": min_entropy}[m](d)
-                assert conditional_slice(j, t, m) == pytest.approx(expected, abs=1e-12)
+            col = INDEPENDENT[:, [t]]
+            d = DiscreteDistribution(range(3), col[:, 0] / col.sum())
+            assert conditional_shannon_counts(col) == pytest.approx(shannon_entropy(px), abs=1e-12)
+            assert renyi2_entropy(d) == pytest.approx(renyi2_entropy(px), abs=1e-12)
 
     def test_slice_copy(self):
-        j = copy_joint(3)
-        for t in range(3):
-            assert conditional_slice(j, t, "shannon") == 0.0
+        for t in range(4):
+            assert conditional_shannon_counts(COPY[:, [t]]) == 0.0
 
     def test_slice_hand_normalized_column(self):
-        # 4x2 joint; column t=0 is (0.1, 0.2, 0.3, 0.0) before normalizing
-        rows = ((0.1, 0.05), (0.2, 0.05), (0.3, 0.1), (0.0, 0.2))
-        j = JointDistribution((0, 1, 2, 3), (0, 1), rows)
-        col = [0.1, 0.2, 0.3, 0.0]
-        norm = [c / 0.6 for c in col]
+        # column t = 0 of a 4x2 joint is (1, 2, 3, 0) before normalizing
+        counts = np.array([[1, 5], [2, 5], [3, 10], [0, 20]])
+        norm = [c / 6 for c in (1, 2, 3, 0)]
         oracle = -sum(p * math.log2(p) for p in norm if p > 0)
-        assert conditional_slice(j, 0, "shannon") == pytest.approx(oracle, abs=1e-12)
+        assert conditional_shannon_counts(counts[:, [0]]) == pytest.approx(oracle, abs=1e-12)
         oracle2 = -math.log2(sum(p * p for p in norm))
-        assert conditional_slice(j, 0, "renyi2") == pytest.approx(oracle2, abs=1e-12)
-        assert conditional_slice(j, 0, "min") == pytest.approx(
-            -math.log2(max(norm)), abs=1e-12)
-
-    def test_zero_mass_slice_rejected(self):
-        rows = ((0.5, 0.0), (0.5, 0.0))
-        j = JointDistribution((0, 1), (0, 1), rows)
-        with pytest.raises(DomainError):
-            conditional_slice(j, 1, "shannon")
+        assert renyi2_entropy(DiscreteDistribution(range(4), norm)) == pytest.approx(
+            oracle2, abs=1e-12)
 
 
 class TestViolationMass:
     def test_independent_joint_never_violates(self):
-        j = independent_joint((0.5, 0.3, 0.2), (0.25, 0.75))
         for s in (0.5, 1, 2, 4):
-            assert side_info_violation_mass(j, "renyi2", s) == 0
-            assert side_info_violation_mass(j, "min", s) == 0
+            assert violation_mass_counts(INDEPENDENT[None], "renyi2", s).tolist() == [0]
+            assert violation_mass_counts(INDEPENDENT[None], "min", s).tolist() == [0]
 
     def test_copy_joint_at_s_log_m(self):
-        m = 4
-        rows = tuple(tuple(Fraction(1, m) if i == j else Fraction(0)
-                           for j in range(m)) for i in range(m))
-        j = JointDistribution(tuple(range(m)), tuple(range(m)), rows)
         # the drop equals log2 m = log2||T|| exactly, strictly below the s margin
-        assert side_info_violation_mass(j, "renyi2", math.log2(m)) == 0
-        assert side_info_violation_mass(j, "min", math.log2(m)) == 0
+        assert violation_mass_counts(COPY[None], "renyi2", math.log2(4)).tolist() == [0]
+        assert violation_mass_counts(COPY[None], "min", math.log2(4)).tolist() == [0]
 
     def test_invalid_s_rejected(self):
-        j = copy_joint(2)
-        with pytest.raises(DomainError):
-            side_info_violation_mass(j, "min", 0.0)
-        with pytest.raises(DomainError):
-            side_info_violation_mass(j, "shannon", 1.0)
+        for s in (0.0, -1.0):
+            with pytest.raises(DomainError):
+                violation_mass_grid_sweep(2, 2, 4, (s,))
 
     def test_exact_mode_matches_grid_sweep_arithmetic(self):
-        # sample grid joints and cross-check the Fraction path against the
+        # sample grid joints and cross-check the Fraction oracle against the
         # integer comparisons used by the exhaustive sweep
         picked = np.concatenate(list(iter_grid_joints(3, 3, 8)))[::997]
         assert len(picked) == 13
         for counts in picked:
             j = grid_joint_from_counts(counts, 3, 3, 8)
             for s in (0.5, 1.0, 2.0, 4.0):
-                mass_r = side_info_violation_mass(j, "renyi2", s)
-                mass_m = side_info_violation_mass(j, "min", s)
-                assert isinstance(mass_r, Fraction)
+                mass_r = violation_mass_oracle(j, "renyi2", s)
+                mass_m = violation_mass_oracle(j, "min", s)
                 assert Fraction(int(violation_mass_counts(counts[None], "renyi2", s)[0]),
                                 8) == mass_r
                 assert Fraction(int(violation_mass_counts(counts[None], "min", s)[0]),
@@ -200,10 +168,13 @@ class TestViolationMass:
     def test_tail_bounds_on_random_joints(self):
         rng = np.random.default_rng(77)
         for _ in range(200):
-            j = random_joint(rng, int(rng.integers(2, 5)), int(rng.integers(2, 5)))
+            counts = random_counts(rng, int(rng.integers(2, 5)), int(rng.integers(2, 5)))
+            total = counts.sum()
             for s in (0.5, 1, 2, 4):
-                assert side_info_violation_mass(j, "renyi2", s) <= 2 ** (1 - s / 2) + 1e-12
-                assert side_info_violation_mass(j, "min", s) <= 2 ** (-s) + 1e-12
+                assert violation_mass_counts(counts[None], "renyi2", s)[0] / total \
+                    <= 2 ** (1 - s / 2) + 1e-12
+                assert violation_mass_counts(counts[None], "min", s)[0] / total \
+                    <= 2 ** (-s) + 1e-12
 
 
 @st.composite
@@ -234,15 +205,14 @@ class TestCountJoints:
     @example(np.array([[[1, 0, 0], [0, 1, 0], [0, 1, 0]]]))
     def test_match_the_fraction_joint(self, counts):
         for joint in counts:
-            j = grid_joint_from_counts(joint, *joint.shape, int(joint.sum()))
-            assert repr(conditional_shannon_counts(joint)) == repr(conditional_shannon(j))
+            assert repr(conditional_shannon_counts(joint)) == repr(
+                conditional_shannon_oracle(exact(joint)))
         for measure in ("renyi2", "min"):
             for s in (0.5, 1, 2, 4):
                 masses = violation_mass_counts(counts, measure, s)
                 for joint, mass in zip(counts, masses.tolist()):
-                    j = grid_joint_from_counts(joint, *joint.shape, int(joint.sum()))
-                    assert Fraction(mass, int(joint.sum())) == side_info_violation_mass(
-                        j, measure, s)
+                    assert Fraction(mass, int(joint.sum())) == violation_mass_oracle(
+                        exact(joint), measure, s)
 
     def test_rejects_bad_input(self):
         ones = np.ones((1, 2, 2), dtype=np.int64)
@@ -270,44 +240,38 @@ class TestCountJoints:
 
 
 class TestMutualInformation:
+    # the oracle behind brute_force_leakage, checked against its definitions
     def test_independent_is_zero(self):
-        j = independent_joint((0.5, 0.3, 0.2), (0.25, 0.75))
-        assert mutual_information(j) == pytest.approx(0.0, abs=1e-12)
+        assert mutual_information_oracle(exact(INDEPENDENT)) == pytest.approx(0.0, abs=1e-12)
 
     def test_copy_is_log_m(self):
-        assert mutual_information(copy_joint(8)) == pytest.approx(3.0, abs=1e-12)
+        copy8 = np.eye(8, dtype=np.int64)
+        assert mutual_information_oracle(exact(copy8)) == pytest.approx(3.0, abs=1e-12)
 
     def test_kl_divergence_oracle(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
-            j = random_joint(rng, 4, 3)
-            px = j.x_masses()
-            pt = j.t_masses()
-            kl = 0.0
-            for i, row in enumerate(j.probs):
-                for k, p in enumerate(row):
-                    if p > 0:
-                        kl += p * math.log2(p / (px[i] * pt[k]))
-            assert mutual_information(j) == pytest.approx(kl, abs=1e-9)
+            p = exact(random_counts(rng, 4, 3))
+            px = [sum(row) for row in p]
+            pt = [sum(col) for col in zip(*p)]
+            kl = sum(float(q) * math.log2(q / (px[i] * pt[k]))
+                     for i, row in enumerate(p) for k, q in enumerate(row) if q > 0)
+            assert mutual_information_oracle(p) == pytest.approx(kl, abs=1e-9)
 
     def test_symmetry(self):
         rng = np.random.default_rng(9)
         for _ in range(25):
-            j = random_joint(rng, 3, 5)
-            assert mutual_information(j) == pytest.approx(
-                mutual_information(j.transpose()), abs=1e-9)
+            counts = random_counts(rng, 3, 5)
+            assert mutual_information_oracle(exact(counts)) == pytest.approx(
+                mutual_information_oracle(exact(counts.T)), abs=1e-9)
 
     def test_zero_iff_product(self):
         rng = np.random.default_rng(21)
         for _ in range(50):
-            px = rng.exponential(size=3)
-            px /= px.sum()
-            pt = rng.exponential(size=4)
-            pt /= pt.sum()
-            assert mutual_information(independent_joint(tuple(px), tuple(pt))) < 1e-12
+            px, pt = rng.integers(1, 20, size=3), rng.integers(1, 20, size=4)
+            assert mutual_information_oracle(exact(np.outer(px, pt))) < 1e-12
         # any visibly non-product joint has positive information
-        j = JointDistribution((0, 1), (0, 1), ((0.4, 0.1), (0.1, 0.4)))
-        assert mutual_information(j) > 1e-3
+        assert mutual_information_oracle(exact(np.array([[4, 1], [1, 4]]))) > 1e-3
 
 
 class TestLemmaSweeps:
@@ -344,13 +308,11 @@ class TestLemmaSweeps:
         # E_T[max_x p(x|t)] never exceeds ||T|| * max_x p(x)
         rng = np.random.default_rng(31)
         for _ in range(200):
-            j = random_joint(rng, int(rng.integers(2, 7)), int(rng.integers(2, 7)))
-            px = j.x_masses()
-            lhs = 0.0
-            for t, mass in zip(j.t_support, j.t_masses()):
-                if mass > 0:
-                    lhs += mass * max(j.conditional_x_given_t(t).probs)
-            rhs = j.realized_t_count() * max(px)
+            p = rng.exponential(size=(int(rng.integers(2, 7)), int(rng.integers(2, 7))))
+            p /= p.sum()
+            # p(t) max_x p(x|t) is max_x p(x, t)
+            lhs = p.max(axis=0).sum()
+            rhs = np.count_nonzero(p.sum(axis=0)) * p.sum(axis=1).max()
             assert lhs <= rhs + 1e-12
 
     def test_grid_sweep_small_clean(self):

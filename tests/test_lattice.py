@@ -8,13 +8,29 @@ from hypothesis import strategies as st
 
 from conftest import nearest_coarse_point_oracle, sum_secrecy_oracle
 from latsec import lattice
+from latsec.channel import LayeredCodebook
 from latsec.errors import DomainError, ResourceCapError, ValidationError
 from latsec.lattice import (NestedLatticePair, RepresentationIndex, ScaledLattice,
-                            codebook_rate, dither_encode,
-                            dithered_sum_secrecy_report, enumerate_codebook,
-                            grid_label, group_add, in_codebook, label_grid,
-                            mod_coarse, reconstruct_sum, reduce_carry,
-                            representation_index)
+                            dithered_sum_secrecy_report, grid_label, label_grid,
+                            reconstruct_sum, reduce_carry, representation_index)
+
+
+def codebook(pair):
+    """All m^N codebook points of a pair, in label (lexicographic) order."""
+    return label_grid([pair], np.arange(pair.codebook_size))[1]
+
+
+def mod_coarse(x, pair):
+    """x reduced into the coarse fundamental box [-c/2, c/2)^N."""
+    return reduce_carry(np.asarray(x, dtype=float), pair.coarse_scale)[0]
+
+
+def in_codebook(x, pair):
+    try:
+        grid_label([pair], x)
+    except DomainError:
+        return False
+    return True
 
 
 class TestModCoarse:
@@ -82,29 +98,30 @@ def test_reduce_carry_matches_scan_oracle():
 class TestCodebook:
     def test_one_dim_m2(self):
         pair = NestedLatticePair(1, 2.0, 2)
-        pts = enumerate_codebook(pair)
-        assert [p[0] for p in pts] == [-1.0, 0.0]
+        assert [p[0] for p in codebook(pair)] == [-1.0, 0.0]
 
     def test_one_dim_m3(self):
         pair = NestedLatticePair(1, 3.0, 3)
-        pts = enumerate_codebook(pair)
-        assert [p[0] for p in pts] == [-1.0, 0.0, 1.0]
+        assert [p[0] for p in codebook(pair)] == [-1.0, 0.0, 1.0]
 
     def test_count_and_membership(self):
         pair = NestedLatticePair(2, 4.0, 2)
-        pts = enumerate_codebook(pair)
+        pts = codebook(pair)
         assert len(pts) == 4
         for p in pts:
             assert in_codebook(p, pair)
+            assert ScaledLattice(2, 4.0).contains_in_region(p)
 
     def test_lexicographic_order(self):
         pair = NestedLatticePair(2, 3.0, 3)
-        pts = [tuple(p) for p in enumerate_codebook(pair)]
+        pts = [tuple(p) for p in codebook(pair)]
         assert pts == sorted(pts)
 
     def test_cap(self):
+        # the default enumeration cap refuses the 4^8-point codebook's pairs
+        pair = NestedLatticePair(8, 2.0, 4)
         with pytest.raises(ResourceCapError):
-            enumerate_codebook(NestedLatticePair(8, 2.0, 4), cap=100)
+            dithered_sum_secrecy_report(pair, np.zeros(8), np.zeros(8))
 
     def test_labels_count_the_product_grid(self):
         # mixed nestings and scales: label order is itertools.product order
@@ -129,59 +146,54 @@ class TestCodebook:
 
 
 class TestGroupLaw:
+    # the codebook is a group under addition mod c*Z^N
     def test_identity_and_inverse(self):
         pair = NestedLatticePair(1, 4.0, 4)
         zero = np.zeros(1)
-        for u in enumerate_codebook(pair):
-            assert np.allclose(group_add(u, zero, pair), u)
+        for u in codebook(pair):
+            assert np.allclose(mod_coarse(u + zero, pair), u)
             inverse_found = any(
-                np.allclose(group_add(u, v, pair), zero, atol=1e-9)
-                for v in enumerate_codebook(pair))
+                np.allclose(mod_coarse(u + v, pair), zero, atol=1e-9)
+                for v in codebook(pair))
             assert inverse_found
 
     def test_wraparound_example(self):
         pair = NestedLatticePair(1, 4.0, 4)
-        assert group_add([1.0], [1.0], pair)[0] == pytest.approx(-2.0, abs=1e-12)
+        assert mod_coarse([1.0 + 1.0], pair)[0] == pytest.approx(-2.0, abs=1e-12)
 
     def test_closure_and_associativity(self):
         pair = NestedLatticePair(2, 2.0, 2)
-        book = enumerate_codebook(pair)
+        book = codebook(pair)
         for x, y in itertools.product(book, repeat=2):
-            assert in_codebook(group_add(x, y, pair), pair)
+            assert in_codebook(mod_coarse(x + y, pair), pair)
         for x, y, z in itertools.islice(itertools.product(book, repeat=3), 64):
-            left = group_add(group_add(x, y, pair), z, pair)
-            right = group_add(x, group_add(y, z, pair), pair)
+            left = mod_coarse(mod_coarse(x + y, pair) + z, pair)
+            right = mod_coarse(x + mod_coarse(y + z, pair), pair)
             assert np.allclose(left, right, atol=1e-9)
 
     def test_non_member_rejected(self):
         pair = NestedLatticePair(1, 4.0, 2)
         with pytest.raises(DomainError):
-            group_add([0.5], [0.0], pair)
+            grid_label([pair], [0.5])
 
 
 class TestDither:
     def test_zero_dither_identity(self):
         pair = NestedLatticePair(2, 4.0, 4)
-        for u in enumerate_codebook(pair)[:5]:
-            assert np.allclose(dither_encode(u, np.zeros(2), pair), u)
+        assert pair.dither_shifts(np.zeros(2)).tolist() == [0, 0]
+        for u in codebook(pair)[:5]:
+            assert np.allclose(mod_coarse(u + np.zeros(2), pair), u)
 
     def test_zero_point(self):
         pair = NestedLatticePair(1, 4.0, 2)
-        d = np.array([3.1])
-        assert dither_encode(np.zeros(1), d, pair)[0] == pytest.approx(
+        assert mod_coarse(np.zeros(1) + [3.1], pair)[0] == pytest.approx(
             nearest_coarse_point_oracle(3.1, 4.0), abs=1e-12)
 
     def test_uniform_pushforward_stays_uniform(self):
         pair = NestedLatticePair(1, 4.0, 4)
         d = np.array([0.7])
-        images = {round(float(dither_encode(u, d, pair)[0]), 9)
-                  for u in enumerate_codebook(pair)}
+        images = {round(float(mod_coarse(u + d, pair)[0]), 9) for u in codebook(pair)}
         assert len(images) == 4  # bijection onto the shifted grid
-
-    def test_requires_codebook_point(self):
-        pair = NestedLatticePair(1, 4.0, 2)
-        with pytest.raises(DomainError):
-            dither_encode([0.3], [0.0], pair)
 
 
 class TestRepresentation:
@@ -234,20 +246,18 @@ class TestRepresentation:
 
 class TestRate:
     def test_examples(self):
-        assert codebook_rate(NestedLatticePair(1, 2.0, 2)) == pytest.approx(1.0)
-        assert codebook_rate(NestedLatticePair(1, 8.0, 8)) == pytest.approx(3.0)
-        # count oracle: log2(m^N)/N
-        pair = NestedLatticePair(2, 3.0, 3)
-        oracle = math.log2(len(enumerate_codebook(pair))) / pair.dim
-        assert codebook_rate(pair) == pytest.approx(oracle, abs=1e-12)
+        # bits per channel use: (1/N) log2 m^N = log2 m
+        for dim, m, bits in ((1, 2, 1), (1, 8, 3), (2, 4, 2)):
+            cb = LayeredCodebook((NestedLatticePair(dim, float(m), m),))
+            assert cb.n0_bits / cb.n_bar == bits == math.log2(m)
 
 
 class TestMaskedSumUniformity:
     def test_masked_sum_uniform_and_independent(self):
         pair = NestedLatticePair(1, 4.0, 4)
-        book = enumerate_codebook(pair)
+        book = codebook(pair)
         for u1 in book:
-            images = [tuple(np.round(group_add(u1, u2, pair), 9)) for u2 in book]
+            images = [tuple(np.round(mod_coarse(u1 + u2, pair), 9)) for u2 in book]
             assert len(set(images)) == len(book)  # uniform for every u1
 
 

@@ -1,6 +1,8 @@
 """latsec modules import only public names from one another, read no other
 object's private attributes, and keep `counting` a leaf."""
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -72,3 +74,86 @@ def test_every_import_is_used(path):
     unused = [f"{path.name}:{line} imports {name}"
               for name, line in imported.items() if name not in used]
     assert not unused, unused
+
+
+BENCH = SRC.parent.parent / "bench"
+# names no library code calls, each kept for a reader outside src/ and bench/
+UNCALLED_EXEMPT = {
+    "channel.Transcript.to_json": "tests/golden/transcripts.jsonl locks its output",
+    "extractor.KeyTranscript.to_json": "tests/golden/transcripts.jsonl locks its output",
+}
+
+
+def _definitions(trees):
+    """(qualified name, name, node, class node or None) of every module-level
+    function and class, and of every method of a module-level class; dunders
+    such as __init__ are left out, private names are not."""
+    for module, tree in trees.items():
+        for top in tree.body:
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and not top.name.startswith("__"):
+                yield f"{module}.{top.name}", top.name, top, None
+            if isinstance(top, ast.ClassDef):
+                yield from ((f"{module}.{top.name}.{node.name}", node.name, node, top)
+                            for node in top.body if isinstance(node, ast.FunctionDef)
+                            and not node.name.startswith("__"))
+
+
+def _references(node, skip) -> Counter:
+    """Names and attributes read under node, not descending into the nodes in skip."""
+    if node in skip:
+        return Counter()
+    found = Counter([node.id] if isinstance(node, ast.Name)
+                    else [node.attr] if isinstance(node, ast.Attribute) else [])
+    for child in ast.iter_child_nodes(node):
+        found += _references(child, skip)
+    return found
+
+
+def _bench_references() -> set[str]:
+    # bench/tracing.py wraps library callables by string name, so words in strings
+    # count; a bare name that bench defines itself is not a library use
+    used = set()
+    for path in sorted(BENCH.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        own = {node.name for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.Name) and node.id not in own:
+                used.add(node.id)
+            elif isinstance(node, ast.ImportFrom):
+                used |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used |= set(re.findall(r"[A-Za-z_]\w*", node.value))
+    return used
+
+
+def test_every_public_name_is_used():
+    # every function, class and method (public, and private too) is referenced in
+    # src/latsec outside its own definition (and __init__.py, which only
+    # re-exports) or under bench/; references from unused definitions do not
+    # count, so the scan repeats until no more are found
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(set(SRC.glob("*.py")) - {SRC / "__init__.py"})}
+    bench = _bench_references()
+    definitions = list(_definitions(trees))
+
+    def called(name, node, skip, refs):
+        return name in bench or refs[name] > _references(node, skip)[name]
+
+    unused: dict[str, ast.AST] = {}
+    while True:
+        skip = set(unused.values())
+        refs = sum((_references(tree, skip) for tree in trees.values()), Counter())
+        found = {qual: node for qual, name, node, cls in definitions
+                 if qual not in unused and qual not in UNCALLED_EXEMPT
+                 and (cls in skip or not called(name, node, skip, refs))}
+        if not found:
+            break
+        unused |= found
+    exempt = {qual: called(name, node, skip, refs)
+              for qual, name, node, _ in definitions if qual in UNCALLED_EXEMPT}
+    assert not unused, "\n".join(sorted(unused))
+    stale = sorted(qual for qual in UNCALLED_EXEMPT if exempt.get(qual, True))
+    assert not stale, f"exempt names that are gone or now called: {stale}"
