@@ -365,13 +365,11 @@ class MLDecoder:
     so rounded they differ by at least delta - 2u, positive iff u < delta/2.
     """
 
-    def __init__(self, cfg: ChannelConfig, system: SecrecySystem,
-                 cap: int = DEFAULT_PAIR_CAP):
+    def __init__(self, cfg: ChannelConfig, system: SecrecySystem):
         self.cfg = cfg
         self.system = system
         coeff = scale_channel(cfg)
         self._two_var = 2 * coeff.noise_std_d1 ** 2
-        self._cap = cap
         self._x1 = system.sender_signals[1]
         self._gx2 = coeff.gain_x2_at_d1 * system.jammer_signals[1]
         gaps = (np.diff(np.sort(col)) for col in self._x1.T)
@@ -388,8 +386,8 @@ class MLDecoder:
         raises ConfigError."""
         if self._norms is None:
             (k, n), j = self._x1.shape, self._gx2.shape[0]
-            if k * j > self._cap:
-                raise ResourceCapError(f"{k}x{j} hypothesis pairs exceed cap {self._cap}")
+            if k * j > DEFAULT_PAIR_CAP:
+                raise ResourceCapError(f"{k}x{j} hypothesis pairs exceed cap {DEFAULT_PAIR_CAP}")
             with np.errstate(over="ignore", invalid="ignore"):
                 n1 = (self._x1 ** 2).sum(axis=1)
                 n2 = (self._gx2 ** 2).sum(axis=1)
@@ -468,8 +466,9 @@ class MLDecoder:
         return int(rows[0]) if rows.size == 1 else self._direct_choice(rows, y)
 
     def decode_message(self, y1, mode: str = "marginal", t2_index: int | None = None) -> np.ndarray:
+        """The secret bits, the kit's g applied to the decoded label."""
         label = int_to_bits(self.decode_index(y1, mode, t2_index), self.system.labeling.n_bits)
-        return label if self.system.kit is None else self.system.kit.g.apply(label)
+        return self.system.kit.g.apply(label)
 
 
 def run_message_round(cfg: ChannelConfig, system: SecrecySystem, w_bits, seed: int,
@@ -493,16 +492,8 @@ def coordinate_specs(codebook: LayeredCodebook, dithers1) -> list[Coordinate]:
             for k in layer.dither_shifts(d)]
 
 
-def _hash_matrix(hash_or_kit) -> FiniteFieldMatrix:
-    g = hash_or_kit.g if isinstance(hash_or_kit, EncoderKit) else hash_or_kit
-    if g.q != 2:
-        raise DomainError("leakage analysis works over GF(2) hashes")
-    return g
-
-
-def exact_leakage(codebook: LayeredCodebook, hash_or_kit, dithers1=None,
-                  sign: str = "+", method: str = "auto",
-                  cap: int = DEFAULT_SIGMA_SPACE_CAP) -> float:
+def exact_leakage(codebook: LayeredCodebook, hash_or_kit: FiniteFieldMatrix | EncoderKit,
+                  dithers1=None, sign: str = "+", method: str = "auto") -> float:
     """Exact I(secret; per-layer real sums) in bits, dithers public and fixed.
 
     The secret is the hash image of the sender's uniformly encoded point;
@@ -513,9 +504,7 @@ def exact_leakage(codebook: LayeredCodebook, hash_or_kit, dithers1=None,
     if sign not in ("+", "-"):
         raise DomainError("sign must be '+' or '-'")
     coords = coordinate_specs(codebook, dithers1)
-    if hash_or_kit is None:
-        return 0.0
-    g = _hash_matrix(hash_or_kit)
+    g = hash_or_kit.g if isinstance(hash_or_kit, EncoderKit) else hash_or_kit
     if g.rows == 0:
         return 0.0
     if g.cols != codebook.n0_bits:
@@ -527,15 +516,15 @@ def exact_leakage(codebook: LayeredCodebook, hash_or_kit, dithers1=None,
         raise DomainError("fast leakage needs power-of-two layers labeling the whole codebook")
 
     sigma_space = math.prod(2 * c.m - 1 for c in coords)
-    if sigma_space > cap:
-        raise ResourceCapError(f"sum alphabet {sigma_space} exceeds cap {cap}")
+    if sigma_space > DEFAULT_SIGMA_SPACE_CAP:
+        raise ResourceCapError(f"sum alphabet {sigma_space} exceeds cap {DEFAULT_SIGMA_SPACE_CAP}")
 
     if method == "fast":
         counter = _walsh_counter(coords, sign)
         hist = counter.histogram([[bits_to_int(row) for row in g.entries]])
         sum_w = counter.w_xlog2x
     elif method == "enumerate":
-        hist, hist_w = _enumerated_histograms(codebook, g, coords, sign, cap)
+        hist, hist_w = _enumerated_histograms(codebook, g, coords, sign)
         sum_w = hist_xlog2x(hist_w)
     else:
         raise DomainError(f"unknown method {method!r}")
@@ -567,14 +556,14 @@ def _walsh_counter(coords: list[Coordinate], sign: str) -> WalshCounter:
 
 
 def _enumerated_histograms(codebook: LayeredCodebook, g: FiniteFieldMatrix,
-                           coords: list[Coordinate], sign: str, cap: int) -> tuple:
+                           coords: list[Coordinate], sign: str) -> tuple:
     """`WalshCounter`'s two histograms for one hash and any m: each label adds
     one to N(k, sigma) on the box of sums its digits fit, one key's sigma slab
     at a time.  Trimmed to length max W + 1, the histograms equal the kernel's
     on power-of-two layers."""
     n0 = codebook.n0_bits
     shape = tuple(2 * c.m - 1 for c in coords)
-    if (1 << n0) * math.prod(shape) > (cap << 4):
+    if (1 << n0) * math.prod(shape) > (DEFAULT_SIGMA_SPACE_CAP << 4):
         raise ResourceCapError("enumeration workload exceeds cap")
     # per coordinate and sender index, the sums that index is consistent with
     sums = [[np.flatnonzero(col) for col in window_indicator(c, sign).T] for c in coords]
@@ -633,7 +622,7 @@ def select_secrecy_hash(codebook: LayeredCodebook, r0: int, dithers1=None,
         raise DomainError("policy must be 'first' or 'best'")
     rng = substream(seed, "hash-select")
     cand_seeds = [int(s) for s in rng.integers(0, 2 ** 63 - 1, size=n_candidates)]
-    matrices = [sample_linear_hash(r0, codebook.n0_bits, 2, s) for s in cand_seeds]
+    matrices = [sample_linear_hash(r0, codebook.n0_bits, s) for s in cand_seeds]
     try:
         leakages = [exact_leakage(codebook, m, dithers1, sign) for m in matrices]
     finally:
@@ -668,16 +657,15 @@ class TrendRow:
     seed: int
 
 
-def make_codebook(m: int, n_bar: int, n_layers: int = 1,
-                  coarse_scale: float | None = None) -> LayeredCodebook:
-    """Constant-rate stack: n_layers copies of (c, m) with block dim n_bar/n_layers."""
+def make_codebook(m: int, n_bar: int, n_layers: int = 1) -> LayeredCodebook:
+    """Constant-rate stack: n_layers copies of (m, m) with block dim n_bar/n_layers,
+    so the fine lattice is the integer grid."""
     if n_layers < 1:
         raise ConfigError("need at least one layer")
     if n_bar % n_layers:
         raise ConfigError("n_bar must be divisible by the layer count")
-    c = float(m) if coarse_scale is None else coarse_scale
     block = n_bar // n_layers
-    return LayeredCodebook(tuple(NestedLatticePair(block, c, m) for _ in range(n_layers)))
+    return LayeredCodebook(tuple(NestedLatticePair(block, float(m), m) for _ in range(n_layers)))
 
 
 def _genie_error_rate(cfg: ChannelConfig, system: SecrecySystem, trials: int,

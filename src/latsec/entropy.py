@@ -31,6 +31,8 @@ GRID_BATCH = 2048
 GRID_JOINT_CAP = 1 << 25
 # joint entries the floor sweep draws before evaluating them (512 trials at 8 x 8)
 FLOOR_CHUNK_ENTRIES = 1 << 15
+# largest floor deficit the floor sweep reads as float rounding, not a violation
+FLOOR_TOL = 1e-9
 
 
 def _check_probs(probs) -> None:
@@ -185,8 +187,9 @@ def floor_deficits(joints: np.ndarray) -> np.ndarray:
 
 
 def conditional_entropy_floor_sweep(trials: int, max_x: int = 8, max_t: int = 8,
-                                    seed: int = 0, tol: float = 1e-9) -> FloorSweepReport:
-    """Check H(X|T) >= H(X) - log2||T|| on random joints.
+                                    seed: int = 0) -> FloorSweepReport:
+    """Check H(X|T) >= H(X) - log2||T|| on random joints; a deficit above
+    FLOOR_TOL counts as a violation.
 
     Joints are drawn flat on the simplex (normalized exponentials) with
     alphabet sizes uniform in [2, max_x] x [2, max_t], one after another, and
@@ -207,7 +210,7 @@ def conditional_entropy_floor_sweep(trials: int, max_x: int = 8, max_t: int = 8,
         for stack in by_shape.values():
             deficit = floor_deficits(np.stack(stack))
             max_deficit = max(max_deficit, float(deficit.max()))
-            violations += int(np.count_nonzero(deficit > tol))
+            violations += int(np.count_nonzero(deficit > FLOOR_TOL))
     return FloorSweepReport(trials, violations, max_deficit, time.perf_counter() - start)
 
 

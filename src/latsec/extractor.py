@@ -98,9 +98,9 @@ class KeySecrecyReport:
 
 
 def key_secrecy_report(codebook: LayeredCodebook, r: int, dithers1=None,
-                       sign: str = "+",
-                       cap: int = DEFAULT_SEED_SPACE_CAP) -> KeySecrecyReport:
-    """Average the key entropy over every seed and every eavesdropper value.
+                       sign: str = "+") -> KeySecrecyReport:
+    """Average the key entropy over every seed (at most DEFAULT_SEED_SPACE_CAP)
+    and every eavesdropper value.
 
     Requires power-of-two layers labeling the whole codebook, uniform
     independent sender and jammer points, and fixed dithers.  The count of
@@ -115,8 +115,8 @@ def key_secrecy_report(codebook: LayeredCodebook, r: int, dithers1=None,
     if r < 1 or r > n0:
         raise DomainError("key width must lie in [1, label width]")
     seed_space = 1 << (r * n0)
-    if seed_space > cap:
-        raise ResourceCapError(f"2^{r * n0} seeds exceed cap {cap}")
+    if seed_space > DEFAULT_SEED_SPACE_CAP:
+        raise ResourceCapError(f"2^{r * n0} seeds exceed cap {DEFAULT_SEED_SPACE_CAP}")
 
     # Sum N log2 N over every seed of r hash rows.  A seed with a d-dimensional
     # row space L is A B, B the reduced basis of L and A one of the

@@ -1,10 +1,10 @@
-"""Linear hashing over GF(q), privacy-amplification bounds, and the message encoder.
+"""Linear hashing over GF(2), privacy-amplification bounds, and the message encoder.
 
-A hash is a uniformly drawn r-by-N matrix over a prime field.  Distinct
-inputs collide with probability exactly q^-r, the matrix has full row
-rank with probability above 1 - q^(r-N), and hashing a source whose
-collision entropy exceeds c leaves the output within 2^(r log2 q - c)/ln 2
-bits of uniform on average.
+A hash is a uniformly drawn r-by-N binary matrix.  Distinct inputs
+collide with probability exactly 2^-r, the matrix has full row rank with
+probability above 1 - 2^(r-N), and hashing a source whose collision
+entropy exceeds c leaves the output within 2^(r - c)/ln 2 bits of uniform
+on average.
 
 The encoder completes a chosen full-row-rank hash g to an invertible
 square matrix [g'; g]; its inverse A turns any (randomness, secret) bit
@@ -39,17 +39,6 @@ SOURCE_SUPPORT_CAP = 1 << 12
 CHUNK_ENTRIES = 1 << 14
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 1
-    return True
-
-
 def int_to_bits(value: int, width: int) -> np.ndarray:
     """Most-significant-bit-first binary digits of `value`."""
     if value < 0 or value >= 1 << width:
@@ -66,19 +55,16 @@ def bits_to_int(bits) -> int:
 
 @dataclass(frozen=True, eq=False)
 class FiniteFieldMatrix:
-    """Dense matrix with entries in GF(q), q prime."""
+    """Dense matrix with entries in GF(2)."""
 
-    q: int
     entries: np.ndarray
 
     def __post_init__(self):
-        if not _is_prime(self.q):
-            raise ValidationError(f"field size {self.q} is not prime")
         arr = np.asarray(self.entries, dtype=np.int64)
         if arr.ndim != 2:
             raise ValidationError("matrix entries must be 2-D")
-        if arr.size and (arr.min() < 0 or arr.max() >= self.q):
-            raise ValidationError("entries must lie in [0, q)")
+        if arr.size and (arr.min() < 0 or arr.max() > 1):
+            raise ValidationError("entries must be 0 or 1")
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
@@ -92,19 +78,19 @@ class FiniteFieldMatrix:
         return self.entries.shape[1]
 
     def apply(self, vec) -> np.ndarray:
-        v = np.asarray(vec, dtype=np.int64) % self.q
+        v = np.asarray(vec, dtype=np.int64) % 2
         if v.shape != (self.cols,):
             raise DomainError(f"expected a length-{self.cols} vector")
-        return (self.entries @ v) % self.q
+        return (self.entries @ v) % 2
 
     def rank(self) -> int:
-        return len(_reduce(self.entries, self.q)[1])
+        return len(_reduce(self.entries)[1])
 
-def _reduce(matrix: np.ndarray, q: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form over GF(q), by Gauss-Jordan elimination, and its
+def _reduce(matrix: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form over GF(2), by Gauss-Jordan elimination, and its
     pivot columns; a column is a pivot iff it lies outside the span of the
-    columns before it."""
-    a = np.asarray(matrix, dtype=np.int64) % q
+    columns before it.  Every pivot is 1, so clearing its column is an XOR."""
+    a = np.asarray(matrix, dtype=np.int64) % 2
     pivots: list[int] = []
     for col in range(a.shape[1]):
         rank = len(pivots)
@@ -114,10 +100,8 @@ def _reduce(matrix: np.ndarray, q: int) -> tuple[np.ndarray, list[int]]:
         if below.size == 0:
             continue
         a[[rank, rank + below[0]]] = a[[rank + below[0], rank]]
-        a[rank] = a[rank] * pow(int(a[rank, col]), q - 2, q) % q
         others = np.flatnonzero(a[:, col])
-        others = others[others != rank]
-        a[others] = (a[others] - a[others, col, None] * a[rank]) % q
+        a[others[others != rank]] ^= a[rank]
         pivots.append(col)
     return a, pivots
 
@@ -135,12 +119,12 @@ def row_space_bases(n: int, d: int) -> np.ndarray:
     return np.concatenate([pivoted, free.reshape(-1, d)])
 
 
-def sample_linear_hash(r: int, n: int, q: int = 2, seed: int = 0) -> FiniteFieldMatrix:
-    """Uniform r-by-n matrix over GF(q), deterministic per seed."""
+def sample_linear_hash(r: int, n: int, seed: int) -> FiniteFieldMatrix:
+    """Uniform r-by-n matrix over GF(2), deterministic per seed."""
     if r < 1 or n < 1:
         raise DomainError("dimensions must be positive")
     rng = np.random.default_rng(seed)
-    return FiniteFieldMatrix(q, rng.integers(0, q, size=(r, n), dtype=np.int64))
+    return FiniteFieldMatrix(rng.integers(0, 2, size=(r, n), dtype=np.int64))
 
 
 def full_rank_check(matrix: FiniteFieldMatrix) -> bool:
@@ -148,21 +132,22 @@ def full_rank_check(matrix: FiniteFieldMatrix) -> bool:
     return matrix.rank() == matrix.rows
 
 
-def full_rank_lower_bound(r: int, n: int, q: int = 2) -> float:
-    """Guaranteed lower bound 1 - q^(r-n) on the full-row-rank probability."""
-    return 1.0 - float(q) ** (r - n)
+def full_rank_lower_bound(r: int, n: int) -> float:
+    """Guaranteed lower bound 1 - 2^(r-n) on the full-row-rank probability."""
+    return 1.0 - 2.0 ** (r - n)
 
 
-def exact_full_rank_probability(r: int, n: int, q: int = 2) -> float:
-    """Exact full-row-rank probability prod_{i<r} (1 - q^(i-n))."""
+def exact_full_rank_probability(r: int, n: int) -> float:
+    """Exact full-row-rank probability prod_{i<r} (1 - 2^(i-n))."""
     p = 1.0
     for i in range(r):
-        p *= 1.0 - float(q) ** (i - n)
+        p *= 1.0 - 2.0 ** (i - n)
     return p
 
 
 def privacy_amp_bound(r: int, q: int, c: float) -> float:
-    """Entropy floor r log2 q - 2^(r log2 q - c)/ln 2 for hashed outputs."""
+    """Entropy floor r log2 q - 2^(r log2 q - c)/ln 2 for r hashed symbols of
+    q values each; every hash here is binary, q = 2, so r - 2^(r - c)/ln 2."""
     bits = r * math.log2(q)
     return bits - (2.0 ** (bits - c)) / math.log(2)
 
@@ -235,6 +220,8 @@ def _bit_source_matrix(source: DiscreteDistribution) -> tuple[np.ndarray, np.nda
 
 def flat_bit_source(n: int, k: int) -> DiscreteDistribution:
     """Uniform source on the first k of the 2^n bit tuples (H2 = log2 k exactly)."""
+    if n < 1:
+        raise DomainError("a bit source needs at least one bit")
     if not (1 <= k <= 1 << n):
         raise DomainError("k must lie in [1, 2^n]")
     if k > SOURCE_SUPPORT_CAP:
@@ -245,6 +232,8 @@ def flat_bit_source(n: int, k: int) -> DiscreteDistribution:
 
 def geometric_bit_source(n: int) -> DiscreteDistribution:
     """Dyadically decaying source over all 2^n bit tuples (exact rational masses)."""
+    if n < 1:
+        raise DomainError("a bit source needs at least one bit")
     if n > SOURCE_SUPPORT_CAP.bit_length() - 1:
         raise ResourceCapError(f"2^{n} symbols exceed the source cap {SOURCE_SUPPORT_CAP}")
     size = 1 << n
@@ -254,23 +243,26 @@ def geometric_bit_source(n: int) -> DiscreteDistribution:
     return DiscreteDistribution(support, probs)
 
 
-def exact_hashed_entropy(source: DiscreteDistribution, r: int, seed_set=None,
-                         cap: int = DEFAULT_MATRIX_CAP) -> float:
-    """Average output Shannon entropy H(G(A) | G) over the binary linear family.
+def exact_hashed_entropy(source: DiscreteDistribution, r: int, seed_set=None) -> float:
+    """Average output Shannon entropy H(G(A) | G) over the binary linear family
+    of r-row hashes, r >= 1.
 
     With seed_set=None the family is enumerated exhaustively (all 2^(r*n)
-    matrices); otherwise it is the sampled sub-family drawn from the given
-    seeds.  Exhaustive results are checked against the amplification floor
-    for c = H2(source), which holds with mathematical certainty.
+    matrices, at most DEFAULT_MATRIX_CAP); otherwise it is the sampled
+    sub-family drawn from the given seeds.  Exhaustive results are checked
+    against the amplification floor for c = H2(source), which holds with
+    mathematical certainty.
     """
+    if r < 1:
+        raise DomainError("a hash needs at least one output bit")
     sym_matrix, weights, n = _bit_source_matrix(source)
     powers = 1 << np.arange(r - 1, -1, -1, dtype=np.int64)
 
     if seed_set is None:
         count = 1 << (r * n)
-        if count > cap:
-            raise ResourceCapError(
-                f"2^{r * n} matrices exceed cap {cap}; pass an explicit seed_set")
+        if count > DEFAULT_MATRIX_CAP:
+            raise ResourceCapError(f"2^{r * n} matrices exceed cap {DEFAULT_MATRIX_CAP}; "
+                                   "pass an explicit seed_set")
         bit = r * n - 1 - np.arange(r * n)
 
         def matrices(ids: range) -> np.ndarray:  # matrix g is int_to_bits(g, r n)
@@ -282,7 +274,7 @@ def exact_hashed_entropy(source: DiscreteDistribution, r: int, seed_set=None,
             raise DomainError("seed_set must be nonempty")
 
         def matrices(ids: range) -> np.ndarray:
-            return np.stack([sample_linear_hash(r, n, 2, seeds[i]).entries for i in ids])
+            return np.stack([sample_linear_hash(r, n, seeds[i]).entries for i in ids])
 
     # each matrix's output masses come from one offset bincount that adds the
     # weights in symbol order, and its entropy from a sum over its nonzero masses
@@ -345,17 +337,17 @@ def build_encoder(g: FiniteFieldMatrix) -> EncoderKit:
     of g and the unit rows before them (the pivots of [g^T | I] past g's
     own columns), so the completion is deterministic and reproducible.
     """
-    q, r, n = g.q, g.rows, g.cols
+    r, n = g.rows, g.cols
     eye = np.eye(n, dtype=np.int64)
-    pivots = _reduce(np.hstack([g.entries.T, eye]), q)[1]
+    pivots = _reduce(np.hstack([g.entries.T, eye]))[1]
     if pivots[:r] != list(range(r)):
         raise DomainError("hash matrix must have full row rank")
     gp_entries = eye[[p - r for p in pivots[r:]]]
     stack = np.vstack([gp_entries, g.entries])
-    a_inv = _reduce(np.hstack([stack, eye]), q)[0][:, n:]
-    if not np.array_equal((stack @ a_inv) % q, eye):
+    a_inv = _reduce(np.hstack([stack, eye]))[0][:, n:]
+    if not np.array_equal((stack @ a_inv) % 2, eye):
         raise RuntimeError("inverse verification failed; internal bug")
-    return EncoderKit(g, FiniteFieldMatrix(q, gp_entries), FiniteFieldMatrix(q, a_inv))
+    return EncoderKit(g, FiniteFieldMatrix(gp_entries), FiniteFieldMatrix(a_inv))
 
 
 @dataclass(frozen=True, eq=False)

@@ -91,14 +91,10 @@ class NestedLatticePair:
     def __post_init__(self):
         if self.dim < 1:
             raise ValidationError("dimension must be positive")
-        if not self.coarse_scale > 0:
-            raise ValidationError("coarse scale must be positive")
+        if not 0 < self.coarse_scale < np.inf:
+            raise ValidationError("coarse scale must be finite and positive")
         if self.nesting < 2:
             raise ValidationError("nesting factor must be an integer >= 2")
-
-    @property
-    def fine(self) -> ScaledLattice:
-        return ScaledLattice(self.dim, self.coarse_scale / self.nesting)
 
     @property
     def codebook_size(self) -> int:
@@ -174,51 +170,49 @@ def _carry_floor(w: np.ndarray, spacing: float, k: int) -> np.ndarray:
     return np.ceil(-k / 2 - w / spacing - 1e-12).astype(int)
 
 
-def representation_index(points: Sequence, lattice) -> tuple[RepresentationIndex, LatticeVector]:
+def representation_index(points: Sequence,
+                         lattice: ScaledLattice) -> tuple[RepresentationIndex, LatticeVector]:
     """Encode sum(points) as (T, sum mod lattice) with T <= K^N.
 
-    `lattice` may be a ScaledLattice or a NestedLatticePair (its fine
-    lattice is then used).  Every point must lie in the fundamental region.
-    The index is the lexicographic position of the carry vector inside the
-    residual's candidate box, most significant coordinate first.
+    Every point must lie in the fundamental region.  The index is the
+    lexicographic position of the carry vector inside the residual's
+    candidate box, most significant coordinate first.
     """
-    lat = lattice.fine if isinstance(lattice, NestedLatticePair) else lattice
     pts = [as_vector(p) for p in points]
     if not pts:
         raise DomainError("need at least one point")
     for p in pts:
-        if p.shape != (lat.dim,):
+        if p.shape != (lattice.dim,):
             raise DomainError("point dimension mismatch")
-        if not lat.contains_in_region(p):
+        if not lattice.contains_in_region(p):
             raise DomainError(f"point {p} outside the fundamental region")
     k = len(pts)
-    w, z = reduce_carry(np.sum(pts, axis=0), lat.spacing)
-    z_min = _carry_floor(w, lat.spacing, k)
+    w, z = reduce_carry(np.sum(pts, axis=0), lattice.spacing)
+    z_min = _carry_floor(w, lattice.spacing, k)
     digits = z - z_min
     if np.any(digits < 0) or np.any(digits >= k):
         raise DomainError("carry outside its candidate box; inputs not in region?")
     t = 0
     for d in digits:
         t = t * k + int(d)
-    return RepresentationIndex(t + 1, k, lat.dim), w
+    return RepresentationIndex(t + 1, k, lattice.dim), w
 
 
-def reconstruct_sum(idx: RepresentationIndex, s_mod, lattice) -> LatticeVector:
+def reconstruct_sum(idx: RepresentationIndex, s_mod, lattice: ScaledLattice) -> LatticeVector:
     """Invert representation_index: recover the exact real sum."""
-    lat = lattice.fine if isinstance(lattice, NestedLatticePair) else lattice
-    if idx.dim != lat.dim:
+    if idx.dim != lattice.dim:
         raise DomainError("index dimension mismatch")
     w = as_vector(s_mod)
-    if w.shape != (lat.dim,):
+    if w.shape != (lattice.dim,):
         raise DomainError("residual dimension mismatch")
     k = idx.summands
-    digits = np.zeros(lat.dim, dtype=int)
+    digits = np.zeros(lattice.dim, dtype=int)
     t = idx.T - 1
-    for j in range(lat.dim - 1, -1, -1):
+    for j in range(lattice.dim - 1, -1, -1):
         digits[j] = t % k
         t //= k
-    z = _carry_floor(w, lat.spacing, k) + digits
-    return w + z * lat.spacing
+    z = _carry_floor(w, lattice.spacing, k) + digits
+    return w + z * lattice.spacing
 
 
 # ---------------------------------------------------------------------------

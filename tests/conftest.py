@@ -135,7 +135,7 @@ def per_candidate_leakages(codebook: LayeredCodebook, r0: int, dithers1, sign: s
     call per candidate on freshly built tables, drawn as the selection draws them."""
     rng = substream(seed, "hash-select")
     seeds = rng.integers(0, 2 ** 63 - 1, size=n_candidates)
-    matrices = [sample_linear_hash(r0, codebook.n0_bits, 2, int(s)) for s in seeds]
+    matrices = [sample_linear_hash(r0, codebook.n0_bits, int(s)) for s in seeds]
     leakages = []
     for g in matrices:
         channel._LAST_COUNTER.clear()
@@ -349,7 +349,7 @@ def exact_hashed_entropy_oracle(source: DiscreteDistribution, r: int, seed_set=N
     if seed_set is None:
         matrices = [int_to_bits(g, r * n).reshape(r, n) for g in range(1 << (r * n))]
     else:
-        matrices = [sample_linear_hash(r, n, 2, s).entries for s in seed_set]
+        matrices = [sample_linear_hash(r, n, s).entries for s in seed_set]
     acc = 0.0
     for g in matrices:
         masses = np.bincount((symbols @ g.T) % 2 @ powers, weights=weights, minlength=1 << r)

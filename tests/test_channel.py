@@ -28,7 +28,7 @@ def system_with_hash(m, n_bar, r0, seed=0, dithers=False):
     cb = make_codebook(m, n_bar, 1)
     g = None
     for s in range(seed, seed + 50):
-        cand = sample_linear_hash(r0, cb.n0_bits, 2, s)
+        cand = sample_linear_hash(r0, cb.n0_bits, s)
         if full_rank_check(cand):
             g = cand
             break
@@ -101,7 +101,7 @@ class TestCodebookStack:
     def test_bad_dither_tuples_refused_everywhere(self):
         # every dither consumer goes through LayeredCodebook.dither_vectors
         cb = make_codebook(4, 4, 2)  # two layers of dimension 2
-        g = sample_linear_hash(2, cb.n0_bits, 2, 19)
+        g = sample_linear_hash(2, cb.n0_bits, 19)
         for bad in [(np.full(2, 0.3),), (np.full(2, 0.3),) * 3,
                     (np.full(2, 0.3), np.full(3, 0.3)), (np.full(2, 0.3), [0.1, np.nan])]:
             for method in ("fast", "enumerate"):
@@ -213,7 +213,7 @@ class TestDecoding:
     def test_empty_message_always_correct(self):
         # a single-message codebook: no secret bits, decoding cannot fail
         cb = make_codebook(2, 1, 1)
-        kit = build_encoder(FiniteFieldMatrix(2, np.zeros((0, 1), dtype=np.int64)))
+        kit = build_encoder(FiniteFieldMatrix(np.zeros((0, 1), dtype=np.int64)))
         system = build_system(cb, kit)
         cfg = ChannelConfig(a=2.0, b=1.0, noise_var1=25.0, n_uses=1)
         for seed in range(20):
@@ -255,7 +255,8 @@ class TestDecoding:
             with pytest.raises(ConfigError):
                 MLDecoder(ChannelConfig(a=1e300, b=1e8, n_uses=2), system_with_hash(4, 2, 1))
             decoder = MLDecoder(ChannelConfig(a=1.0, b=1.0, n_uses=2),
-                                build_system(make_codebook(4, 2, coarse_scale=1e154), None))
+                                build_system(LayeredCodebook((NestedLatticePair(2, 1e154, 4),)),
+                                             None))
             with pytest.raises(ConfigError):
                 decoder.decode_index(np.zeros(2))
 
@@ -275,10 +276,11 @@ class TestDecoding:
             assert decoder.decode_index(y, mode, i2 if mode == "genie" else None) == i1
 
     def test_pair_cap(self):
-        system = system_with_hash(4, 4, 1)
-        cfg = ChannelConfig(a=1.0, b=1.0, n_uses=4)
-        decoder = MLDecoder(cfg, system, cap=100)
-        y = np.zeros(4)
+        # 4096 x 4096 pairs at m = 4, N = 6
+        system = build_system(make_codebook(4, 6), None)
+        cfg = ChannelConfig(a=1.0, b=1.0, n_uses=6)
+        decoder = MLDecoder(cfg, system)
+        y = np.zeros(6)
         # only marginal decoding builds the table of every (sender, jammer) pair
         with pytest.raises(ResourceCapError):
             decoder.decode_index(y)
@@ -398,13 +400,12 @@ class TestCoordinateSpecs:
 class TestExactLeakage:
     def test_no_message_no_leak(self):
         cb = make_codebook(4, 2, 1)
-        assert exact_leakage(cb, None) == 0.0
-        empty = FiniteFieldMatrix(2, np.zeros((0, cb.n0_bits), dtype=np.int64))
+        empty = FiniteFieldMatrix(np.zeros((0, cb.n0_bits), dtype=np.int64))
         assert exact_leakage(cb, empty) == 0.0
 
     def test_identity_encoder_matches_brute_force(self):
         cb = make_codebook(4, 2, 1)
-        kit = build_encoder(FiniteFieldMatrix(2, np.eye(cb.n0_bits, dtype=np.int64)))
+        kit = build_encoder(FiniteFieldMatrix(np.eye(cb.n0_bits, dtype=np.int64)))
         d = (np.zeros(2),)
         oracle = brute_force_leakage(cb, kit, d, d, "+")
         assert oracle > 0.0  # the full label visibly leaks
@@ -417,8 +418,8 @@ class TestExactLeakage:
         rng = substream(41, f"leak-{n_bar}")
         d1 = random_dithers(cb, rng)
         d2 = random_dithers(cb, rng)
-        g = next(sample_linear_hash(2, cb.n0_bits, 2, s) for s in range(7, 30)
-                 if full_rank_check(sample_linear_hash(2, cb.n0_bits, 2, s)))
+        g = next(sample_linear_hash(2, cb.n0_bits, s) for s in range(7, 30)
+                 if full_rank_check(sample_linear_hash(2, cb.n0_bits, s)))
         kit = build_encoder(g)
         oracle = brute_force_leakage(cb, kit, d1, d2, sign)
         fast = exact_leakage(cb, kit, d1, sign, method="fast")
@@ -431,42 +432,42 @@ class TestExactLeakage:
         rng = substream(4, "layered")
         d1 = random_dithers(cb, rng)
         d2 = random_dithers(cb, rng)
-        g = sample_linear_hash(2, cb.n0_bits, 2, 19)
+        g = sample_linear_hash(2, cb.n0_bits, 19)
         kit = build_encoder(g)
         oracle = brute_force_leakage(cb, kit, d1, d2, "+")
         assert exact_leakage(cb, kit, d1, "+") == pytest.approx(oracle, abs=1e-9)
 
     def test_sign_symmetry_exact(self):
         cb = make_codebook(4, 3, 1)
-        g = sample_linear_hash(2, cb.n0_bits, 2, 23)
+        g = sample_linear_hash(2, cb.n0_bits, 23)
         assert exact_leakage(cb, g, None, "+") == pytest.approx(
             exact_leakage(cb, g, None, "-"), abs=1e-12)
 
     def test_hashed_leaks_less_than_identity(self):
         cb = make_codebook(4, 3, 1)
         identity_leak = exact_leakage(
-            cb, build_encoder(FiniteFieldMatrix(2, np.eye(cb.n0_bits, dtype=np.int64))))
+            cb, build_encoder(FiniteFieldMatrix(np.eye(cb.n0_bits, dtype=np.int64))))
         for seed in range(5):
-            g = sample_linear_hash(2, cb.n0_bits, 2, seed)
+            g = sample_linear_hash(2, cb.n0_bits, seed)
             assert exact_leakage(cb, g) <= identity_leak + 1e-12
 
     def test_leakage_caps(self):
         cb = make_codebook(4, 3, 1)
-        g = sample_linear_hash(2, cb.n0_bits, 2, 3)
+        g = sample_linear_hash(2, cb.n0_bits, 3)
         leak = exact_leakage(cb, g)
         assert leak <= 2.0 + 1e-12   # never more than the secret width
         assert leak <= cb.n_bar + 1e-12
 
     def test_kit_and_matrix_equivalent(self):
         cb = make_codebook(4, 2, 1)
-        g = sample_linear_hash(2, cb.n0_bits, 2, 29)
+        g = sample_linear_hash(2, cb.n0_bits, 29)
         if not full_rank_check(g):
-            g = FiniteFieldMatrix(2, np.eye(cb.n0_bits, dtype=np.int64)[:2])
+            g = FiniteFieldMatrix(np.eye(cb.n0_bits, dtype=np.int64)[:2])
         assert exact_leakage(cb, g) == exact_leakage(cb, build_encoder(g))
 
     def test_fast_needs_power_of_two(self):
         cb = make_codebook(3, 2, 1)
-        g = sample_linear_hash(1, cb.n0_bits, 2, 1)
+        g = sample_linear_hash(1, cb.n0_bits, 1)
         with pytest.raises(DomainError):
             exact_leakage(cb, g, method="fast")
         assert exact_leakage(cb, g, method="auto") >= 0.0  # enumerate fallback
@@ -475,7 +476,7 @@ class TestExactLeakage:
         # counted one key's sigma slab at a time; all 2^10 slabs of 3^10 int64
         # counts at once would take 462 MiB
         cb = make_codebook(2, 10)
-        g = FiniteFieldMatrix(2, np.eye(cb.n0_bits, dtype=np.int64))
+        g = FiniteFieldMatrix(np.eye(cb.n0_bits, dtype=np.int64))
         tracemalloc.start()
         try:
             leak = exact_leakage(cb, g, method="enumerate")
@@ -493,7 +494,7 @@ class TestExactLeakage:
         cb = make_codebook(m, n_bar, n_bar if layered else 1)
         rng = np.random.default_rng(seed)
         d1, d2 = random_dithers(cb, rng), random_dithers(cb, rng)
-        g = sample_linear_hash(min(r0, cb.n0_bits), cb.n0_bits, 2, seed)
+        g = sample_linear_hash(min(r0, cb.n0_bits), cb.n0_bits, seed)
         assume(full_rank_check(g))
         oracle = brute_force_leakage(cb, build_encoder(g), d1, d2, sign)
         assert exact_leakage(cb, g, d1, sign, method="enumerate") == pytest.approx(
@@ -538,7 +539,7 @@ class TestSelection:
         # the tables kept from the last call are reused only while neither the
         # dither shifts nor the sign change; every call must read as on fresh ones
         cb = make_codebook(4, 3, 1)
-        g = sample_linear_hash(2, cb.n0_bits, 2, 7)
+        g = sample_linear_hash(2, cb.n0_bits, 7)
         rng = np.random.default_rng(1)
         dithers = [None, random_dithers(cb, rng), random_dithers(cb, rng)]
         calls = [(i, sign) for sign in ("+", "-") for i in (0, 1, 1, 0, 2)]

@@ -113,6 +113,15 @@ BAD_FLOAT_GRIDS = [["sdof", "--grid", "inf"], ["amplify", "--c-list", "nan"],
                    ["sdof", "--grid", "1:2:1e-320"], ["amplify", "--c-list=-1"],
                    ["sdof", "--grid", f"0:{GRID_POINT_CAP}:1"]]
 
+# used to print a table of NaN figures (an infinite coarse scale) or a negative
+# floor (no hash output bit) with exit 0, to end in a traceback (an overflowing
+# q * sqrt(ab), a negative width), to print only a header (no source bit), or to
+# run for about a minute (10^8 denominators)
+BAD_SIZES = [["lattice-verify", "--n", "1", "--m", "4", "--c", "inf"],
+             ["sdof", "--grid", "1e308"], ["sdof", "--qmax", "100000000", "--grid", "1.5"],
+             ["amplify", "--r", "-1"], ["amplify", "--r", "0"],
+             ["amplify", "--n", "-1"], ["amplify", "--n", "0"]]
+
 
 def test_config_error_exit_code(capsys):
     for args in (["leakage-trend", "--nbar", "2:3", "--family", "2", "--fixed-r0", "9"],
@@ -130,13 +139,14 @@ def test_config_error_exit_code(capsys):
                  ["leakage-trend", "--nbar", "2", "--family", "0"],
                  NEGATIVE_DECODE_TRIALS,
                  *UNUSABLE_CHANNELS,
-                 *BAD_FLOAT_GRIDS):
+                 *BAD_FLOAT_GRIDS,
+                 *BAD_SIZES):
         assert main(args) == 2, args
         assert "error:" in capsys.readouterr().err, args
     # an empty family must be refused before numpy warns about its empty mean,
     # and a non-finite or overflowing channel before any decoding warns
     for args in (["leakage-trend", "--nbar", "2", "--family", "0"], NEGATIVE_DECODE_TRIALS,
-                 *UNUSABLE_CHANNELS, *MC_OVER_CAP, *BAD_FLOAT_GRIDS):
+                 *UNUSABLE_CHANNELS, *MC_OVER_CAP, *BAD_FLOAT_GRIDS, *BAD_SIZES):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert main(args) == 2, args

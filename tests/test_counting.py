@@ -30,7 +30,7 @@ def leakage_instances(draw):
     if deficient:
         # the last row repeats the xor of two others, or is zero
         entries[-1] = (entries[0] ^ entries[1]) if r0 > 1 else 0
-    g = FiniteFieldMatrix(2, entries)
+    g = FiniteFieldMatrix(entries)
     assume((g.rank() < r0) == deficient)
     d1 = random_dithers(cb, np.random.default_rng(draw(st.integers(0, 2 ** 16))))
     return cb, g, d1, draw(st.sampled_from(["+", "-"]))
@@ -88,7 +88,7 @@ def test_selection_memory_stays_at_one_leakage():
     # family of 16 peaks where a single exact_leakage call does, each
     # measured from a build of the tables
     cb = make_codebook(8, 4)
-    g = sample_linear_hash(3, cb.n0_bits, 2, 1)
+    g = sample_linear_hash(3, cb.n0_bits, 1)
     peaks = []
     for run in (lambda: exact_leakage(cb, g, None, "-"),
                 lambda: select_secrecy_hash(cb, 3, None, "-", n_candidates=16)):
@@ -118,7 +118,7 @@ def test_reflection_folds_exactly_at_xor_shifts(m, folding, sign):
 def test_figures_do_not_depend_on_chunking(monkeypatch, cells):
     cb = make_codebook(4, 3)
     d1 = random_dithers(cb, np.random.default_rng(1))
-    hashes = [sample_linear_hash(r0, cb.n0_bits, 2, 5) for r0 in (3, 4)]
+    hashes = [sample_linear_hash(r0, cb.n0_bits, 5) for r0 in (3, 4)]
     audit_cb = make_codebook(2, 3)
     leaks = [exact_leakage(cb, g, d1, "-") for g in hashes]
     audit = key_secrecy_report(audit_cb, 2, sign="+")
@@ -131,7 +131,7 @@ def test_peak_memory_of_largest_leakage():
     # the N_bar=8, r0=5 row of the m=4 trend: the folded kernel needs about
     # 7 MiB of numpy buffers, the unfolded one 18 MiB
     cb = make_codebook(4, 8)
-    g = sample_linear_hash(5, cb.n0_bits, 2, 7)
+    g = sample_linear_hash(5, cb.n0_bits, 7)
     tracemalloc.start()
     try:
         exact_leakage(cb, g)

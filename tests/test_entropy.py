@@ -287,7 +287,9 @@ class TestLemmaSweeps:
     @example(2048, 2, 2, 3, -0.2)
     def test_floor_sweep_matches_loop_oracle(self, trials, max_x, max_t, seed, tol):
         # a negative tol counts the deficits above it, so most trials' floats are compared
-        rep = conditional_entropy_floor_sweep(trials, max_x, max_t, seed=seed, tol=tol)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(entropy, "FLOOR_TOL", tol)
+            rep = conditional_entropy_floor_sweep(trials, max_x, max_t, seed=seed)
         assert (rep.violations, rep.max_deficit) == \
             floor_sweep_oracle(trials, max_x, max_t, seed, tol)
 
@@ -301,7 +303,8 @@ class TestLemmaSweeps:
     def test_floor_sweep_chunks_do_not_change_it(self, monkeypatch, chunk):
         monkeypatch.setattr(entropy, "FLOOR_CHUNK_ENTRIES", chunk * 5 * 8)
         for tol in (1e-9, -0.3):
-            rep = conditional_entropy_floor_sweep(300, 5, 8, seed=chunk, tol=tol)
+            monkeypatch.setattr(entropy, "FLOOR_TOL", tol)
+            rep = conditional_entropy_floor_sweep(300, 5, 8, seed=chunk)
             assert (rep.violations, rep.max_deficit) == floor_sweep_oracle(300, 5, 8, chunk, tol)
 
     def test_spoiler_expectation_bound(self):

@@ -158,9 +158,9 @@ class TestKeySecrecyAudit:
         cb = make_codebook(3, 2, 1)
         with pytest.raises(DomainError):
             key_secrecy_report(cb, 1)  # not power of two
-        cb = make_codebook(4, 2, 1)
-        with pytest.raises(ResourceCapError):
-            key_secrecy_report(cb, 2, cap=10)
+        # 2^24 seeds, refused before any table is built
+        with pytest.raises(ResourceCapError, match="seeds exceed cap"):
+            key_secrecy_report(make_codebook(4, 4), 3)
 
 
 class TestProtocol:

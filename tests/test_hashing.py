@@ -43,19 +43,16 @@ class TestBits:
 
 
 class TestFieldMatrix:
-    def test_prime_required(self):
-        with pytest.raises(ValidationError):
-            FiniteFieldMatrix(4, np.zeros((1, 1), dtype=np.int64))
-
     def test_entry_range(self):
-        with pytest.raises(ValidationError):
-            FiniteFieldMatrix(2, np.array([[2]]))
+        for entries in ([[2]], [[-1]], [[0, 1], [1, 3]]):
+            with pytest.raises(ValidationError):
+                FiniteFieldMatrix(np.array(entries))
 
     def test_rank_matches_int_packing(self):
         rng = np.random.default_rng(6)
         for _ in range(100):
             r, n = int(rng.integers(1, 5)), int(rng.integers(1, 7))
-            m = FiniteFieldMatrix(2, rng.integers(0, 2, size=(r, n)))
+            m = FiniteFieldMatrix(rng.integers(0, 2, size=(r, n)))
             packed = [bits_to_int(row) for row in m.entries]
             assert m.rank() == gf2_ranks([packed])[0]
 
@@ -71,32 +68,32 @@ class TestFieldMatrix:
         assert gf2_ranks(rows).tolist() == [gf2_rank_ints(row) for row in rows.tolist()]
         assert np.array_equal(rows, before)
 
-    def test_rank_gf3(self):
-        m = FiniteFieldMatrix(3, np.array([[1, 2], [2, 4 % 3]]))
-        # second row is twice the first mod 3
-        assert m.rank() == 1
-
 
 class TestSampling:
     def test_deterministic_per_seed(self):
-        a = sample_linear_hash(3, 4, 2, 99)
-        b = sample_linear_hash(3, 4, 2, 99)
+        a = sample_linear_hash(3, 4, 99)
+        b = sample_linear_hash(3, 4, 99)
         assert np.array_equal(a.entries, b.entries)
-        assert not np.array_equal(a.entries, sample_linear_hash(3, 4, 2, 100).entries)
+        assert not np.array_equal(a.entries, sample_linear_hash(3, 4, 100).entries)
 
     def test_single_bit_family_balanced(self):
-        draws = [int(sample_linear_hash(1, 1, 2, s).entries[0, 0]) for s in range(1000)]
+        draws = [int(sample_linear_hash(1, 1, s).entries[0, 0]) for s in range(1000)]
         ones = sum(draws)
         assert 400 <= ones <= 600
 
     def test_entry_frequencies_roughly_uniform(self):
-        # chi-square sanity over 10^4 entries of GF(3) draws
+        # chi-square sanity over 10^4 entries
         rng_entries = np.concatenate(
-            [sample_linear_hash(10, 10, 3, s).entries.ravel() for s in range(100)])
-        counts = np.bincount(rng_entries, minlength=3)
-        expected = len(rng_entries) / 3
+            [sample_linear_hash(10, 10, s).entries.ravel() for s in range(100)])
+        counts = np.bincount(rng_entries, minlength=2)
+        expected = len(rng_entries) / 2
         chi2 = float(((counts - expected) ** 2 / expected).sum())
-        assert chi2 < 20  # df=2; extremely loose
+        assert chi2 < 20  # df=1; extremely loose
+
+    def test_seed_is_required(self):
+        # a leftover call with the field size before the seed is refused
+        with pytest.raises(TypeError):
+            sample_linear_hash(3, 4, 2, 99)
 
 
 class TestCollision:
@@ -140,8 +137,8 @@ class TestCollision:
 
 class TestFullRank:
     def test_identity_and_zero(self):
-        assert full_rank_check(FiniteFieldMatrix(2, np.eye(3, dtype=np.int64)))
-        assert not full_rank_check(FiniteFieldMatrix(2, np.zeros((2, 3), dtype=int)))
+        assert full_rank_check(FiniteFieldMatrix(np.eye(3, dtype=np.int64)))
+        assert not full_rank_check(FiniteFieldMatrix(np.zeros((2, 3), dtype=int)))
 
     def test_exhaustive_fraction_r2_n4(self):
         frac = full_rank_fraction_exhaustive(2, 4)
@@ -152,7 +149,7 @@ class TestFullRank:
         # independent route: rank via field elimination instead of bit packing
         hits = sum(
             1 for g in all_matrices(2, 3)
-            if FiniteFieldMatrix(2, g).rank() == 2)
+            if FiniteFieldMatrix(g).rank() == 2)
         assert full_rank_fraction_exhaustive(2, 3) == pytest.approx(hits / 64)
 
     def test_monte_carlo_sane(self):
@@ -268,8 +265,14 @@ class TestHashedEntropy:
         assert 0 < h <= 2.0 + 1e-12
 
     def test_cap(self):
-        with pytest.raises(ResourceCapError):
-            exact_hashed_entropy(flat_bit_source(8, 4), 4, cap=100)
+        # 2^32 matrices, refused before any is built
+        with pytest.raises(ResourceCapError, match="pass an explicit seed_set"):
+            exact_hashed_entropy(flat_bit_source(8, 4), 4)
+
+    @pytest.mark.parametrize("r", [0, -1])
+    def test_needs_an_output_bit(self, r):
+        with pytest.raises(DomainError):
+            exact_hashed_entropy(flat_bit_source(3, 8), r)
 
     @pytest.mark.parametrize("source, r", [
         (flat_bit_source(3, 8), 4), (flat_bit_source(4, 11), 3), (geometric_bit_source(3), 4),
@@ -305,7 +308,7 @@ class TestHashedEntropy:
 class TestEncoder:
     def test_identity_tail_completion(self):
         n, r = 4, 2
-        g = FiniteFieldMatrix(2, np.eye(n, dtype=np.int64)[n - r:])
+        g = FiniteFieldMatrix(np.eye(n, dtype=np.int64)[n - r:])
         kit = build_encoder(g)
         assert np.array_equal(kit.g_prime.entries, np.eye(n, dtype=np.int64)[: n - r])
         stacked = np.vstack([kit.g_prime.entries, kit.g.entries])
@@ -315,7 +318,7 @@ class TestEncoder:
         rng = np.random.default_rng(13)
         built = 0
         for seed in range(40):
-            g = sample_linear_hash(3, 7, 2, seed)
+            g = sample_linear_hash(3, 7, seed)
             if not full_rank_check(g):
                 continue
             kit = build_encoder(g)
@@ -326,38 +329,37 @@ class TestEncoder:
         assert built > 30
 
     def test_all_ones_row(self):
-        g = FiniteFieldMatrix(2, np.ones((1, 3), dtype=np.int64))
+        g = FiniteFieldMatrix(np.ones((1, 3), dtype=np.int64))
         kit = build_encoder(g)
         stacked = np.vstack([kit.g_prime.entries, kit.g.entries])
         # exhaustive oracle: some completion must exist, and ours verifies
-        assert FiniteFieldMatrix(2, stacked).rank() == 3
+        assert FiniteFieldMatrix(stacked).rank() == 3
 
     def test_rank_deficient_rejected(self):
-        g = FiniteFieldMatrix(2, np.array([[1, 0, 1], [1, 0, 1]]))
+        g = FiniteFieldMatrix(np.array([[1, 0, 1], [1, 0, 1]]))
         with pytest.raises(DomainError):
             build_encoder(g)
 
     def test_full_square_hash_allows_empty_g_prime(self):
-        g = FiniteFieldMatrix(2, np.eye(3, dtype=np.int64))
+        g = FiniteFieldMatrix(np.eye(3, dtype=np.int64))
         kit = build_encoder(g)
         assert kit.g_prime.rows == 0
 
     @settings(max_examples=200, deadline=None)
-    @given(st.sampled_from([2, 3, 5]), st.integers(1, 8), st.integers(0, 5),
-           st.integers(0, 2 ** 32 - 1))
-    def test_matches_greedy_completion_oracle(self, q, n, r, seed):
+    @given(st.integers(1, 8), st.integers(0, 5), st.integers(0, 2 ** 32 - 1))
+    def test_matches_greedy_completion_oracle(self, n, r, seed):
         # one elimination of [g^T | I] picks the same unit rows, and one of
         # [stack | I] the same inverse, as completing g rank by rank
         rng = np.random.default_rng(seed)
         r = min(r, n)
         while True:
-            g = FiniteFieldMatrix(q, rng.integers(0, q, size=(r, n)))
-            assert g.rank() == gf_rank_oracle(g.entries, q)
+            g = FiniteFieldMatrix(rng.integers(0, 2, size=(r, n)))
+            assert g.rank() == gf_rank_oracle(g.entries, 2)
             if g.rank() == r:
                 break
             with pytest.raises(DomainError):
                 build_encoder(g)
-        g_prime, a_inv = greedy_completion_oracle(g.entries, q)
+        g_prime, a_inv = greedy_completion_oracle(g.entries, 2)
         kit = build_encoder(g)
         assert kit.g_prime.entries.shape == g_prime.shape
         assert np.array_equal(kit.g_prime.entries, g_prime)
@@ -372,7 +374,7 @@ def _labeling_for(n_bits):
 class TestSecretCodec:
     def test_zero_maps_to_first_point(self):
         lab = _labeling_for(3)
-        g = FiniteFieldMatrix(2, np.eye(3, dtype=np.int64)[2:])
+        g = FiniteFieldMatrix(np.eye(3, dtype=np.int64)[2:])
         kit = build_encoder(g)
         t = encode_secret(kit, np.zeros(1, dtype=int), np.zeros(2, dtype=int), lab)
         assert np.allclose(t, lab.points[0])
@@ -383,7 +385,7 @@ class TestSecretCodec:
             r = max(1, n_bits // 3)
             g = None
             for seed in range(20):
-                cand = sample_linear_hash(r, n_bits, 2, seed)
+                cand = sample_linear_hash(r, n_bits, seed)
                 if full_rank_check(cand):
                     g = cand
                     break
@@ -402,7 +404,7 @@ class TestSecretCodec:
 
     def test_length_mismatch(self):
         lab = _labeling_for(3)
-        kit = build_encoder(FiniteFieldMatrix(2, np.eye(3, dtype=np.int64)[2:]))
+        kit = build_encoder(FiniteFieldMatrix(np.eye(3, dtype=np.int64)[2:]))
         with pytest.raises(DomainError):
             encode_secret(kit, np.zeros(2, dtype=int), np.zeros(1, dtype=int), lab)
 
@@ -461,6 +463,12 @@ class TestSources:
         # an invalid k stays a domain error, whatever its size
         with pytest.raises(DomainError):
             flat_bit_source(2, SOURCE_SUPPORT_CAP + 1)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_needs_a_bit(self, n):
+        for build in (lambda: geometric_bit_source(n), lambda: flat_bit_source(n, 1)):
+            with pytest.raises(DomainError):
+                build()
 
     def test_geometric_source_valid(self):
         src = geometric_bit_source(3)

@@ -157,3 +157,78 @@ def test_every_public_name_is_used():
     assert not unused, "\n".join(sorted(unused))
     stale = sorted(qual for qual in UNCALLED_EXEMPT if exempt.get(qual, True))
     assert not stale, f"exempt names that are gone or now called: {stale}"
+
+
+# defaulted parameters that no library or bench call sets, each kept for a
+# caller outside src/ and bench/
+DEFAULT_EXEMPT = {
+    "cli.main(argv)": "the console script passes nothing; tests pass argv",
+}
+
+
+def _functions(trees):
+    """(qualified name, name its callers use, node, whether calls skip a self
+    argument) of every module-level function and every method of a
+    module-level class."""
+    for module, tree in trees.items():
+        for top in tree.body:
+            if isinstance(top, ast.FunctionDef):
+                yield f"{module}.{top.name}", top.name, top, False
+            elif isinstance(top, ast.ClassDef):
+                yield from ((f"{module}.{top.name}.{node.name}",
+                             top.name if node.name == "__init__" else node.name, node, True)
+                            for node in top.body if isinstance(node, ast.FunctionDef))
+
+
+def _defaults(fn: ast.FunctionDef):
+    """(position or None for keyword-only, name, default) of each defaulted parameter."""
+    positional = fn.args.posonlyargs + fn.args.args
+    first = len(positional) - len(fn.args.defaults)
+    yield from ((first + i, positional[first + i].arg, default)
+                for i, default in enumerate(fn.args.defaults))
+    yield from ((None, arg.arg, default)
+                for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                if default is not None)
+
+
+def _sets(call: ast.Call, position, name: str, default: ast.AST) -> bool:
+    """Whether call passes the parameter with anything but a literal equal to its
+    default; a * or ** argument that may cover it counts as passing it."""
+    if any(kw.arg is None for kw in call.keywords):
+        return True
+    passed = [kw.value for kw in call.keywords if kw.arg == name]
+    if position is not None:
+        if any(isinstance(arg, ast.Starred) for arg in call.args[:position + 1]):
+            return True
+        passed += call.args[position:position + 1]
+    for arg in passed:
+        try:
+            if ast.literal_eval(arg) != ast.literal_eval(default):
+                return True
+        except ValueError:
+            return True
+    return False
+
+
+def test_every_default_is_set():
+    # a defaulted parameter that no call in src/latsec (outside its own
+    # function) or under bench/ sets is a constant in disguise; calls are
+    # matched by bare callee name, and Cls(...) calls Cls.__init__
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(set(SRC.glob("*.py")) - {SRC / "__init__.py"})}
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in [*trees.values(), *(ast.parse(p.read_text()) for p in BENCH.rglob("*.py"))]:
+        for call in ast.walk(tree):
+            if isinstance(call, ast.Call):
+                callee = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+                calls.setdefault(callee, []).append(call)
+    unset = set()
+    for qual, callee, fn, skip_self in _functions(trees):
+        own = set(ast.walk(fn))
+        outside = [call for call in calls.get(callee, []) if call not in own]
+        unset |= {f"{qual}({name})" for position, name, default in _defaults(fn)
+                  if not any(_sets(call, None if position is None else position - skip_self,
+                                   name, default) for call in outside)}
+    assert not unset - set(DEFAULT_EXEMPT), "\n".join(sorted(unset - set(DEFAULT_EXEMPT)))
+    stale = sorted(set(DEFAULT_EXEMPT) - unset)
+    assert not stale, f"exempt parameters that are gone or now set: {stale}"

@@ -3,8 +3,8 @@ import math
 import mpmath
 import pytest
 
-from latsec.errors import DomainError
-from latsec.sdof import (alpha_of, beta_of, decompose_gain, sdof_landscape,
+from latsec.errors import DomainError, ResourceCapError
+from latsec.sdof import (SDOF_WORK_CAP, alpha_of, beta_of, decompose_gain, sdof_landscape,
                          sdof_of)
 
 mpmath.mp.dps = 50
@@ -70,6 +70,10 @@ class TestDecomposition:
             decompose_gain(0.0, 3)
         with pytest.raises(DomainError):
             decompose_gain(1.0, 0)
+        # q * sqrt(ab) would overflow to inf
+        with pytest.raises(DomainError, match="overflows"):
+            decompose_gain(1e308, 2)
+        assert decompose_gain(1e307, 2) is None
 
 
 class TestAlpha:
@@ -154,6 +158,13 @@ class TestLandscape:
         assert row.sdof == pytest.approx(
             sdof_of(alpha_of(row.gamma), beta_of(row.p, row.q, row.gamma)))
         assert 0 <= row.sdof < 1
+
+    def test_work_cap(self):
+        # refused before any gain is decomposed; the README's 201 x 10 grid is far below
+        for gains, q_max in (([1.5], SDOF_WORK_CAP + 1), ([1.5] * 3, SDOF_WORK_CAP // 2)):
+            with pytest.raises(ResourceCapError):
+                sdof_landscape(gains, q_max)
+        assert 201 * 10 * 100 < SDOF_WORK_CAP
 
     def test_flagged_rows_have_no_dof(self):
         points = sdof_landscape([2.5], q_max=2)
