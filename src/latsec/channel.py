@@ -31,7 +31,7 @@ from .hashing import (BitLabeling, EncoderKit, FiniteFieldMatrix, build_encoder,
                       sample_linear_hash, secret_rate_select)
 from .lattice import NestedLatticePair, label_grid, reduce_carry
 
-DEFAULT_PAIR_CAP = 1 << 22
+DEFAULT_TABLE_CAP = 1 << 22
 DEFAULT_SIGMA_SPACE_CAP = 1 << 23
 
 
@@ -331,31 +331,40 @@ class MLDecoder:
     """Exhaustive maximum-likelihood decoding of the sender's point.
 
     Marginal mode averages the Gaussian likelihood over every jammer
-    hypothesis; genie mode is told the jammer's point.  Both enumerate the
-    full hypothesis space, so they are exact.  Marginal mode scores label i
-    in squared-distance units, s_i = 2v log sum_j exp(-||x1_i + g x2_j - y||^2
-    / 2v) + ||y||^2 with v the noise variance, through the expansion
-    -||p - y||^2 = 2 p.y - ||p||^2 - ||y||^2: a capped K-by-J table of pair
-    norms ||x1_i + g x2_j||^2 is built once, and each observation costs two
-    matrix-vector products and one log-sum-exp over the table.  Labels whose
-    score is within the expansion's rounding bound tau of the best are
-    decided again on the direct distances, so near and exact ties go to the
-    first label as an exhaustive direct search would decide them.
+    hypothesis; genie mode is told the jammer's point.  Both are exact.
+    Marginal mode scores label k in squared-distance units, S_k = 2v ln
+    sum_j exp(-||x1_k + g x2_j - y||^2 / 2v) with v the noise variance.  The
+    noise is i.i.d., coordinate c of a signal depends only on the point's
+    coordinate-c digits (`mod_signals` works coordinatewise) and the jammer's
+    points are the full product grid, so S_k = sum_c F[c, x1_kc] with
+    F[c, a] = 2v ln sum_b w_b exp(-(a + b - y_c)^2 / 2v): b runs over the
+    distinct values of g x2_c, and w_b counts the coordinate-c digit tuples
+    that give b.  An observation costs one (n, A1, A2) table of distances,
+    its log-sum-exp over the last axis, shifted by the minimum as the direct
+    form is, and a gather of n entries for each of the K labels, which also
+    serves labelings that are a prefix of the codebook.
 
-    The log-sum-exp runs only on rows that can still reach that tie set.
-    With t_ij = b_j - Q_ij, row i's score is computed as
-    s_i = fl(base_i + L_i), base_i = fl(a_i + max_j t_ij) and
-    L_i = fl(2v fl(log S_i)), where S_i is the computed row sum of
-    exp((t_ij - max_j t_ij) / 2v).  The peak term is exp(0) = 1 exactly and
-    every term lies in [0, 1], so 1 <= S_i <= J (1 + J eps) and
-    0 <= log S_i < ln J + 1; rounding is monotone, so
-    0 <= L_i <= reach = fl(2v fl(ln J + 1)) and
-    base_i <= s_i <= fl(base_i + reach).  Hence max s >= max base, and a
-    row with fl(base_i + reach) < fl(max base - tau) scores below
-    fl(max s - tau): it is neither the argmax nor in the tie set.  The kept
-    rows go through the same subtract, divide, exp, sum and log on the same
-    contiguous rows as the whole table would, so every kept score, the
-    tie set and the decision are those of the unpruned form.
+    Ties.  Labels whose factorised score is within tau of the best are
+    decided again on the direct distances, and the first of those with the
+    best direct score wins.  Let u = eps/2, M_c = |y_c| + max|x1_c| +
+    max|g x2_c| and P = sum_c M_c^2, which bounds every distance.  Both
+    forms square fl(fl(x1 + g x2) - y) to within 5u M_c^2; the direct form's
+    n-term sums add (n - 1)uP, the shift, division by 2v and subtraction of
+    the minimum about 3uP in either form, and the gather's sum
+    (n - 1)u(P + 2v ln J).  exp, the weights and a pairwise sum of at most J
+    positive terms, one at least 1, err relatively by at most (31 + log2 J)u,
+    and the log and its product by 2v add 3u 2v ln J, which the factorised
+    form pays once per coordinate (n <= log2 J).  So the two forms differ on
+    any label by at most (2n + 14)uP + 2v u(31 + 59 ln J + 1.5 ln^2 J), and
+    tau = 32 eps ((n + 4)P + 2v (2 + ln J)^2) is over twice that, with room
+    for the rounding of max - tau.  For i any direct argmax and k the
+    factorised one, fact_i >= direct_i - tau/2 >= direct_k - tau/2 >=
+    fact_k - tau: every direct argmax is in the tie set, so the decision is
+    the first label an exhaustive direct search returns, and exact ties
+    (identical-layer stacks) go to the first label.  A finite tau bounds
+    every distance: an observation whose tau overflows is refused, and a
+    channel whose tau overflows at y = 0, so at every y, is refused when the
+    decoder is built.
 
     A channel whose float64 sums cannot carry x1 is refused.  With
     M = max|x1| + g max|x2| and u = ulp(M), no less than the spacing below
@@ -366,6 +375,10 @@ class MLDecoder:
     """
 
     def __init__(self, cfg: ChannelConfig, system: SecrecySystem):
+        cb = system.codebook
+        if cb.size * cb.n_bar > DEFAULT_TABLE_CAP:
+            raise ResourceCapError(f"{cb.size} points of dimension {cb.n_bar} exceed "
+                                   f"the decoder's table cap {DEFAULT_TABLE_CAP}")
         self.cfg = cfg
         self.system = system
         coeff = scale_channel(cfg)
@@ -377,40 +390,29 @@ class MLDecoder:
         top = max(self._x1.max(), -self._x1.min()) + max(self._gx2.max(), -self._gx2.min())
         if not np.spacing(top) < delta / 2:
             raise ConfigError("the cross gain leaves x1 below float64 resolution in y1")
-        self._reach = self._two_var * (math.log(self._gx2.shape[0]) + 1)
-        self._norms = None
-
-    def _norm_table(self) -> np.ndarray:
-        """Q_ij = ||x1_i + g x2_j||^2, built on first use without an n axis.
-        A table whose entries or rounding bound overflow (a huge cross gain)
-        raises ConfigError."""
-        if self._norms is None:
-            (k, n), j = self._x1.shape, self._gx2.shape[0]
-            if k * j > DEFAULT_PAIR_CAP:
-                raise ResourceCapError(f"{k}x{j} hypothesis pairs exceed cap {DEFAULT_PAIR_CAP}")
-            with np.errstate(over="ignore", invalid="ignore"):
-                n1 = (self._x1 ** 2).sum(axis=1)
-                n2 = (self._gx2 ** 2).sum(axis=1)
-                q = self._x1 @ self._gx2.T
-                q *= 2
-                q += n1[:, None]
-                q += n2[None, :]
-                self._norm_scale = q.max() + n1.max() + n2.max()
-                if not (np.isfinite(q).all() and np.isfinite((n + 4) * self._norm_scale)):
-                    raise ConfigError("the scaled cross gain overflows the decoder's pair norms")
-            self._norms = q
-        return self._norms
-
-    def _tie_bound(self, y: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-        """Rounding bound on the difference of two expanded scores.  The table and
-        the products err by eps (n + const) times the magnitudes they add up
-        (the table's cross term by the norms it cancels against), and the
-        log-sum-exp by eps times 2v log J."""
-        n, j = y.size, self._gx2.shape[0]
+        n, j = self._x1.shape[1], self._gx2.shape[0]
+        ones = [np.unique(col, return_inverse=True) for col in self._x1.T]
+        twos = [np.unique(col, return_counts=True) for col in self._gx2.T]
+        a1, a2 = max(v.size for v, _ in ones), max(v.size for v, _ in twos)
+        rest = j // math.prod(layer.nesting for layer in cb.layers)  # jammer points per digit tuple
+        # padding repeats a value (so no row minimum moves) at weight 0
+        self._sums = np.stack([np.pad(v1, (0, a1 - v1.size), "edge")[:, None]
+                               + np.pad(v2, (0, a2 - v2.size), "edge")
+                               for (v1, _), (v2, _) in zip(ones, twos)])
+        self._weights = np.stack([np.pad(c // rest, (0, a2 - c.size))
+                                  for _, c in twos])[:, None, :].astype(float)
+        self._inv = np.stack([inv for _, inv in ones], axis=1) + a1 * np.arange(n)
+        self._top = np.abs(self._x1).max(axis=0) + np.abs(self._gx2).max(axis=0)
+        self._tau_scale = 32 * np.finfo(float).eps * (n + 4)
+        self._tau_floor = 32 * np.finfo(float).eps * self._two_var * (2 + math.log(j)) ** 2
         with np.errstate(over="ignore"):
-            scale = self._norm_scale + np.abs(a).max() + np.abs(b).max() + y @ y
-            return 32 * np.finfo(float).eps * ((n + 4) * scale
-                                               + self._two_var * (1 + math.log(j)) ** 2)
+            if not math.isfinite(self._tie_bound(np.zeros(n))):
+                raise ConfigError("the scaled cross gain overflows the decoder's distance tables")
+
+    def _tie_bound(self, y: np.ndarray) -> float:
+        """tau of the class docstring; inf where it overflows (warning unless ignored)."""
+        m = np.abs(y) + self._top
+        return float(self._tau_scale * (m * m).sum() + self._tau_floor)
 
     def _direct_choice(self, rows: np.ndarray, y: np.ndarray) -> int:
         """The first of `rows` with the largest score on the direct distances,
@@ -446,23 +448,20 @@ class MLDecoder:
             return int(np.argmin(d))
         if mode != "marginal":
             raise DomainError("mode must be 'marginal' or 'genie'")
-        q = self._norm_table()
-        a = 2 * (self._x1 @ y)
-        b = 2 * (self._gx2 @ y)
-        t = b - q
-        peak = t.max(axis=1)
-        base = a + peak
-        tau = self._tie_bound(y, a, b)
-        if not math.isfinite(tau):
-            raise DomainError("the observation overflows the decoder's rounding bound")
-        kept = np.flatnonzero(base + self._reach >= base.max() - tau)
-        t = t[kept]
-        t -= peak[kept, None]
-        with np.errstate(over="ignore"):
-            t /= self._two_var
-        np.exp(t, out=t)
-        score = base[kept] + self._two_var * np.log(t.sum(axis=1))
-        rows = kept[score >= score.max() - tau]
+        with np.errstate(over="ignore"):  # tau finite bounds every square; d / 2v may overflow
+            tau = self._tie_bound(y)
+            if not math.isfinite(tau):
+                raise DomainError("the observation overflows the decoder's rounding bound")
+            d = self._sums - y[:, None, None]
+            d *= d
+            low = d.min(axis=2, keepdims=True)
+            np.subtract(low, d, out=d)
+            d /= self._two_var
+        np.exp(d, out=d)
+        d *= self._weights
+        table = self._two_var * np.log(d.sum(axis=2)) - low[..., 0]
+        score = table.ravel()[self._inv].sum(axis=1)
+        rows = np.flatnonzero(score >= score.max() - tau)
         return int(rows[0]) if rows.size == 1 else self._direct_choice(rows, y)
 
     def decode_message(self, y1, mode: str = "marginal", t2_index: int | None = None) -> np.ndarray:

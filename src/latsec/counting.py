@@ -45,12 +45,13 @@ from typing import Sequence
 
 import numpy as np
 
-# Cells per matmul intermediate.  On a 2-core x86 VM (4 MiB L2) the
-# unfolded N_bar=8, r0=5 leakage took 0.60 s at 2^20 cells, 0.74 s at 2^21
-# and 1.3 s at 2^23; with the fold, the (N_bar=4, r=2) key audit takes
-# 0.29 s at 2^20, 0.33 s at 2^18 and 2^21, and 0.41 s at 2^22.  The chunk
-# also bounds the kernel's working memory.
-CHUNK_CELLS = 1 << 20
+# Cells per matmul intermediate; the chunk bounds the kernel's working
+# memory.  On a 2-vCPU x86 VM (Python 3.11, numpy 2.4), going from 2^20 to
+# 2^18 cells took the (N_bar=4, r=2) key audit's tracemalloc peak, which set
+# the `leakage_keygen` benchmark's peak RSS, from 13.85 to 3.85 MiB; per
+# traced pass its three key audits went 0.111 -> 0.096 s and its exact
+# leakage rows 0.086 -> 0.100 s, so the pass took as long as before.
+CHUNK_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)

@@ -71,8 +71,8 @@ class ScaledLattice:
     def __post_init__(self):
         if self.dim < 1:
             raise ValidationError("dimension must be positive")
-        if not self.spacing > 0:
-            raise ValidationError("spacing must be positive")
+        if not 0 < self.spacing < np.inf:
+            raise ValidationError("spacing must be finite and positive")
 
     def contains_in_region(self, x) -> bool:
         v = as_vector(x)

@@ -427,3 +427,21 @@ def direct_marginal_oracle(cfg: ChannelConfig, system: SecrecySystem, y) -> np.n
     neg = -((pair - np.asarray(y, dtype=float)) ** 2).sum(axis=2) / (2 * coeff.noise_std_d1 ** 2)
     peak = neg.max(axis=1, keepdims=True)
     return peak[:, 0] + np.log(np.exp(neg - peak).sum(axis=1))
+
+
+def direct_search_oracle(cfg: ChannelConfig, system: SecrecySystem, y) -> int:
+    """The label an exhaustive direct search decides: the first with the largest
+    2v ln sum_j exp((low - D_j) / 2v) - low over all jammer points, where
+    D_j = ||x1 + g x2_j - y||^2 and low = min_j D_j.
+
+    This is the arithmetic `MLDecoder` re-decides near ties with, so labels
+    whose direct scores are equal, exact ties included, go to the first.
+    """
+    coeff = scale_channel(cfg)
+    two_var = 2 * coeff.noise_std_d1 ** 2
+    pair = system.sender_signals[1][:, None, :] + coeff.gain_x2_at_d1 * system.jammer_signals[1]
+    d = ((pair - np.asarray(y, dtype=float)) ** 2).sum(axis=2)
+    low = d.min(axis=1, keepdims=True)
+    with np.errstate(over="ignore"):
+        score = two_var * np.log(np.exp((low - d) / two_var).sum(axis=1)) - low[:, 0]
+    return int(np.argmax(score))

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (brute_force_leakage, cyclic_shift_oracle, direct_marginal_oracle,
-                      genie_error_rate_oracle, per_candidate_leakages)
+                      direct_search_oracle, genie_error_rate_oracle, per_candidate_leakages)
 from latsec import channel
 from latsec._rng import substream
 from latsec.channel import (ChannelConfig, LayeredCodebook, MLDecoder, TrendRow,
@@ -249,16 +249,15 @@ class TestDecoding:
     def test_overflowing_norm_table_refused(self):
         # sqrt(ab) = 1e154 is finite, but g^2 ||x2||^2 is not; the decoder
         # refuses that gain on float resolution already.  At unit gain a
-        # coarse scale of 1e154 resolves every point, but its norms overflow.
+        # coarse scale of 1e154 resolves every point, but the squared
+        # distances overflow at y = 0 and so at every observation.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ConfigError):
                 MLDecoder(ChannelConfig(a=1e300, b=1e8, n_uses=2), system_with_hash(4, 2, 1))
-            decoder = MLDecoder(ChannelConfig(a=1.0, b=1.0, n_uses=2),
-                                build_system(LayeredCodebook((NestedLatticePair(2, 1e154, 4),)),
-                                             None))
             with pytest.raises(ConfigError):
-                decoder.decode_index(np.zeros(2))
+                MLDecoder(ChannelConfig(a=1.0, b=1.0, n_uses=2),
+                          build_system(LayeredCodebook((NestedLatticePair(2, 1e154, 4),)), None))
 
     @pytest.mark.parametrize("mode", ["marginal", "genie"])
     def test_float_resolution_limits_the_gain(self, mode):
@@ -275,16 +274,29 @@ class TestDecoding:
             y = system.received(coeff, i1, i2, rng)
             assert decoder.decode_index(y, mode, i2 if mode == "genie" else None) == i1
 
-    def test_pair_cap(self):
-        # 4096 x 4096 pairs at m = 4, N = 6
-        system = build_system(make_codebook(4, 6), None)
-        cfg = ChannelConfig(a=1.0, b=1.0, n_uses=6)
-        decoder = MLDecoder(cfg, system)
-        y = np.zeros(6)
-        # only marginal decoding builds the table of every (sender, jammer) pair
+    def test_decodes_past_the_old_pair_cap(self):
+        # m = 4, N = 6: 4096 x 4096 (sender, jammer) pairs, which a table of
+        # every pair could not hold; every sent label comes back at tiny noise
+        cb, rng = make_codebook(4, 6), substream(0, "past-pair-cap")
+        system = build_system(cb, None, random_dithers(cb, rng), random_dithers(cb, rng))
+        cfg = ChannelConfig(a=2.0, b=1.0, noise_var1=1e-6 ** 2)
+        decoder, coeff = MLDecoder(cfg, system), scale_channel(cfg)
+        decoded = [decoder.decode_index(system.received(coeff, i1, int(rng.integers(0, 4096)), rng))
+                   for i1 in range(4096)]
+        assert decoded == list(range(4096))
+
+    def test_table_cap(self, monkeypatch):
+        # m = 4, N = 10: 4^10 points of dimension 10 exceed 2^22 table entries;
+        # refused before the signal tables are built
+        system = build_system(make_codebook(4, 10), None)
+
+        def untouched(_self):
+            raise AssertionError("signal tables built before the cap check")
+
+        monkeypatch.setattr(channel.SecrecySystem, "sender_signals", property(untouched))
+        monkeypatch.setattr(channel.SecrecySystem, "jammer_signals", property(untouched))
         with pytest.raises(ResourceCapError):
-            decoder.decode_index(y)
-        assert 0 <= decoder.decode_index(y, "genie", 0) < 1 << system.codebook.n0_bits
+            MLDecoder(ChannelConfig(a=1.0, b=1.0), system)
 
     def test_subnormal_noise_variance_decodes(self):
         # at sigma1 = 1e-160 the variance is subnormal and a squared distance
@@ -300,30 +312,44 @@ class TestDecoding:
                 i2 = int(rng.integers(0, system.codebook.size))
                 assert decoder.decode_index(system.received(coeff, i1, i2, rng)) == i1
 
-    @settings(max_examples=80, deadline=None)
-    @given(st.sampled_from([(m, n_bar, layers) for m in (2, 4, 8) for n_bar in range(1, 5)
-                            for layers in (1, 2) if m ** n_bar <= 512 and n_bar % layers == 0]),
-           st.booleans(), st.sampled_from([1e-9, 1e-6, 0.05, 0.1, 0.2, 0.5, 1.0, 100.0]),
-           st.integers(0, 2 ** 16))
-    def test_marginal_matches_direct_oracle(self, stack, dithered, sigma1, seed):
+    @settings(max_examples=120, deadline=None)
+    @given(st.sampled_from([(m, n_bar, layers) for m in (2, 3, 4, 8) for n_bar in range(1, 10)
+                            for layers in (1, 2, 3) if m ** n_bar <= 512 and n_bar % layers == 0]),
+           st.booleans(),
+           st.sampled_from([1e-9, 1e-6, 0.05, 0.1, 0.2, 0.3, 0.5, 1.0, 2.0, 5.0, 100.0]),
+           st.sampled_from([2.0, 4.0]), st.integers(0, 2 ** 16))
+    def test_marginal_matches_direct_oracle(self, stack, dithered, sigma1, a, seed):
+        # m = 3 labels a prefix of the codebook; stacks of up to three identical
+        # layers, and the rational gain 2 (a = 4), hold exact ties; sigma1 runs
+        # from error-free to guessing
         m, n_bar, n_layers = stack
         cb = make_codebook(m, n_bar, n_layers)
         rng = np.random.default_rng(seed)
         dithers = (random_dithers(cb, rng), random_dithers(cb, rng)) if dithered else ()
         system = build_system(cb, None, *dithers)
-        cfg = ChannelConfig(a=2.0, b=1.0, noise_var1=sigma1 ** 2)
-        decoder, coeff = MLDecoder(cfg, system), scale_channel(cfg)
-        size = cb.size
-        # noisy observations: the same decision as the direct form.  At sigma1
-        # 0.05 to 1 the pruned log-sum-exp keeps some rows but not all
+        cfg = ChannelConfig(a=a, b=1.0, noise_var1=sigma1 ** 2)
+        try:
+            decoder, coeff = MLDecoder(cfg, system), scale_channel(cfg)
+        except ConfigError:
+            # dithered m = 3 stacks: sums of layers that are equal up to an ulp
+            # are refused on float resolution (test_float_resolution_limits_the_gain)
+            assume(False)
+        labels = [system.sender_signals[1].shape[0], cb.size]
+        # noisy observations: the same decision as the direct form.  At the
+        # rational gain distinct labels can tie exactly (x1 + 2 x2 repeats when
+        # x1 moves by 2 and x2 by -1), and then the log-unit oracle's rounding,
+        # not the label order, picks among them
         for _ in range(4):
-            i1, i2 = (int(i) for i in rng.integers(0, size, size=2))
+            i1, i2 = (int(i) for i in rng.integers(0, labels))
             y = system.received(coeff, i1, i2, rng)
-            assert decoder.decode_index(y) == int(np.argmax(direct_marginal_oracle(cfg, system, y)))
+            if a == 2.0:
+                assert decoder.decode_index(y) == int(np.argmax(
+                    direct_marginal_oracle(cfg, system, y)))
+            assert decoder.decode_index(y) == direct_search_oracle(cfg, system, y)
         # midpoints between two pair signals, and y = 0: a label the direct form
-        # scores within a few ulps of the best.  Deciding on the expanded score
-        # alone, without the direct re-check, falls up to 5e-14 below it.
-        pairs = rng.integers(0, size, size=(3, 2, 2))
+        # scores within a few ulps of the best.  Deciding on the factorised
+        # score alone, without the direct re-check, can pick another of them.
+        pairs = rng.integers(0, labels, size=(3, 2, 2))
         x1, x2 = system.sender_signals[1], system.jammer_signals[1]
         signals = x1[pairs[..., 0]] + coeff.gain_x2_at_d1 * x2[pairs[..., 1]]
         for y in [*(signals.sum(axis=1) / 2), np.zeros(cb.block_dim)]:
@@ -331,10 +357,12 @@ class TestDecoding:
             best = loglik.max()
             ties = np.flatnonzero(loglik >= best - 8 * np.finfo(float).eps * max(1.0, abs(best)))
             assert decoder.decode_index(y) in ties
+            assert decoder.decode_index(y) == direct_search_oracle(cfg, system, y)
 
     def test_first_marginal_decode_memory(self):
-        # the K x J norm table is 8 MiB here; a table of every pair signal
-        # (K x J x n) would be 80 MiB
+        # a K x J table of pair norms would be 8 MiB here, and one of every
+        # pair signal (K x J x n) 80 MiB; the per-coordinate tables are built
+        # with the decoder, and a decode gathers K x n scores (80 KiB)
         system = build_system(make_codebook(2, 10), None)
         cfg = ChannelConfig(a=2.0, b=1.0, noise_var1=0.1 ** 2)
         decoder = MLDecoder(cfg, system)
@@ -345,7 +373,7 @@ class TestDecoding:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 48 << 20
+        assert peak < 1 << 20
 
 
     @pytest.mark.parametrize("dither_mode", ["zero", "random"])

@@ -139,3 +139,16 @@ def test_peak_memory_of_largest_leakage():
     finally:
         tracemalloc.stop()
     assert peak < 12 * 2 ** 20
+
+
+def test_peak_memory_of_widest_key_audit():
+    # the (N_bar=4, r=2) audit of the keygen benchmark: its chunk intermediates
+    # peaked at 13.85 MiB with 2^20-cell chunks and 3.85 MiB with 2^18
+    cb = make_codebook(4, 4)
+    tracemalloc.start()
+    try:
+        key_secrecy_report(cb, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2 ** 20

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -227,6 +228,15 @@ class TestRepresentation:
                         total = np.sum(combo, axis=0)
                         assert np.allclose(reconstruct_sum(idx, w, lat), total,
                                            atol=1e-9)
+
+    def test_spacing_must_be_finite_and_positive(self):
+        # an infinite spacing used to be accepted, and representation_index
+        # then warned on inf * 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for spacing in (-1.0, 0.0, np.inf, np.nan):
+                with pytest.raises(ValidationError):
+                    representation_index([[0.3], [0.2]], ScaledLattice(1, spacing))
 
     def test_point_outside_region_rejected(self):
         lat = ScaledLattice(1, 2.0)
