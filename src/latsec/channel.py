@@ -336,13 +336,14 @@ class MLDecoder:
     sum_j exp(-||x1_k + g x2_j - y||^2 / 2v) with v the noise variance.  The
     noise is i.i.d., coordinate c of a signal depends only on the point's
     coordinate-c digits (`mod_signals` works coordinatewise) and the jammer's
-    points are the full product grid, so S_k = sum_c F[c, x1_kc] with
+    points are the full product grid, so S_k + C = sum_c F[c, x1_kc] with
     F[c, a] = 2v ln sum_b w_b exp(-(a + b - y_c)^2 / 2v): b runs over the
-    distinct values of g x2_c, and w_b counts the coordinate-c digit tuples
-    that give b.  An observation costs one (n, A1, A2) table of distances,
-    its log-sum-exp over the last axis, shifted by the minimum as the direct
-    form is, and a gather of n entries for each of the K labels, which also
-    serves labelings that are a prefix of the codebook.
+    distinct values of g x2_c, w_b counts the jammer points whose coordinate
+    c is b, and C = 2v n ln(J/T), T the number of coordinate-c digit tuples,
+    is shared by every label.  An observation costs one (n, A1, A2) table of
+    distances, its log-sum-exp over the last axis, shifted by the minimum as
+    the direct form is, and a gather of n entries for each of the K labels,
+    which also serves labelings that are a prefix of the codebook.
 
     Ties.  Labels whose factorised score is within tau of the best are
     decided again on the direct distances, and the first of those with the
@@ -350,21 +351,21 @@ class MLDecoder:
     max|g x2_c| and P = sum_c M_c^2, which bounds every distance.  Both
     forms square fl(fl(x1 + g x2) - y) to within 5u M_c^2; the direct form's
     n-term sums add (n - 1)uP, the shift, division by 2v and subtraction of
-    the minimum about 3uP in either form, and the gather's sum
-    (n - 1)u(P + 2v ln J).  exp, the weights and a pairwise sum of at most J
-    positive terms, one at least 1, err relatively by at most (31 + log2 J)u,
-    and the log and its product by 2v add 3u 2v ln J, which the factorised
-    form pays once per coordinate (n <= log2 J).  So the two forms differ on
-    any label by at most (2n + 14)uP + 2v u(31 + 59 ln J + 1.5 ln^2 J), and
-    tau = 32 eps ((n + 4)P + 2v (2 + ln J)^2) is over twice that, with room
-    for the rounding of max - tau.  For i any direct argmax and k the
-    factorised one, fact_i >= direct_i - tau/2 >= direct_k - tau/2 >=
-    fact_k - tau: every direct argmax is in the tie set, so the decision is
-    the first label an exhaustive direct search returns, and exact ties
-    (identical-layer stacks) go to the first label.  A finite tau bounds
-    every distance: an observation whose tau overflows is refused, and a
-    channel whose tau overflows at y = 0, so at every y, is refused when the
-    decoder is built.
+    the minimum about 3uP in either form, and the gather's sum of n entries,
+    each at most M_c^2 + 2v ln J, (n - 1)u(P + 2v n ln J).  exp, the weights
+    and a pairwise sum of at most J positive terms, one at least 1, err
+    relatively by at most (31 + log2 J)u, and the log and its product by 2v
+    add 3u 2v ln J, paid once per coordinate by the factorised form.  As
+    n <= log2 J, the forms differ on any label, less C, by at most
+    (2n + 14)uP + 2v u n(62 + 9 ln J + 1.5 ln^2 J); tau = 32 eps ((n + 4)P +
+    2v n (2 + ln J)^2) is over twice that, with room for the rounding of
+    max - tau.  For i any direct argmax and k the factorised one,
+    fact_i - C >= direct_i - tau/2 >= direct_k - tau/2 >= fact_k - C - tau:
+    every direct argmax is in the tie set, so the decision is the first label
+    an exhaustive direct search returns, and exact ties (identical-layer
+    stacks) go to the first label.  A finite tau bounds every distance: an
+    observation whose tau overflows is refused, and a channel whose tau
+    overflows at y = 0, so at every y, is refused when the decoder is built.
 
     A channel whose float64 sums cannot carry x1 is refused.  With
     M = max|x1| + g max|x2| and u = ulp(M), no less than the spacing below
@@ -385,26 +386,26 @@ class MLDecoder:
         self._two_var = 2 * coeff.noise_std_d1 ** 2
         self._x1 = system.sender_signals[1]
         self._gx2 = coeff.gain_x2_at_d1 * system.jammer_signals[1]
-        gaps = (np.diff(np.sort(col)) for col in self._x1.T)
-        delta = min(np.where(g > 0, g, math.inf).min(initial=math.inf) for g in gaps)
-        top = max(self._x1.max(), -self._x1.min()) + max(self._gx2.max(), -self._gx2.min())
-        if not np.spacing(top) < delta / 2:
-            raise ConfigError("the cross gain leaves x1 below float64 resolution in y1")
         n, j = self._x1.shape[1], self._gx2.shape[0]
         ones = [np.unique(col, return_inverse=True) for col in self._x1.T]
         twos = [np.unique(col, return_counts=True) for col in self._gx2.T]
         a1, a2 = max(v.size for v, _ in ones), max(v.size for v, _ in twos)
-        rest = j // math.prod(layer.nesting for layer in cb.layers)  # jammer points per digit tuple
+        if n * a1 * a2 > DEFAULT_TABLE_CAP:
+            raise ResourceCapError(f"{n * a1 * a2} distances exceed cap {DEFAULT_TABLE_CAP}")
+        delta = min(np.diff(v).min(initial=math.inf) for v, _ in ones)
+        top = max(self._x1.max(), -self._x1.min()) + max(self._gx2.max(), -self._gx2.min())
+        if not np.spacing(top) < delta / 2:
+            raise ConfigError("the cross gain leaves x1 below float64 resolution in y1")
         # padding repeats a value (so no row minimum moves) at weight 0
         self._sums = np.stack([np.pad(v1, (0, a1 - v1.size), "edge")[:, None]
                                + np.pad(v2, (0, a2 - v2.size), "edge")
                                for (v1, _), (v2, _) in zip(ones, twos)])
-        self._weights = np.stack([np.pad(c // rest, (0, a2 - c.size))
+        self._weights = np.stack([np.pad(c, (0, a2 - c.size))
                                   for _, c in twos])[:, None, :].astype(float)
         self._inv = np.stack([inv for _, inv in ones], axis=1) + a1 * np.arange(n)
         self._top = np.abs(self._x1).max(axis=0) + np.abs(self._gx2).max(axis=0)
         self._tau_scale = 32 * np.finfo(float).eps * (n + 4)
-        self._tau_floor = 32 * np.finfo(float).eps * self._two_var * (2 + math.log(j)) ** 2
+        self._tau_floor = 32 * np.finfo(float).eps * self._two_var * n * (2 + math.log(j)) ** 2
         with np.errstate(over="ignore"):
             if not math.isfinite(self._tie_bound(np.zeros(n))):
                 raise ConfigError("the scaled cross gain overflows the decoder's distance tables")

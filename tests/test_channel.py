@@ -298,6 +298,22 @@ class TestDecoding:
         with pytest.raises(ResourceCapError):
             MLDecoder(ChannelConfig(a=1.0, b=1.0), system)
 
+    def test_distance_table_cap(self):
+        # twelve one-coordinate m = 2 layers at scales 2, 4, ..., 4096 under
+        # random dithers: 2^12 distinct values of x1 and of g x2, so 2^24
+        # distances, refused before the 128-MiB table is built
+        cb = LayeredCodebook(tuple(NestedLatticePair(1, 2.0 ** (l + 1), 2) for l in range(12)))
+        rng = np.random.default_rng(0)
+        system = build_system(cb, None, random_dithers(cb, rng), random_dithers(cb, rng))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceCapError):
+                MLDecoder(ChannelConfig(a=1.0, b=1.0), system)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
+
     def test_subnormal_noise_variance_decodes(self):
         # at sigma1 = 1e-160 the variance is subnormal and a squared distance
         # over 2v overflows for every pair but the sent one
