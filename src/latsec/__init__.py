@@ -6,7 +6,7 @@ seeded-extractor key generation, a wiretap-channel simulator with exact
 leakage accounting, and the closed-form secure-degrees-of-freedom map.
 """
 
-from .entropy import DiscreteDistribution, renyi2_entropy, shannon_entropy
+from .entropy import BitSource, renyi2_entropy
 from .lattice import (LatticeVector, NestedLatticePair, RepresentationIndex,
                       ScaledLattice, dithered_sum_secrecy_report, reconstruct_sum,
                       representation_index)

@@ -492,18 +492,35 @@ def coordinate_specs(codebook: LayeredCodebook, dithers1) -> list[Coordinate]:
             for k in layer.dither_shifts(d)]
 
 
+def _leakage_coords(codebook: LayeredCodebook, dithers1, sign: str) -> list[Coordinate]:
+    """The coordinates exact leakage counts over, refused before any table is
+    built when the sign is bad or their sum alphabet exceeds its cap."""
+    if sign not in ("+", "-"):
+        raise DomainError("sign must be '+' or '-'")
+    coords = coordinate_specs(codebook, dithers1)
+    sigma_space = math.prod(2 * c.m - 1 for c in coords)
+    if sigma_space > DEFAULT_SIGMA_SPACE_CAP:
+        raise ResourceCapError(f"sum alphabet {sigma_space} exceeds cap {DEFAULT_SIGMA_SPACE_CAP}")
+    return coords
+
+
 def exact_leakage(codebook: LayeredCodebook, hash_or_kit: FiniteFieldMatrix | EncoderKit,
-                  dithers1=None, sign: str = "+", method: str = "auto") -> float:
+                  dithers1=None, sign: str = "+", method: str = "auto",
+                  counter: WalshCounter | None = None) -> float:
     """Exact I(secret; per-layer real sums) in bits, dithers public and fixed.
 
     The secret is the hash image of the sender's uniformly encoded point;
     the jammer's point is uniform and independent.  Equals the information
     carried by (modular sum, carry index); the eavesdropper's noisy
     observation can only be a further degraded function of that pair.
+
+    The fast method counts against `counter`, the Walsh tables of these
+    coordinates and sign, which it builds when none is given; a counter built
+    for other coordinates or another sign is refused.
     """
-    if sign not in ("+", "-"):
-        raise DomainError("sign must be '+' or '-'")
-    coords = coordinate_specs(codebook, dithers1)
+    coords = _leakage_coords(codebook, dithers1, sign)
+    if counter is not None and (counter.coords != tuple(coords) or counter.sign != sign):
+        raise DomainError("the Walsh counter was built for other coordinates or another sign")
     g = hash_or_kit.g if isinstance(hash_or_kit, EncoderKit) else hash_or_kit
     if g.rows == 0:
         return 0.0
@@ -515,12 +532,8 @@ def exact_leakage(codebook: LayeredCodebook, hash_or_kit: FiniteFieldMatrix | En
     if method == "fast" and not codebook.walsh_countable:
         raise DomainError("fast leakage needs power-of-two layers labeling the whole codebook")
 
-    sigma_space = math.prod(2 * c.m - 1 for c in coords)
-    if sigma_space > DEFAULT_SIGMA_SPACE_CAP:
-        raise ResourceCapError(f"sum alphabet {sigma_space} exceeds cap {DEFAULT_SIGMA_SPACE_CAP}")
-
     if method == "fast":
-        counter = _walsh_counter(coords, sign)
+        counter = counter or WalshCounter(coords, sign)
         hist = counter.histogram([[bits_to_int(row) for row in g.entries]])
         sum_w = counter.w_xlog2x
     elif method == "enumerate":
@@ -537,22 +550,6 @@ def exact_leakage(codebook: LayeredCodebook, hash_or_kit: FiniteFieldMatrix | En
     d_total = float(1 << n0) * float(codebook.size)
     mi = math.log2(d_total) + (hist_xlog2x(hist) - sum_w - sum_nw) / d_total
     return max(0.0, mi)
-
-
-# the tables of the latest (coordinates, sign): a selection screens every
-# candidate against one codebook and dither, so its calls build them once.
-# The selection empties it when it returns; kept tables would sit beside
-# every later computation's own
-_LAST_COUNTER: dict = {}
-
-
-def _walsh_counter(coords: list[Coordinate], sign: str) -> WalshCounter:
-    key = (tuple(coords), sign)
-    counter = _LAST_COUNTER.get(key)
-    if counter is None:
-        _LAST_COUNTER.clear()  # release the old tables before building new ones
-        counter = _LAST_COUNTER[key] = WalshCounter(coords, sign)
-    return counter
 
 
 def _enumerated_histograms(codebook: LayeredCodebook, g: FiniteFieldMatrix,
@@ -623,10 +620,11 @@ def select_secrecy_hash(codebook: LayeredCodebook, r0: int, dithers1=None,
     rng = substream(seed, "hash-select")
     cand_seeds = [int(s) for s in rng.integers(0, 2 ** 63 - 1, size=n_candidates)]
     matrices = [sample_linear_hash(r0, codebook.n0_bits, s) for s in cand_seeds]
-    try:
-        leakages = [exact_leakage(codebook, m, dithers1, sign) for m in matrices]
-    finally:
-        _LAST_COUNTER.clear()
+    # the Walsh tables depend on the codebook, dithers and sign but not on the
+    # hash, so the whole family is counted against one set
+    counter = (WalshCounter(_leakage_coords(codebook, dithers1, sign), sign)
+               if codebook.walsh_countable else None)
+    leakages = [exact_leakage(codebook, m, dithers1, sign, counter=counter) for m in matrices]
     ranks = [full_rank_check(m) for m in matrices]
     avg = float(np.mean(leakages))
 

@@ -139,13 +139,15 @@ class WalshCounter:
     cut, the half-table blocks and the window histogram once; `histogram`
     then counts any number of hashes against them, keeping the blocks in the
     float dtype of the latest call.  Every coordinate's m must be a power of
-    two.
+    two.  `coords` and `sign` record what the tables were built for.
 
     hist_w[v] is the number of sigma whose window W(sigma), N summed over k,
     holds v labels, which no hash changes; it has length max W + 1.
     """
 
     def __init__(self, coords: list[Coordinate], sign: str):
+        self.coords = tuple(coords)
+        self.sign = sign
         kept = [_kept_columns(c, sign) for c in coords]
         cut = _balanced_cut([tab.shape[1] for tab, _ in kept])
         self._left = _half_blocks(kept[:cut])    # blocks of (2^bits_left, a) columns

@@ -1,7 +1,11 @@
 """Exact entropy measures on finite distributions and side-information bounds.
 
-Probabilities may be floats or `fractions.Fraction`.  Entropies are float
-bits with the usual 0*log2(0) := 0 convention.
+Entropies are float bits with the usual 0*log2(0) := 0 convention.
+
+A bit source is n bits and one nonnegative integer weight per symbol:
+symbol i is the n-bit binary form of i and has mass weights[i] / sum(weights).
+`renyi2_entropy` evaluates its collision entropy from the integers, with one
+rounded division.
 
 A joint of X and T is an integer count matrix c (the joint c / c.sum()),
 rows indexed by x and columns by t.  `conditional_shannon_counts` gives
@@ -16,14 +20,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, ResourceCapError, ValidationError
-
-MASS_TOL = 1e-12
 
 # joints per `violation_mass_counts` call in the grid sweep (256 KiB at 4 x 4)
 GRID_BATCH = 2048
@@ -35,48 +38,29 @@ FLOOR_CHUNK_ENTRIES = 1 << 15
 FLOOR_TOL = 1e-9
 
 
-def _check_probs(probs) -> None:
-    for p in probs:
-        if p < 0:
-            raise ValidationError(f"negative probability mass: {p}")
-    total = sum(probs)
-    if abs(total - 1) > MASS_TOL:
-        raise ValidationError(f"probabilities sum to {float(total)}, not 1")
-
-
 @dataclass(frozen=True)
-class DiscreteDistribution:
-    """A probability table over a finite support of opaque, hashable symbols."""
+class BitSource:
+    """A source on n-bit symbols: symbol i, the bits of i most significant
+    first, has mass weights[i] / sum(weights)."""
 
-    support: tuple
-    probs: tuple
+    n: int
+    weights: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "support", tuple(self.support))
-        object.__setattr__(self, "probs", tuple(self.probs))
-        if len(self.support) == 0:
-            raise ValidationError("empty support")
-        if len(self.support) != len(self.probs):
-            raise ValidationError("support and probs length mismatch")
-        if len(set(self.support)) != len(self.support):
-            raise ValidationError("support symbols must be pairwise distinct")
-        _check_probs(self.probs)
+        # Python ints, so that no sum or square of the weights can wrap
+        weights = tuple(map(operator.index, self.weights))
+        object.__setattr__(self, "weights", weights)
+        if self.n < 1 or not 0 < len(weights) <= 1 << self.n:
+            raise ValidationError("a bit source has n >= 1 bits and 1 to 2^n weights")
+        if min(weights) < 0 or sum(weights) == 0:
+            raise ValidationError("bit source weights must be nonnegative, not all zero")
 
 
-def shannon_entropy(d: DiscreteDistribution) -> float:
-    """-sum p log2 p in bits; lies in [0, log2 |support|]."""
-    h = 0.0
-    for p in d.probs:
-        if p > 0:
-            fp = float(p)
-            h -= fp * math.log2(fp)
-    return h
-
-
-def renyi2_entropy(d: DiscreteDistribution) -> float:
-    """Collision entropy -log2 sum p^2; never exceeds the Shannon entropy."""
-    s = sum(float(p) * float(p) for p in d.probs)
-    return -math.log2(s)
+def renyi2_entropy(source: BitSource) -> float:
+    """Collision entropy -log2 sum p^2 = log2(T^2 / sum w^2), T the total
+    weight: one correctly rounded int division, then one log2."""
+    total = sum(source.weights)
+    return math.log2(total * total / sum(w * w for w in source.weights))
 
 
 def conditional_shannon_counts(counts) -> float:
@@ -93,8 +77,12 @@ def conditional_shannon_counts(counts) -> float:
     for col in zip(*rows):
         colsum = sum(col)
         if colsum > 0:
-            cond = DiscreteDistribution(range(len(col)), [c / colsum for c in col])
-            h += colsum / total * shannon_entropy(cond)
+            h_col = 0.0
+            for c in col:
+                if c > 0:
+                    p = c / colsum
+                    h_col -= p * math.log2(p)
+            h += colsum / total * h_col
     return h
 
 

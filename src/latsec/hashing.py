@@ -18,21 +18,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
-from .entropy import DiscreteDistribution, renyi2_entropy, xlog2x_sum
+from .entropy import BitSource, renyi2_entropy, xlog2x_sum
 from .errors import DomainError, ResourceCapError, ValidationError
 from .lattice import grid_label, label_grid
 
 DEFAULT_MATRIX_CAP = 1 << 22
-# Largest support a bit source enumerates.  Every symbol is a tuple of n
-# Python ints with an exact rational mass, so a 2^40-symbol source cannot
-# be built at all.  The geometric source's denominator has 2^n bits, so
-# building it grows faster than the square of its support (on a 2-vCPU x86
-# VM: 0.15 s at n = 12, 0.75 s at n = 13, 4.9 s at n = 14); the flat
-# source's k symbols are far cheaper, and it shares the cap only so that
+# Largest support a bit source enumerates.  `exact_hashed_entropy` hashes
+# every symbol with every matrix of the family, so its work is the support
+# times the family size, and the geometric source's 2^n weights have up to
+# 2^n bits each, 4^n / 8 bytes in all.  On a 2-vCPU x86 VM (Python 3.11) the
+# n = 12 geometric source takes 1.2 MiB and 1 ms to build, 14 ms for its H2
+# and 0.32 s for its exhaustive r = 1 hashed entropy; at n = 14 it takes
+# 17.5 MiB, 65 ms, 0.34 s and 5.9 s.  The flat source shares the cap so that
 # one bound covers every source the amplification sweep builds.
 SOURCE_SUPPORT_CAP = 1 << 12
 # entries in the largest temporary of one batched pass over a chunk of matrices
@@ -203,22 +203,7 @@ def full_rank_fraction_mc(r: int, n: int, trials: int, seed: int = 0) -> float:
     return hits / trials
 
 
-def _bit_source_matrix(source: DiscreteDistribution) -> tuple[np.ndarray, np.ndarray, int]:
-    symbols = source.support
-    first = symbols[0]
-    if not isinstance(first, tuple):
-        raise DomainError("source symbols must be bit tuples")
-    n = len(first)
-    rows = []
-    for sym in symbols:
-        if not isinstance(sym, tuple) or len(sym) != n or any(b not in (0, 1) for b in sym):
-            raise DomainError("source symbols must be equal-length bit tuples")
-        rows.append(sym)
-    return (np.asarray(rows, dtype=np.int64),
-            np.asarray([float(p) for p in source.probs]), n)
-
-
-def flat_bit_source(n: int, k: int) -> DiscreteDistribution:
+def flat_bit_source(n: int, k: int) -> BitSource:
     """Uniform source on the first k of the 2^n bit tuples (H2 = log2 k exactly)."""
     if n < 1:
         raise DomainError("a bit source needs at least one bit")
@@ -226,24 +211,21 @@ def flat_bit_source(n: int, k: int) -> DiscreteDistribution:
         raise DomainError("k must lie in [1, 2^n]")
     if k > SOURCE_SUPPORT_CAP:
         raise ResourceCapError(f"{k} symbols exceed the source cap {SOURCE_SUPPORT_CAP}")
-    support = tuple(tuple(int(b) for b in int_to_bits(i, n)) for i in range(k))
-    return DiscreteDistribution(support, tuple(Fraction(1, k) for _ in range(k)))
+    return BitSource(n, (1,) * k)
 
 
-def geometric_bit_source(n: int) -> DiscreteDistribution:
-    """Dyadically decaying source over all 2^n bit tuples (exact rational masses)."""
+def geometric_bit_source(n: int) -> BitSource:
+    """Dyadically decaying source over all 2^n bit tuples: symbol i has weight
+    2^(2^n - 1 - i)."""
     if n < 1:
         raise DomainError("a bit source needs at least one bit")
     if n > SOURCE_SUPPORT_CAP.bit_length() - 1:
         raise ResourceCapError(f"2^{n} symbols exceed the source cap {SOURCE_SUPPORT_CAP}")
     size = 1 << n
-    denom = (1 << size) - 1
-    support = tuple(tuple(int(b) for b in int_to_bits(i, n)) for i in range(size))
-    probs = tuple(Fraction(1 << (size - 1 - i), denom) for i in range(size))
-    return DiscreteDistribution(support, probs)
+    return BitSource(n, tuple(1 << (size - 1 - i) for i in range(size)))
 
 
-def exact_hashed_entropy(source: DiscreteDistribution, r: int, seed_set=None) -> float:
+def exact_hashed_entropy(source: BitSource, r: int, seed_set=None) -> float:
     """Average output Shannon entropy H(G(A) | G) over the binary linear family
     of r-row hashes, r >= 1.
 
@@ -255,7 +237,10 @@ def exact_hashed_entropy(source: DiscreteDistribution, r: int, seed_set=None) ->
     """
     if r < 1:
         raise DomainError("a hash needs at least one output bit")
-    sym_matrix, weights, n = _bit_source_matrix(source)
+    n, total = source.n, sum(source.weights)
+    # int true division rounds correctly, so each mass is the float of the exact one
+    weights = np.array([w / total for w in source.weights])
+    sym_matrix = (np.arange(len(weights))[:, None] >> np.arange(n - 1, -1, -1)) & 1
     powers = 1 << np.arange(r - 1, -1, -1, dtype=np.int64)
 
     if seed_set is None:

@@ -12,15 +12,25 @@ from fractions import Fraction
 
 import numpy as np
 
-from latsec import channel
 from latsec._rng import gaussian, substream
 from latsec.channel import (ChannelConfig, LayeredCodebook, SecrecySystem, coordinate_specs,
                             exact_leakage, mod_signals, scale_channel)
 from latsec.counting import WalshCounter, hist_xlog2x
-from latsec.entropy import DiscreteDistribution, renyi2_entropy, shannon_entropy, xlog2x_sum
+from latsec.entropy import BitSource, renyi2_entropy, xlog2x_sum
 from latsec.hashing import (EncoderKit, encode_secret, full_rank_check, int_to_bits,
                             privacy_amp_bound, sample_linear_hash)
 from latsec.lattice import NestedLatticePair, SumSecrecyReport, label_grid, reduce_carry
+
+
+def shannon_oracle(probs) -> float:
+    """-sum p log2 p in bits over exact (or float) masses, each cast to float
+    and subtracted in order."""
+    h = 0.0
+    for p in probs:
+        if p > 0:
+            fp = float(p)
+            h -= fp * math.log2(fp)
+    return h
 
 
 # Exact joints are Fraction mass matrices: a list of rows, row x, column t.
@@ -31,15 +41,13 @@ def conditional_shannon_oracle(probs) -> float:
     for col in zip(*probs):
         mass = sum(col)
         if mass > 0:
-            h += float(mass) * shannon_entropy(
-                DiscreteDistribution(range(len(col)), [p / mass for p in col]))
+            h += float(mass) * shannon_oracle([p / mass for p in col])
     return h
 
 
 def mutual_information_oracle(probs) -> float:
     """I(X;T) = H(X) - H(X|T) of an exact joint."""
-    px = DiscreteDistribution(range(len(probs)), [sum(row) for row in probs])
-    return shannon_entropy(px) - conditional_shannon_oracle(probs)
+    return shannon_oracle([sum(row) for row in probs]) - conditional_shannon_oracle(probs)
 
 
 def violation_mass_oracle(probs, measure: str, s) -> Fraction:
@@ -136,10 +144,7 @@ def per_candidate_leakages(codebook: LayeredCodebook, r0: int, dithers1, sign: s
     rng = substream(seed, "hash-select")
     seeds = rng.integers(0, 2 ** 63 - 1, size=n_candidates)
     matrices = [sample_linear_hash(r0, codebook.n0_bits, int(s)) for s in seeds]
-    leakages = []
-    for g in matrices:
-        channel._LAST_COUNTER.clear()
-        leakages.append(exact_leakage(codebook, g, dithers1, sign))
+    leakages = [exact_leakage(codebook, g, dithers1, sign) for g in matrices]
     return leakages, [full_rank_check(g) for g in matrices]
 
 
@@ -237,7 +242,7 @@ def sum_secrecy_oracle(pair: NestedLatticePair, d1, d2, sign: str, s: float,
     joint_masked = joint(masked, total)
     h_given_masked = conditional_shannon_oracle(joint_masked)
     gap = h_given_masked - conditional_shannon_oracle(joint(full, total))
-    h_u1 = shannon_entropy(DiscreteDistribution(range(size), [sum(r) for r in joint_masked]))
+    h_u1 = shannon_oracle([sum(r) for r in joint_masked])
     independent = (len({sum(col) for col in zip(*joint_masked)}) == 1
                    and abs(h_given_masked - h_u1) <= 1e-9)
     max_labels = max(len({z for (_, z) in sl}) for sl in per_masked.values())
@@ -339,12 +344,12 @@ def floor_sweep_oracle(trials: int, max_x: int, max_t: int, seed: int,
     return violations, max_deficit
 
 
-def exact_hashed_entropy_oracle(source: DiscreteDistribution, r: int, seed_set=None) -> float:
+def exact_hashed_entropy_oracle(source: BitSource, r: int, seed_set=None) -> float:
     """`exact_hashed_entropy` one matrix at a time: hash every symbol, bincount the
     masses, and sum -m log2 m over the nonzero ones."""
-    symbols = np.asarray(source.support, dtype=np.int64)
-    weights = np.asarray([float(p) for p in source.probs])
-    n = symbols.shape[1]
+    n, total = source.n, sum(source.weights)
+    symbols = np.array([int_to_bits(i, n) for i in range(len(source.weights))])
+    weights = np.array([float(Fraction(w, total)) for w in source.weights])
     powers = 1 << np.arange(r - 1, -1, -1, dtype=np.int64)
     if seed_set is None:
         matrices = [int_to_bits(g, r * n).reshape(r, n) for g in range(1 << (r * n))]

@@ -17,6 +17,7 @@ from latsec.channel import (ChannelConfig, LayeredCodebook, MLDecoder, TrendRow,
                             make_codebook, mod_signals, random_dithers,
                             run_message_round, scale_channel,
                             secrecy_rate_report, select_secrecy_hash, transmit)
+from latsec.counting import WalshCounter
 from latsec.errors import ConfigError, DomainError, ResourceCapError
 from latsec.extractor import key_secrecy_report
 from latsec.hashing import (FiniteFieldMatrix, build_encoder, full_rank_check,
@@ -579,24 +580,28 @@ class TestSelection:
         assert all(got == leak for got, leak in zip(sel.leakages, want))
         assert sel.full_ranks == tuple(ranks)
 
-    def test_shared_tables_follow_dithers_and_sign(self):
-        # the tables kept from the last call are reused only while neither the
-        # dither shifts nor the sign change; every call must read as on fresh ones
+    def test_shared_tables_follow_dithers_and_sign(self, monkeypatch):
+        # a counter gives the figure of freshly built tables for the coordinates
+        # and sign it was built for, and is refused for any other
         cb = make_codebook(4, 3, 1)
         g = sample_linear_hash(2, cb.n0_bits, 7)
         rng = np.random.default_rng(1)
         dithers = [None, random_dithers(cb, rng), random_dithers(cb, rng)]
-        calls = [(i, sign) for sign in ("+", "-") for i in (0, 1, 1, 0, 2)]
-        fresh = {}
-        for i, sign in calls:
-            channel._LAST_COUNTER.clear()
-            fresh[i, sign] = exact_leakage(cb, g, dithers[i], sign)
-        assert len({fresh[i, "+"] for i in range(3)}) == 3  # the dithers tell apart
-        for i, sign in calls:
-            assert exact_leakage(cb, g, dithers[i], sign) == fresh[i, sign]
-        # a selection keeps no tables once it returns
-        select_secrecy_hash(cb, 2, dithers[1], n_candidates=2)
-        assert not channel._LAST_COUNTER
+        cases = [(d, sign) for d in dithers for sign in ("+", "-")]
+        fresh = [exact_leakage(cb, g, d, sign) for d, sign in cases]
+        assert len(set(fresh[::2])) == 3  # the dithers tell apart
+        for i, (d, sign) in enumerate(cases):
+            counter = WalshCounter(coordinate_specs(cb, d), sign)
+            for j, (d2, sign2) in enumerate(cases):
+                if i == j:
+                    assert exact_leakage(cb, g, d2, sign2, counter=counter) == fresh[j]
+                else:
+                    with pytest.raises(DomainError, match="Walsh counter"):
+                        exact_leakage(cb, g, d2, sign2, counter=counter)
+        # a bad sign is refused before any table is built
+        monkeypatch.setattr(channel, "WalshCounter", None)
+        with pytest.raises(DomainError, match="sign"):
+            select_secrecy_hash(cb, 2, sign="*", n_candidates=2)
 
     def test_deterministic(self):
         cb = make_codebook(4, 2, 1)

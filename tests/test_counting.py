@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_force_histograms
-from latsec import channel, counting
+from latsec import counting
 from latsec.channel import exact_leakage, make_codebook, random_dithers, select_secrecy_hash
 from latsec.counting import Coordinate, WalshCounter, reflection_folds
 from latsec.extractor import key_secrecy_report
@@ -92,7 +92,6 @@ def test_selection_memory_stays_at_one_leakage():
     peaks = []
     for run in (lambda: exact_leakage(cb, g, None, "-"),
                 lambda: select_secrecy_hash(cb, 3, None, "-", n_candidates=16)):
-        channel._LAST_COUNTER.clear()
         tracemalloc.start()
         try:
             run()

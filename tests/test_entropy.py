@@ -9,17 +9,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (conditional_shannon_oracle, floor_deficit_oracle, floor_sweep_oracle,
-                      grid_joint_from_counts, mutual_information_oracle, violation_mass_oracle)
+                      grid_joint_from_counts, mutual_information_oracle, shannon_oracle,
+                      violation_mass_oracle)
 from latsec import entropy
-from latsec.entropy import (DiscreteDistribution, conditional_entropy_floor_sweep,
+from latsec.entropy import (BitSource, conditional_entropy_floor_sweep,
                             conditional_shannon_counts, floor_deficits, iter_grid_joints,
-                            renyi2_entropy, shannon_entropy, violation_mass_counts,
-                            violation_mass_grid_sweep)
+                            renyi2_entropy, violation_mass_counts, violation_mass_grid_sweep)
 from latsec.errors import DomainError, ResourceCapError, ValidationError
 
 
-def uniform(n):
-    return DiscreteDistribution(tuple(range(n)), tuple(1 / n for _ in range(n)))
+def shannon(weights):
+    """H of the masses weights / sum(weights), as the one-column joint's H(X|T)."""
+    return conditional_shannon_counts(np.asarray(weights)[:, None])
 
 
 def random_counts(rng, nx, nt):
@@ -41,60 +42,61 @@ COPY = np.eye(4, dtype=np.int64)
 class TestValidation:
     def test_negative_mass_rejected(self):
         with pytest.raises(ValidationError):
-            DiscreteDistribution((0, 1), (-0.1, 1.1))
+            BitSource(1, (-1, 2))
 
-    def test_bad_total_rejected(self):
+    @pytest.mark.parametrize("n, weights", [(1, (0, 0)), (1, (1, 1, 1)), (1, ()), (0, (1,))])
+    def test_malformed_sources_rejected(self, n, weights):
+        # a zero total, more weights than n-bit symbols, no weight, no bit
         with pytest.raises(ValidationError):
-            DiscreteDistribution((0, 1), (0.6, 0.5))
+            BitSource(n, weights)
 
-    def test_duplicate_symbols_rejected(self):
-        with pytest.raises(ValidationError):
-            DiscreteDistribution(("a", "a"), (0.5, 0.5))
+    def test_weights_are_python_ints(self):
+        with pytest.raises(TypeError):
+            BitSource(1, (0.5, 0.5))
+        # int64 weights whose squares would wrap are read as Python ints
+        source = BitSource(1, np.array([1 << 40, 1 << 40]))
+        assert all(type(w) is int for w in source.weights)
+        assert renyi2_entropy(source) == 1.0
 
 
 class TestMeasures:
     def test_shannon_uniform_four(self):
-        assert shannon_entropy(uniform(4)) == pytest.approx(2.0, abs=1e-12)
+        assert shannon([1, 1, 1, 1]) == pytest.approx(2.0, abs=1e-12)
 
     def test_shannon_point_mass(self):
-        d = DiscreteDistribution((0, 1), (1.0, 0.0))
-        assert shannon_entropy(d) == 0.0
+        assert shannon([1, 0]) == 0.0
 
     def test_shannon_half_quarter_quarter(self):
         probs = (0.5, 0.25, 0.25)
         oracle = -sum(p * math.log2(p) for p in probs)  # direct summation
-        d = DiscreteDistribution((0, 1, 2), probs)
         assert oracle == pytest.approx(1.5, abs=1e-12)
-        assert shannon_entropy(d) == pytest.approx(oracle, abs=1e-12)
+        assert shannon([2, 1, 1]) == pytest.approx(oracle, abs=1e-12)
 
     def test_renyi2_uniform(self):
         for n in (2, 5, 8):
-            assert renyi2_entropy(uniform(n)) == pytest.approx(math.log2(n), abs=1e-12)
+            assert renyi2_entropy(BitSource(3, (1,) * n)) == math.log2(n)
 
     def test_renyi2_three_quarters(self):
         probs = (0.75, 0.25)
         oracle = -math.log2(sum(p * p for p in probs))  # direct summation
         assert oracle == pytest.approx(-math.log2(10 / 16), abs=1e-12)
-        d = DiscreteDistribution((0, 1), probs)
-        assert renyi2_entropy(d) == pytest.approx(oracle, abs=1e-12)
+        assert renyi2_entropy(BitSource(1, (3, 1))) == pytest.approx(oracle, abs=1e-12)
 
     def test_measure_ordering(self):
         rng = np.random.default_rng(12)
         for _ in range(300):
             n = int(rng.integers(2, 9))
-            p = rng.exponential(size=n)
-            p /= p.sum()
-            d = DiscreteDistribution(tuple(range(n)), tuple(p))
-            h, h2, hm = shannon_entropy(d), renyi2_entropy(d), -math.log2(p.max())
+            w = rng.integers(1, 1000, size=n)
+            h, h2 = shannon(w), renyi2_entropy(BitSource(3, w))
+            hm = -math.log2(w.max() / w.sum())
             assert hm <= h2 + 1e-9
             assert h2 <= h + 1e-9
 
 
 class TestConditional:
     def test_independent_keeps_entropy(self):
-        px = DiscreteDistribution(range(3), INDEPENDENT.sum(axis=1) / INDEPENDENT.sum())
-        assert conditional_shannon_counts(INDEPENDENT) == pytest.approx(
-            shannon_entropy(px), abs=1e-12)
+        h_x = shannon_oracle(INDEPENDENT.sum(axis=1) / INDEPENDENT.sum())
+        assert conditional_shannon_counts(INDEPENDENT) == pytest.approx(h_x, abs=1e-12)
 
     def test_copy_is_deterministic(self):
         assert conditional_shannon_counts(COPY) == pytest.approx(0.0, abs=1e-12)
@@ -105,17 +107,18 @@ class TestConditional:
             counts = random_counts(rng, 3, 3)
             p = counts / counts.sum()
             h_joint = -sum(q * math.log2(q) for q in p.ravel() if q > 0)
-            h_t = shannon_entropy(DiscreteDistribution(range(3), p.sum(axis=0)))
+            h_t = shannon_oracle(p.sum(axis=0))
             assert conditional_shannon_counts(counts) == pytest.approx(h_joint - h_t, abs=1e-9)
 
     def test_slice_independent(self):
-        # one column is the slice T = t: its H(X|T) is H(X | T = t)
-        px = DiscreteDistribution(range(3), INDEPENDENT.sum(axis=1) / INDEPENDENT.sum())
+        # one column is the slice T = t: its H(X|T) is H(X | T = t); the collision
+        # entropies are one rational each, (5, 3, 2) scaled, so they agree exactly
+        px = INDEPENDENT.sum(axis=1)
+        h_x = shannon_oracle(px / px.sum())
         for t in (0, 1):
             col = INDEPENDENT[:, [t]]
-            d = DiscreteDistribution(range(3), col[:, 0] / col.sum())
-            assert conditional_shannon_counts(col) == pytest.approx(shannon_entropy(px), abs=1e-12)
-            assert renyi2_entropy(d) == pytest.approx(renyi2_entropy(px), abs=1e-12)
+            assert conditional_shannon_counts(col) == pytest.approx(h_x, abs=1e-12)
+            assert renyi2_entropy(BitSource(2, col[:, 0])) == renyi2_entropy(BitSource(2, px))
 
     def test_slice_copy(self):
         for t in range(4):
@@ -128,8 +131,7 @@ class TestConditional:
         oracle = -sum(p * math.log2(p) for p in norm if p > 0)
         assert conditional_shannon_counts(counts[:, [0]]) == pytest.approx(oracle, abs=1e-12)
         oracle2 = -math.log2(sum(p * p for p in norm))
-        assert renyi2_entropy(DiscreteDistribution(range(4), norm)) == pytest.approx(
-            oracle2, abs=1e-12)
+        assert renyi2_entropy(BitSource(2, (1, 2, 3, 0))) == pytest.approx(oracle2, abs=1e-12)
 
 
 class TestViolationMass:

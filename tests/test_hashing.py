@@ -1,8 +1,8 @@
 import itertools
 import math
 import tracemalloc
-from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from conftest import (exact_hashed_entropy_oracle, full_rank_fraction_exhaustive_oracle,
                       full_rank_fraction_mc_oracle, gf2_rank_ints, gf_rank_oracle,
-                      greedy_completion_oracle)
-from latsec.entropy import DiscreteDistribution, renyi2_entropy, shannon_entropy
+                      greedy_completion_oracle, shannon_oracle)
+from latsec.entropy import BitSource, renyi2_entropy
 from latsec.errors import DomainError, ResourceCapError, ValidationError
 from latsec.hashing import (SOURCE_SUPPORT_CAP, BitLabeling, FiniteFieldMatrix,
                             bits_to_int, build_encoder, decode_secret, encode_secret,
@@ -251,9 +251,9 @@ class TestHashedEntropy:
         count = 0
         for g in all_matrices(1, 2):
             masses = {}
-            for sym, p in zip(src.support, src.probs):
-                out = int(((g @ np.array(sym)) % 2)[0])
-                masses[out] = masses.get(out, 0) + float(p)
+            for i, w in enumerate(src.weights):
+                out = int(((g @ int_to_bits(i, src.n)) % 2)[0])
+                masses[out] = masses.get(out, 0) + w / sum(src.weights)
             acc += -sum(p * math.log2(p) for p in masses.values() if p > 0)
             count += 1
         oracle = acc / count
@@ -291,13 +291,14 @@ class TestHashedEntropy:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 6), st.integers(1, 4), st.data())
     def test_matches_loop_oracle_on_random_rational_sources(self, n, r, data):
+        # any support: zero weights on the symbols outside it
         size = data.draw(st.integers(1, 1 << n))
-        symbols = sorted(data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=size,
-                                            max_size=size, unique=True)))
-        weights = data.draw(st.lists(st.integers(1, 1000), min_size=size, max_size=size))
-        source = DiscreteDistribution(tuple(tuple(int(b) for b in int_to_bits(x, n))
-                                            for x in symbols),
-                                      tuple(Fraction(w, sum(weights)) for w in weights))
+        symbols = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=size,
+                                     max_size=size, unique=True))
+        weights = [0] * (1 << n)
+        for x in symbols:
+            weights[x] = data.draw(st.integers(1, 1000))
+        source = BitSource(n, weights)
         seeds = data.draw(st.lists(st.integers(0, 2 ** 62), min_size=1, max_size=300))
         assert exact_hashed_entropy(source, r, seed_set=seeds) == \
             exact_hashed_entropy_oracle(source, r, seeds)
@@ -450,8 +451,23 @@ class TestRateSelect:
 class TestSources:
     def test_flat_source_collision_entropy(self):
         src = flat_bit_source(4, 8)
-        assert renyi2_entropy(src) == pytest.approx(3.0, abs=1e-12)
-        assert all(isinstance(p, Fraction) for p in src.probs)
+        assert renyi2_entropy(src) == 3.0
+        assert src == BitSource(4, (1,) * 8)
+
+    @pytest.mark.parametrize("k", [3, 5, 7, 27, 100, 1000, 4095])
+    def test_flat_collision_entropy_is_log2_k(self, k):
+        # k^2 / k is exact, so H2 is math.log2(k) itself
+        assert renyi2_entropy(flat_bit_source(12, k)) == math.log2(k)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_geometric_collision_entropy_within_an_ulp(self, n):
+        # sum w^2 / T^2 = (4^s - 1) / (3 (2^s - 1)^2) for s = 2^n symbols, so
+        # H2 = log2(3 (2^s - 1) / (2^s + 1)), here to 60 digits
+        h2 = renyi2_entropy(geometric_bit_source(n))
+        with mpmath.workdps(60):
+            s = mpmath.mpf(2) ** (1 << n)
+            want = mpmath.log(3 * (s - 1) / (s + 1), 2)
+            assert abs(mpmath.mpf(h2) - want) <= math.ulp(h2)
 
     def test_support_cap(self):
         # refused before the 2^n symbols (or their 2^n-bit masses) are built
@@ -459,7 +475,7 @@ class TestSources:
                       lambda: flat_bit_source(40, SOURCE_SUPPORT_CAP + 1)):
             with pytest.raises(ResourceCapError):
                 build()
-        assert len(flat_bit_source(40, 4).support) == 4
+        assert len(flat_bit_source(40, 4).weights) == 4
         # an invalid k stays a domain error, whatever its size
         with pytest.raises(DomainError):
             flat_bit_source(2, SOURCE_SUPPORT_CAP + 1)
@@ -472,6 +488,6 @@ class TestSources:
 
     def test_geometric_source_valid(self):
         src = geometric_bit_source(3)
-        assert all(isinstance(p, Fraction) for p in src.probs)
-        assert sum(src.probs) == Fraction(1)
-        assert shannon_entropy(src) > renyi2_entropy(src) > 0
+        assert src == BitSource(3, (128, 64, 32, 16, 8, 4, 2, 1))
+        total = sum(src.weights)
+        assert shannon_oracle([w / total for w in src.weights]) > renyi2_entropy(src) > 0

@@ -1,7 +1,9 @@
 """latsec modules import only public names from one another, read no other
-object's private attributes, and keep `counting` a leaf."""
+object's private attributes, keep `counting` a leaf and need nothing outside
+the standard library but numpy."""
 import ast
 import re
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -43,6 +45,19 @@ def test_counting_imports_no_latsec_module():
                 or (isinstance(node, ast.Import)
                     and any(alias.name.split(".")[0] == "latsec" for alias in node.names))]
     assert not imported, imported
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_numpy_is_the_only_runtime_dependency(path):
+    # every import is numpy, the standard library or latsec itself, relatively
+    tree = ast.parse(path.read_text(), filename=str(path))
+    modules = [(node.lineno, alias.name) for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for alias in node.names]
+    modules += [(node.lineno, node.module) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level == 0]
+    foreign = [f"{path.name}:{line} imports {name}" for line, name in modules
+               if name.split(".")[0] not in sys.stdlib_module_names | {"numpy"}]
+    assert not foreign, foreign
 
 
 def _calls(node, name):
