@@ -18,7 +18,6 @@ information.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 import time
@@ -202,16 +201,71 @@ def conditional_entropy_floor_sweep(trials: int, max_x: int = 8, max_t: int = 8,
     return FloorSweepReport(trials, violations, max_deficit, time.perf_counter() - start)
 
 
-def iter_grid_joints(n_x: int, n_t: int, mass_step: int):
-    """Yield all n_x-by-n_t integer count matrices summing to mass_step (every joint
-    of the quantized simplex grid) in int64 batches of at most GRID_BATCH."""
-    cells = n_x * n_t
-    width = mass_step + cells - 1
-    # each composition as its bar positions closed by an end bar at `width`
-    ends = (bars + (width,) for bars in itertools.combinations(range(width), cells - 1))
-    while (flat := np.fromiter(itertools.chain.from_iterable(itertools.islice(ends, GRID_BATCH)),
-                               dtype=np.int64)).size:
-        yield (np.diff(flat.reshape(-1, cells), axis=1, prepend=-1) - 1).reshape(-1, n_x, n_t)
+def _children(lo: np.ndarray, hi: np.ndarray):
+    """(parent, value) for every value in [lo[i], hi[i]) of every parent i, in
+    order, in slices of at most GRID_BATCH pairs."""
+    ends = np.cumsum(hi - lo)
+    starts, total = ends - (hi - lo), int(ends[-1])
+    for first in range(0, total, GRID_BATCH):
+        flat = np.arange(first, min(first + GRID_BATCH, total))
+        parent = np.searchsorted(ends, flat, side="right")
+        yield parent, lo[parent] + flat - starts[parent]
+
+
+def _sorted_tuples(offsets: np.ndarray, sums: np.ndarray, prefix: np.ndarray,
+                   rem: np.ndarray, left: int):
+    """Extend each non-decreasing prefix of nonzero column indices by `left` more
+    whose sums add up to its `rem`, in batches of at most GRID_BATCH tuples.
+
+    Columns are sorted by sum and those of sum s are offsets[s]:offsets[s + 1],
+    so the next column has a sum of at most rem // left (no later, larger one
+    could fit), exactly rem when it is the last; every prefix completes."""
+    lo = prefix[:, -1] if prefix.shape[1] else np.ones(len(rem), dtype=np.int64)
+    if left == 1:
+        lo = np.maximum(lo, offsets[rem])
+    for parent, col in _children(lo, offsets[rem // left + 1]):
+        tuples = np.column_stack((prefix[parent], col))
+        if left == 1:
+            yield tuples
+        else:
+            yield from _sorted_tuples(offsets, sums, tuples, rem[parent] - sums[col], left - 1)
+
+
+def iter_grid_orbits(n_x: int, n_t: int, mass_step: int):
+    """Yield one n_x-by-n_t count matrix summing to mass_step per orbit of the
+    quantized simplex grid under column permutations, with the orbit's size, in
+    int64 batches of at most GRID_BATCH.
+
+    The columns are every composition of 0..mass_step into n_x rows, sorted by
+    sum.  A representative holds n_t - k zero columns and a non-decreasing
+    k-tuple of nonzero ones whose sums add up to mass_step, and its orbit has
+    n_t! / prod(run length!) = C(n_t, k) k! / prod(nonzero run length!) joints.
+    """
+    if mass_step == 0:
+        yield np.zeros((1, n_x, n_t), dtype=np.int64), np.ones(1, dtype=np.int64)
+        return
+    # the compositions of 0..step into n_x parts, part by part
+    cols = np.zeros((1, 0), dtype=np.int64)
+    for _ in range(n_x):
+        room = mass_step + 1 - cols.sum(axis=1)
+        parent = np.repeat(np.arange(len(cols)), room)
+        part = np.arange(len(parent)) - np.repeat(np.cumsum(room) - room, room)
+        cols = np.column_stack((cols[parent], part))
+    sums = cols.sum(axis=1)
+    order = np.argsort(sums, kind="stable")
+    cols, sums = cols[order], sums[order]
+    offsets = np.searchsorted(sums, np.arange(mass_step + 2))
+    for k in range(1, min(n_t, mass_step) + 1):
+        for tuples in _sorted_tuples(offsets, sums, np.zeros((1, 0), dtype=np.int64),
+                                     np.array([mass_step]), k):
+            run = np.ones(len(tuples), dtype=np.int64)
+            orderings = np.full(len(tuples), math.comb(n_t, k), dtype=np.int64)
+            for j in range(1, k):
+                run = np.where(tuples[:, j] == tuples[:, j - 1], run + 1, 1)
+                orderings = orderings * (j + 1) // run
+            joints = np.zeros((len(tuples), n_x, n_t), dtype=np.int64)
+            joints[:, :, n_t - k:] = cols[tuples].transpose(0, 2, 1)
+            yield joints, orderings
 
 
 @dataclass(frozen=True)
@@ -231,7 +285,9 @@ def violation_mass_grid_sweep(max_x: int = 4, max_t: int = 4, mass_step: int = 8
 
     Works in pure integers (mass units of 1/mass_step), so every comparison
     against the 2^(1-s/2) and 2^(-s) bounds is exact.  Each s must make 2*s
-    an integer, and at most GRID_JOINT_CAP joints are visited.
+    an integer, and at most GRID_JOINT_CAP joints are counted.  A joint's
+    violation masses depend on its columns only as a multiset, so each orbit
+    under column permutations is evaluated once and counted by its size.
     """
     if min(max_x, max_t) < 2 or mass_step < 1:
         raise DomainError("the grid needs alphabets of 2 or more symbols and a positive step")
@@ -242,8 +298,11 @@ def violation_mass_grid_sweep(max_x: int = 4, max_t: int = 4, mass_step: int = 8
         raise ResourceCapError(f"{planned} grid joints exceed cap {GRID_JOINT_CAP}")
     step = mass_step
     # largest masses, in units of 1/step, within the tail bounds: mass <= 2^(1-s/2)
-    # <=> v^4 2^(2s) <= 16 step^4, and mass <= 2^(-s) <=> v^2 2^(2s) <= step^2
-    checks = {measure: [(k, max(v for v in range(step + 1) if v ** e << k <= step ** e << b))
+    # <=> v^4 2^(2s) <= 16 step^4, and mass <= 2^(-s) <=> v^2 2^(2s) <= step^2;
+    # from 2s = e bits(step) + b on only v = 0 passes, so k is clamped there
+    checks = {measure: [(k, max(v for v in range(step + 1)
+                                if v ** e << min(k, e * step.bit_length() + b)
+                                <= step ** e << b))
                         for k in ks]
               for measure, e, b in (("renyi2", 4, 4), ("min", 2, 0))}
 
@@ -251,13 +310,13 @@ def violation_mass_grid_sweep(max_x: int = 4, max_t: int = 4, mass_step: int = 8
     joints = 0
     tally = {"renyi2": [0, 0], "min": [0, 0]}  # bound violations, largest mass numerator
     for n_x, n_t in shapes:
-        for batch in iter_grid_joints(n_x, n_t, step):
-            joints += len(batch)
+        for batch, orderings in iter_grid_orbits(n_x, n_t, step):
+            joints += int(orderings.sum())
             for measure, limits in checks.items():
                 terms = _drop_terms(batch, measure)
                 for k, limit in limits:
                     mass = _violating_mass(*terms, k)
-                    tally[measure][0] += int(np.count_nonzero(mass > limit))
+                    tally[measure][0] += int(orderings[mass > limit].sum())
                     tally[measure][1] = max(tally[measure][1], int(mass.max()))
     (viol_r, max_r), (viol_m, max_m) = tally.values()
     return GridSweepReport(joints, tuple(float(s) for s in s_values), viol_r, viol_m,

@@ -37,6 +37,13 @@ DEFAULT_MATRIX_CAP = 1 << 22
 SOURCE_SUPPORT_CAP = 1 << 12
 # entries in the largest temporary of one batched pass over a chunk of matrices
 CHUNK_ENTRIES = 1 << 14
+# Work one `exact_hashed_entropy` call may do, in entries of its chunk
+# temporaries: r * symbols + 2^r per matrix, plus 16 for the matrix's own
+# Python-level cost (about 0.2 us), or 2^11 for a sampled matrix, whose draw
+# takes about 25 us.  On a 2-vCPU x86 VM (Python 3.11, numpy 2.4) a unit took
+# 4-20 ns (20 at r = 1 with 4096 symbols, 4 at r = 11 with 4 symbols), so the
+# cap is at most about 0.7 s of work.
+HASH_WORK_CAP = 1 << 25
 
 
 def int_to_bits(value: int, width: int) -> np.ndarray:
@@ -231,7 +238,8 @@ def exact_hashed_entropy(source: BitSource, r: int, seed_set=None) -> float:
 
     With seed_set=None the family is enumerated exhaustively (all 2^(r*n)
     matrices, at most DEFAULT_MATRIX_CAP); otherwise it is the sampled
-    sub-family drawn from the given seeds.  Exhaustive results are checked
+    sub-family drawn from the given seeds.  Either way the work is capped at
+    HASH_WORK_CAP before any matrix is hashed.  Exhaustive results are checked
     against the amplification floor for c = H2(source), which holds with
     mathematical certainty.
     """
@@ -261,10 +269,14 @@ def exact_hashed_entropy(source: BitSource, r: int, seed_set=None) -> float:
         def matrices(ids: range) -> np.ndarray:
             return np.stack([sample_linear_hash(r, n, seeds[i]).entries for i in ids])
 
+    per_matrix = r * len(weights) + (1 << r)
+    if count * (per_matrix + (16 if seed_set is None else 1 << 11)) > HASH_WORK_CAP:
+        raise ResourceCapError(f"{count} matrices x {len(weights)} symbols exceed the "
+                               f"hashed-entropy work cap {HASH_WORK_CAP}")
     # each matrix's output masses come from one offset bincount that adds the
     # weights in symbol order, and its entropy from a sum over its nonzero masses
     # alone, grouped by their number: the floats of a matrix-at-a-time loop
-    step = max(1, CHUNK_ENTRIES // (max(r, 1) * len(weights) + (1 << r)))
+    step = max(1, CHUNK_ENTRIES // per_matrix)
     acc = 0.0
     for first in range(0, count, step):
         g = matrices(range(first, min(first + step, count)))

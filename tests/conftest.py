@@ -6,6 +6,7 @@ library's factorized fast paths, so agreement is meaningful evidence.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -16,7 +17,9 @@ from latsec._rng import gaussian, substream
 from latsec.channel import (ChannelConfig, LayeredCodebook, SecrecySystem, coordinate_specs,
                             exact_leakage, mod_signals, scale_channel)
 from latsec.counting import WalshCounter, hist_xlog2x
-from latsec.entropy import BitSource, renyi2_entropy, xlog2x_sum
+from latsec import entropy
+from latsec.entropy import (BitSource, GridSweepReport, renyi2_entropy, violation_mass_counts,
+                            xlog2x_sum)
 from latsec.hashing import (EncoderKit, encode_secret, full_rank_check, int_to_bits,
                             privacy_amp_bound, sample_linear_hash)
 from latsec.lattice import NestedLatticePair, SumSecrecyReport, label_grid, reduce_carry
@@ -173,6 +176,54 @@ def multiset_key_audit(codebook: LayeredCodebook, r: int, dithers1, sign: str) -
     m_total = codebook.size
     return (hist_xlog2x(counter.hist_w) / (m_total * m_total)
             - hist_xlog2x(hist) / (float(1 << (r * n0)) * m_total * m_total))
+
+
+def iter_grid_joints_oracle(n_x: int, n_t: int, mass_step: int, batch: int = 1 << 14):
+    """Every n_x-by-n_t count matrix summing to mass_step, once each, in int64
+    batches: each composition as its itertools bar positions, closed by an end bar."""
+    cells = n_x * n_t
+    width = mass_step + cells - 1
+    ends = (bars + (width,) for bars in itertools.combinations(range(width), cells - 1))
+    while (flat := np.fromiter(itertools.chain.from_iterable(itertools.islice(ends, batch)),
+                               dtype=np.int64)).size:
+        yield (np.diff(flat.reshape(-1, cells), axis=1, prepend=-1) - 1).reshape(-1, n_x, n_t)
+
+
+# the s-values the grid oracle knows, as 2s
+GRID_ORACLE_KS = (1, 2, 4, 8)
+
+
+@functools.lru_cache(maxsize=None)
+def _grid_shape_oracle(n_x: int, n_t: int, mass_step: int, mass_test) -> dict:
+    """joints, then {2s: (violations, largest mass numerator) for renyi2 and min}
+    over every joint of one shape.  Keyed by the mass test in force, which a test
+    may replace."""
+    joints, tally = 0, {k: [0, 0, 0, 0] for k in GRID_ORACLE_KS}
+    for batch in iter_grid_joints_oracle(n_x, n_t, mass_step):
+        joints += len(batch)
+        for k, row in tally.items():
+            for i, (measure, e, b) in enumerate((("renyi2", 4, 4), ("min", 2, 0))):
+                mass = violation_mass_counts(batch, measure, k / 2)
+                # mass / step above 2^(1 - s/2), or 2^-s
+                row[2 * i] += int(np.count_nonzero(mass ** e << k > mass_step ** e << b))
+                row[2 * i + 1] = max(row[2 * i + 1], int(mass.max()))
+    return joints, tally
+
+
+def grid_sweep_oracle(max_x: int, max_t: int, mass_step: int, s_values) -> GridSweepReport:
+    """`entropy.violation_mass_grid_sweep` over every joint of the full grid, with
+    elapsed_s = 0; each s must be in GRID_ORACLE_KS / 2."""
+    joints, viol_r, max_r, viol_m, max_m = 0, 0, 0, 0, 0
+    for n_x in range(2, max_x + 1):
+        for n_t in range(2, max_t + 1):
+            count, tally = _grid_shape_oracle(n_x, n_t, mass_step, entropy._violating_mass)
+            joints += count
+            for s in s_values:
+                vr, mr, vm, mm = tally[int(2 * s)]
+                viol_r, viol_m = viol_r + vr, viol_m + vm
+                max_r, max_m = max(max_r, mr), max(max_m, mm)
+    return GridSweepReport(joints, tuple(float(s) for s in s_values), viol_r, viol_m,
+                           max_r / mass_step, max_m / mass_step, 0.0)
 
 
 def grid_joint_from_counts(counts, n_x: int, n_t: int, mass_step: int) -> list:

@@ -104,6 +104,10 @@ MC_OVER_CAP = (["hash-bench", "--mc-trials", "100000000000"],
 # used to exit 0 and skip decoding without a word
 NEGATIVE_DECODE_TRIALS = ["leakage-trend", "--nbar", "2:3", "--decode-trials", "-1"]
 
+# 2^22 hashes of each source in turn, up to 2048 symbols: still running after 300 s
+HASHED_OVER_CAP = ["amplify", "--n", "11", "--r", "2", "--c-list",
+                   "0,1,1.5,2,3,4,5,6,7,8,9,10,11"]
+
 # used to end in a traceback (a non-finite or oversized float grid) or, for a
 # negative c, in a numpy warning and exit 0; the last grid is one point over the
 # cap, refused before np.arange allocates it
@@ -140,13 +144,15 @@ def test_config_error_exit_code(capsys):
                  NEGATIVE_DECODE_TRIALS,
                  *UNUSABLE_CHANNELS,
                  *BAD_FLOAT_GRIDS,
-                 *BAD_SIZES):
+                 *BAD_SIZES,
+                 HASHED_OVER_CAP):
         assert main(args) == 2, args
         assert "error:" in capsys.readouterr().err, args
     # an empty family must be refused before numpy warns about its empty mean,
     # and a non-finite or overflowing channel before any decoding warns
     for args in (["leakage-trend", "--nbar", "2", "--family", "0"], NEGATIVE_DECODE_TRIALS,
-                 *UNUSABLE_CHANNELS, *MC_OVER_CAP, *BAD_FLOAT_GRIDS, *BAD_SIZES):
+                 *UNUSABLE_CHANNELS, *MC_OVER_CAP, *BAD_FLOAT_GRIDS, *BAD_SIZES,
+                 HASHED_OVER_CAP):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert main(args) == 2, args
@@ -185,6 +191,18 @@ def test_subnormal_noise_variance_decodes(capsys):
 def test_entropy_check_refuses_unusable_input(capsys, args):
     assert main(["entropy-check", "--grid-max", "2"] + args) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("s", ["1e9", "1e18", "1e300"])
+def test_entropy_check_takes_huge_s(capsys, s):
+    # the bound's limits were found with 2^(2s)-sized integers: 1e300 ended in an
+    # OverflowError and 1e18 in a MemoryError, both with rc=1, and 1e9 took 2 s
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["entropy-check", "--s", s]) == 0
+    captured = capsys.readouterr()
+    assert not caught and captured.err == "", captured.err
+    assert captured.out.splitlines()[-1] == "tail_bounds_grid,15609,0,,0.0,0.0"
 
 
 def test_entropy_check_refuses_the_grid_before_the_floor_sweep(monkeypatch, capsys):

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,11 +10,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (conditional_shannon_oracle, floor_deficit_oracle, floor_sweep_oracle,
-                      grid_joint_from_counts, mutual_information_oracle, shannon_oracle,
-                      violation_mass_oracle)
+                      grid_joint_from_counts, grid_sweep_oracle, iter_grid_joints_oracle,
+                      mutual_information_oracle, shannon_oracle, violation_mass_oracle)
 from latsec import entropy
 from latsec.entropy import (BitSource, conditional_entropy_floor_sweep,
-                            conditional_shannon_counts, floor_deficits, iter_grid_joints,
+                            conditional_shannon_counts, floor_deficits, iter_grid_orbits,
                             renyi2_entropy, violation_mass_counts, violation_mass_grid_sweep)
 from latsec.errors import DomainError, ResourceCapError, ValidationError
 
@@ -153,7 +154,7 @@ class TestViolationMass:
     def test_exact_mode_matches_grid_sweep_arithmetic(self):
         # sample grid joints and cross-check the Fraction oracle against the
         # integer comparisons used by the exhaustive sweep
-        picked = np.concatenate(list(iter_grid_joints(3, 3, 8)))[::997]
+        picked = np.concatenate(list(iter_grid_joints_oracle(3, 3, 8)))[::997]
         assert len(picked) == 13
         for counts in picked:
             j = grid_joint_from_counts(counts, 3, 3, 8)
@@ -341,14 +342,66 @@ class TestLemmaSweeps:
         with pytest.raises(ResourceCapError):
             violation_mass_grid_sweep(6, 6, 8)
 
-    @pytest.mark.parametrize("n_x, n_t, step", [(1, 1, 3), (2, 3, 4), (3, 3, 0)])
+    @pytest.mark.parametrize("n_x, n_t, step", [(1, 1, 3), (2, 3, 4), (3, 3, 0), (2, 4, 5),
+                                                (3, 4, 3), (4, 2, 6)])
     def test_grid_joints_are_every_composition(self, monkeypatch, n_x, n_t, step):
+        # permuting each representative's columns gives every joint of the grid
+        # exactly once, and its weight is its number of distinct orderings
         monkeypatch.setattr(entropy, "GRID_BATCH", 7)
-        joints = np.concatenate(list(iter_grid_joints(n_x, n_t, step)))
-        assert joints.shape[1:] == (n_x, n_t)
-        want = [c for c in itertools.product(range(step + 1), repeat=n_x * n_t)
-                if sum(c) == step]
-        assert sorted(map(tuple, joints.reshape(len(joints), -1).tolist())) == want
+        seen = []
+        for joints, orderings in iter_grid_orbits(n_x, n_t, step):
+            assert joints.shape[1:] == (n_x, n_t) and len(joints) == len(orderings) <= 7
+            assert joints.dtype == orderings.dtype == np.int64
+            for joint, weight in zip(joints, orderings.tolist()):
+                orbit = {tuple(joint[:, list(p)].ravel().tolist())
+                         for p in itertools.permutations(range(n_t))}
+                assert weight == len(orbit)
+                seen += orbit
+        want = np.concatenate(list(iter_grid_joints_oracle(n_x, n_t, step)))
+        assert sorted(seen) == sorted(map(tuple, want.reshape(len(want), -1).tolist()))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(2, 4), st.integers(2, 4), st.integers(1, 8),
+           st.lists(st.sampled_from([0.5, 1.0, 2.0, 4.0]), min_size=1, max_size=4, unique=True))
+    # every grid holds joints with zero-mass columns, which ||T|| leaves out; below
+    # a step of n_t every joint has one
+    @example(4, 4, 3, [4.0, 0.5])
+    @example(3, 4, 1, [1.0])
+    @example(2, 2, 8, [0.5, 1.0, 2.0, 4.0])
+    def test_grid_sweep_matches_full_grid_oracle(self, max_x, max_t, step, s_values):
+        got = violation_mass_grid_sweep(max_x, max_t, step, tuple(s_values))
+        assert repr(dataclasses.replace(got, elapsed_s=0.0)) == repr(
+            grid_sweep_oracle(max_x, max_t, step, s_values))
+
+    @pytest.mark.parametrize("grid", [(3, 3, 6), (2, 4, 5)])
+    def test_violations_count_every_joint_of_an_orbit(self, monkeypatch, grid):
+        # no joint violates the tail bounds, which are theorems; with each joint's
+        # largest column mass as its violation mass many do, and an orbit counts once
+        # per joint in it
+        monkeypatch.setattr(entropy, "_violating_mass",
+                            lambda csum, lhs2, rhs2, k: csum.max(axis=1))
+        got = violation_mass_grid_sweep(*grid)
+        assert got.bound_violations_renyi2 > 0 and got.bound_violations_min > 0
+        assert repr(dataclasses.replace(got, elapsed_s=0.0)) == repr(
+            grid_sweep_oracle(*grid, (0.5, 1.0, 2.0, 4.0)))
+
+    def test_grid_sweep_memory(self):
+        # the full-grid sweep this replaced peaked at 1.35 MiB here
+        violation_mass_grid_sweep(2, 2, 2)
+        tracemalloc.start()
+        try:
+            violation_mass_grid_sweep(4, 4, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.35 * (1 << 20)
+
+    def test_grid_sweep_takes_huge_s(self):
+        # 2^(2s) past any integer: only a zero mass is within the bounds, and none
+        # is violated
+        rep = violation_mass_grid_sweep(2, 2, 4, (1e300,))
+        assert (rep.joints, rep.bound_violations_renyi2, rep.bound_violations_min,
+                rep.max_mass_renyi2, rep.max_mass_min) == (35, 0, 0, 0.0, 0.0)
 
     def test_grid_sweep_does_not_depend_on_the_batch(self, monkeypatch):
         # both max masses are nonzero here

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import (exact_hashed_entropy_oracle, full_rank_fraction_exhaustive_oracle,
                       full_rank_fraction_mc_oracle, gf2_rank_ints, gf_rank_oracle,
                       greedy_completion_oracle, shannon_oracle)
+from latsec import hashing
 from latsec.entropy import BitSource, renyi2_entropy
 from latsec.errors import DomainError, ResourceCapError, ValidationError
 from latsec.hashing import (SOURCE_SUPPORT_CAP, BitLabeling, FiniteFieldMatrix,
@@ -268,6 +269,29 @@ class TestHashedEntropy:
         # 2^32 matrices, refused before any is built
         with pytest.raises(ResourceCapError, match="pass an explicit seed_set"):
             exact_hashed_entropy(flat_bit_source(8, 4), 4)
+
+    def test_work_cap(self, monkeypatch):
+        # 2^16 matrices of 4096 symbols took 6.7 s; refused before any hashing
+        def no_hashing(*args):
+            raise AssertionError("hashed before the work cap was checked")
+
+        monkeypatch.setattr(np, "bincount", no_hashing)
+        monkeypatch.setattr(hashing, "sample_linear_hash", no_hashing)
+        for source, r, seeds in ((flat_bit_source(16, 4096), 1, None),
+                                 (flat_bit_source(11, 1), 2, None),
+                                 (flat_bit_source(2, 4), 1, range(1 << 14))):
+            with pytest.raises(ResourceCapError, match="work cap"):
+                exact_hashed_entropy(source, r, seeds)
+        monkeypatch.undo()
+        # at r = 2, 64 matrices of 5 symbols cost 2 * 5 + 4 + 16 units each, and
+        # sampled ones 2 * 5 + 4 + 2^11
+        source = flat_bit_source(3, 5)
+        for seeds, work in ((None, 64 * 30), (range(4), 4 * 2062)):
+            monkeypatch.setattr(hashing, "HASH_WORK_CAP", work)
+            exact_hashed_entropy(source, 2, seeds)
+            monkeypatch.setattr(hashing, "HASH_WORK_CAP", work - 1)
+            with pytest.raises(ResourceCapError, match="work cap"):
+                exact_hashed_entropy(source, 2, seeds)
 
     @pytest.mark.parametrize("r", [0, -1])
     def test_needs_an_output_bit(self, r):
