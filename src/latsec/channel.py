@@ -24,7 +24,8 @@ from typing import Sequence
 import numpy as np
 
 from ._rng import gaussian, substream
-from .counting import Coordinate, WalshCounter, hist_xlog2x, window_indicator
+from .counting import Coordinate, WalshCounter, window_indicator
+from .entropy import xlog2x_sum
 from .errors import ConfigError, DomainError, ResourceCapError
 from .hashing import (BitLabeling, EncoderKit, FiniteFieldMatrix, build_encoder,
                       bits_to_int, encode_label, full_rank_check, int_to_bits,
@@ -535,12 +536,12 @@ def exact_leakage(codebook: LayeredCodebook, hash_or_kit: FiniteFieldMatrix | En
     if method == "fast":
         counter = counter or WalshCounter(coords, sign)
         hist = counter.histogram([[bits_to_int(row) for row in g.entries]])
-        sum_w = counter.w_xlog2x
+        hist_w = counter.hist_w
     elif method == "enumerate":
         hist, hist_w = _enumerated_histograms(codebook, g, coords, sign)
-        sum_w = hist_xlog2x(hist_w)
     else:
         raise DomainError(f"unknown method {method!r}")
+    values = np.arange(hist.size)
 
     # over D = 2^n0 * size (label, jammer) pairs, W is uniform on the hash's
     # column span: 2^rank values, each hit by 2^(n0 - rank) labels
@@ -548,7 +549,8 @@ def exact_leakage(codebook: LayeredCodebook, hash_or_kit: FiniteFieldMatrix | En
     per_w_total = float((1 << (n0 - rank)) * codebook.size)
     sum_nw = (1 << rank) * per_w_total * math.log2(per_w_total)
     d_total = float(1 << n0) * float(codebook.size)
-    mi = math.log2(d_total) + (hist_xlog2x(hist) - sum_w - sum_nw) / d_total
+    mi = math.log2(d_total) + (xlog2x_sum(values, hist) - xlog2x_sum(values, hist_w)
+                               - sum_nw) / d_total
     return max(0.0, mi)
 
 

@@ -32,15 +32,14 @@ and a block pair's integer histogram is added with weight 2^(that number).
 None of this depends on the hash, so a `WalshCounter` builds it once per
 (coordinates, sign) and counts every hash of a family, or every row space of
 a key audit, against the same tables.  Counts are exact integers,
-histogrammed across chunks, blocks and hashes; callers evaluate sum N log2 N
-once from the histogram (`hist_xlog2x`), so the result depends neither on
-how the work was chunked nor on the fold.
+histogrammed across chunks, blocks and hashes, so the histogram depends
+neither on how the work was chunked nor on the fold; callers evaluate
+sum N log2 N from it with `entropy.xlog2x_sum`.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -125,13 +124,6 @@ def _balanced_cut(widths: Sequence[int]) -> int:
     return best_cut
 
 
-def hist_xlog2x(hist: np.ndarray) -> float:
-    """sum over values v of hist[v] * v log2 v, in one fixed order."""
-    v = np.arange(hist.size, dtype=float)
-    nz = v >= 2  # 0 log 0 := 0 and 1 log 1 = 0
-    return float((hist[nz] * v[nz] * np.log2(v[nz])).sum())
-
-
 class WalshCounter:
     """The kernel's hash-independent tables for one set of coordinates and sign.
 
@@ -167,12 +159,6 @@ class WalshCounter:
                 rv, rc = np.unique(vb[0], return_counts=True)
                 np.add.at(self.hist_w, np.outer(lv, rv).ravel(),
                           np.outer(lc, rc).ravel() << (ca + cb))
-
-    @cached_property
-    def w_xlog2x(self) -> float:
-        """sum over sigma of W log2 W, which no hash changes: evaluated once, not
-        once per hash, so a family's calls allocate no window-sized temporaries."""
-        return hist_xlog2x(self.hist_w)
 
     def _blocks(self, dtype) -> tuple[list, list]:
         """The half-table blocks, held in one dtype at a time and recast block by

@@ -18,9 +18,11 @@ information.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,25 +66,15 @@ def renyi2_entropy(source: BitSource) -> float:
 
 def conditional_shannon_counts(counts) -> float:
     """H(X|T) = sum_t p(t) H(X|T=t) of the joint counts / total of an integer (X, T)
-    matrix.
-
-    The floats are those of the exact joint, operation for operation: int true
-    division rounds correctly, as `float(Fraction)` does, so the result equals
-    `conditional_shannon_oracle` in tests/conftest.py with `==`.
-    """
-    rows = np.asarray(counts, dtype=np.int64).tolist()
-    total = sum(map(sum, rows))
-    h = 0.0
-    for col in zip(*rows):
-        colsum = sum(col)
-        if colsum > 0:
-            h_col = 0.0
-            for c in col:
-                if c > 0:
-                    p = c / colsum
-                    h_col -= p * math.log2(p)
-            h += colsum / total * h_col
-    return h
+    matrix, counts below 2^53: the float of each exact mass, one `xlog2x_sum` per
+    column and one `math.fsum` over the columns, so no permutation of rows or
+    columns changes it, and it equals `conditional_shannon_oracle` in
+    tests/conftest.py with `==`."""
+    cols = np.asarray(counts, dtype=np.int64).T
+    colsum = cols.sum(axis=1)
+    cols, colsum = cols[colsum > 0], colsum[colsum > 0]
+    h_cols = -xlog2x_sum(cols / colsum[:, None], axis=-1)
+    return math.fsum((colsum / colsum.sum() * h_cols).tolist())
 
 
 def _two_s(s) -> int:
@@ -140,13 +132,35 @@ def _violating_mass(csum, lhs2, rhs2, k: int) -> np.ndarray:
     return (csum * (lhs2 >> min(k, 63) >= rhs2)).sum(axis=1)
 
 
-def xlog2x_sum(a: np.ndarray, axis: int | None = None):
-    """sum of x log2 x over the entries of a float array, with 0 log2 0 := 0, or
-    with `axis` the array of such sums along that axis."""
-    out = np.zeros_like(a, dtype=float)
-    np.log2(a, out=out, where=a > 0)
-    out *= a
-    return float(out.sum()) if axis is None else out.sum(axis=axis)
+def xlog2x_sum(x, weights=None, axis=None):
+    """The correctly rounded sum of the terms (w x) log2 x over the entries x > 0
+    of an array, w their weights (an array of x's shape; 1 by default), or with
+    axis=-1 one such sum per row.  x may also be an iterator of arrays, whose
+    terms all go to one sum.  `math.fsum` rounds the exact sum of the terms
+    once, so no order, chunking or grouping of them changes the result.  This
+    is the package's only x log2 x.
+    """
+    if isinstance(x, Iterator):
+        return math.fsum(itertools.chain.from_iterable(_xlog2x_terms(a, None)[0] for a in x))
+    terms, kept = _xlog2x_terms(x, weights)
+    if axis is None:
+        return math.fsum(terms)
+    it = iter(terms)
+    return np.array([math.fsum(itertools.islice(it, k)) for k in kept.sum(axis=-1).tolist()])
+
+
+def _xlog2x_terms(x, weights) -> tuple[list, np.ndarray]:
+    """The terms of the entries x > 0 with nonzero weight, row by row, and which
+    entries gave them."""
+    x = np.asarray(x, dtype=float)
+    kept = x > 0
+    if weights is None:
+        v = x[kept]
+        return (v * np.log2(v)).tolist(), kept
+    weights = np.asarray(weights)
+    kept &= weights != 0
+    v = x[kept]
+    return (weights[kept] * v * np.log2(v)).tolist(), kept
 
 
 # ---------------------------------------------------------------------------
@@ -162,15 +176,19 @@ class FloorSweepReport:
 
 
 def floor_deficits(joints: np.ndarray) -> np.ndarray:
-    """(H(X) - log2||T||) - H(X|T) of each joint of a (B, X, T) stack of positive
-    weights, each normalised to mass 1: the floats a joint-at-a-time loop gives."""
-    p = joints / joints.reshape(len(joints), -1).sum(axis=1)[:, None, None]
+    """(H(X) - log2||T||) - H(X|T) = I(X;T) - log2||T|| of each joint of a
+    (B, X, T) stack of positive weights, each normalised to mass 1: per joint one
+    `xlog2x_sum` of its signed terms, the floats a joint-at-a-time loop gives."""
+    b = len(joints)
+    p = joints / joints.reshape(b, -1).sum(axis=1)[:, None, None]
     pt = p.sum(axis=1)
-    h_x = -xlog2x_sum(p.sum(axis=2), axis=1)
-    h_xt = -xlog2x_sum(p.reshape(len(p), -1), axis=1)
-    h_t = -xlog2x_sum(pt, axis=1)
-    log_t = np.array([math.log2(c) for c in np.count_nonzero(pt > 0, axis=1)])
-    return (h_x - log_t) - (h_xt - h_t)
+    # I = sum p log p - sum p(x) log p(x) - sum p(t) log p(t); the last entry, 2
+    # with weight -log2||T|| / 2, adds -log2||T|| exactly, since 2 log2 2 = 2
+    x = np.concatenate([p.reshape(b, -1), p.sum(axis=2), pt, np.full((b, 1), 2.0)], axis=1)
+    weights = np.ones_like(x)
+    weights[:, p[0].size:-1] = -1.0
+    weights[:, -1] = np.log2(np.count_nonzero(pt, axis=1)) / -2
+    return xlog2x_sum(x, weights, axis=-1)
 
 
 def conditional_entropy_floor_sweep(trials: int, max_x: int = 8, max_t: int = 8,

@@ -22,7 +22,8 @@ import numpy as np
 from ._rng import substream
 from .channel import (ChannelConfig, LayeredCodebook, MLDecoder, build_system,
                       coordinate_specs, scale_channel)
-from .counting import WalshCounter, hist_xlog2x
+from .counting import WalshCounter
+from .entropy import xlog2x_sum
 from .errors import ConfigError, DomainError, ResourceCapError, ValidationError
 from .hashing import bits_to_int, int_to_bits, row_space_bases
 from .lattice import reduce_carry
@@ -126,7 +127,8 @@ def key_secrecy_report(codebook: LayeredCodebook, r: int, dithers1=None,
     counter = WalshCounter(coords, sign)
     hist = sum(math.prod((1 << r) - (1 << i) for i in range(d))
                * counter.histogram(row_space_bases(n0, d)) for d in range(r + 1))
-    total_xlogx, sum_w = hist_xlog2x(hist), counter.w_xlog2x
+    values = np.arange(hist.size)
+    total_xlogx, sum_w = xlog2x_sum(values, hist), xlog2x_sum(values, counter.hist_w)
 
     # H(K|V,Sigma) = E[log2 W] - 2^(-r n0) M^(-2) sum_{v,sigma,k} N log2 N, with
     # the uniform weight p(sigma)/W(sigma) = 1/M^2 on each observation

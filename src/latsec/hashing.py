@@ -274,25 +274,18 @@ def exact_hashed_entropy(source: BitSource, r: int, seed_set=None) -> float:
         raise ResourceCapError(f"{count} matrices x {len(weights)} symbols exceed the "
                                f"hashed-entropy work cap {HASH_WORK_CAP}")
     # each matrix's output masses come from one offset bincount that adds the
-    # weights in symbol order, and its entropy from a sum over its nonzero masses
-    # alone, grouped by their number: the floats of a matrix-at-a-time loop
+    # weights in symbol order, and one fsum takes the nonzero terms of every chunk
     step = max(1, CHUNK_ENTRIES // per_matrix)
-    acc = 0.0
-    for first in range(0, count, step):
-        g = matrices(range(first, min(first + step, count)))
-        idx = powers @ ((g.reshape(-1, n) @ sym_matrix.T).reshape(len(g), r, len(weights)) % 2)
-        idx += (np.arange(len(g)) << r)[:, None]
-        masses = np.bincount(idx.ravel(), weights=np.tile(weights, len(g)),
-                             minlength=len(g) << r).reshape(len(g), -1)
-        nonzero = masses > 0
-        sizes = nonzero.sum(axis=1)
-        h = np.empty(len(g))
-        for k in np.unique(sizes):
-            rows = sizes == k
-            h[rows] = -xlog2x_sum(masses[rows][nonzero[rows]].reshape(-1, k), axis=1)
-        for value in h.tolist():
-            acc += value
-    avg = acc / count
+
+    def chunk_masses():
+        for first in range(0, count, step):
+            g = matrices(range(first, min(first + step, count)))
+            bits = (g.reshape(-1, n) @ sym_matrix.T).reshape(len(g), r, len(weights)) % 2
+            idx = powers @ bits + (np.arange(len(g)) << r)[:, None]
+            yield np.bincount(idx.ravel(), weights=np.tile(weights, len(g)),
+                              minlength=len(g) << r)
+
+    avg = -xlog2x_sum(chunk_masses()) / count
 
     if seed_set is None:
         floor = privacy_amp_bound(r, 2, renyi2_entropy(source))
@@ -407,9 +400,12 @@ def decode_secret(kit: EncoderKit, point, labeling: BitLabeling) -> tuple[np.nda
 def secret_rate_select(n_bar: int, rate0: float, epsilon: float, delta: float) -> int:
     """Largest secret width below n_bar*(rate0 - 1 - epsilon - delta), clamped at 0.
 
-    Returns 0 outright when epsilon is outside (0, rate0 - 1); the
-    selection only makes sense with a positive entropy margin.
+    Returns 0 outright when a finite epsilon is outside (0, rate0 - 1); the
+    selection only makes sense with a positive entropy margin.  A non-finite
+    epsilon or delta is refused, as is a delta that is not positive.
     """
+    if not (math.isfinite(epsilon) and math.isfinite(delta)):
+        raise DomainError("epsilon and delta must be finite")
     if not delta > 0:
         raise DomainError("delta must be positive")
     if not (0 < epsilon < rate0 - 1):

@@ -254,11 +254,11 @@ def dithered_sum_secrecy_report(pair: NestedLatticePair, d1, d2, sign: str = "+"
     Shannon entropy, and (for renyi2/min) that slices with a larger drop
     have the guaranteed small total mass.
 
-    V is the integer vector sigma of rank sums; the joint of (u1's label,
+    V is the integer vector sigma of rank sums: the joint of (u1's label,
     sigma) is the Kronecker product of the coordinates' windows, and the
-    masked class of sigma_j is sigma_j mod m.  Symbols are sorted by
-    (residual rank per coordinate, carry tuple), the order of the real
-    (residual, carry) values, which fixes the float summation order.
+    masked class of sigma_j is sigma_j mod m.  Only d1's shifts enter: d2 is
+    validated, but a uniform u2 absorbs its shift.  The entropies are sums
+    in no particular order (`conditional_shannon_counts`).
     """
     if sign not in ("+", "-"):
         raise DomainError("sign must be '+' or '-'")
@@ -268,26 +268,14 @@ def dithered_sum_secrecy_report(pair: NestedLatticePair, d1, d2, sign: str = "+"
     if size * size > cap:
         raise ResourceCapError(f"{size}^2 pairs exceed cap {cap}")
 
-    n, m, c = pair.dim, pair.nesting, pair.coarse_scale
-    shifts = [pair.dither_shifts(d) for d in (d1, d2)]
-    # each sender's dithered coordinate values in rank order, (m, n)
-    ranked = [np.take_along_axis(reduce_carry(pair.coordinate_values()[:, None] + as_vector(d),
-                                              c)[0], (np.arange(m)[:, None] - k) % m, axis=0)
-              for d, k in zip((d1, d2), shifts)]
-    sig = np.arange(2 * m - 1)
-    p = np.minimum(sig, m - 1)  # one rank pair (p, q) per sum sigma
-    q = sig - p if sign == "+" else p + m - 1 - sig
-    w, z = reduce_carry(ranked[0][p] + ranked[1][q] if sign == "+"
-                        else ranked[0][p] - ranked[1][q], c)  # (2m-1, n)
-    rank = np.argsort(np.argsort(w[:m], axis=0), axis=0)  # of the residual classes
-
+    n, m = pair.dim, pair.nesting
+    shifts = pair.dither_shifts(d1)
+    pair.dither_shifts(d2)  # validates d2, whose shift a uniform u2 absorbs
     window = np.ones((1, 1), dtype=np.int64)  # (u1 label, sigma), both mixed-radix
-    for k in shifts[0]:
+    for k in shifts:
         window = np.kron(window, window_indicator(Coordinate(m, int(k)), sign).T)
-    sigmas = np.indices((2 * m - 1,) * n).reshape(n, -1)
-    coord = np.arange(n)[:, None]
-    masked = np.ravel_multi_index(rank[sigmas % m, coord], (m,) * n)
-    order = np.lexsort(np.vstack([z[sigmas, coord][::-1], masked]))
+    masked = np.ravel_multi_index(np.indices((2 * m - 1,) * n).reshape(n, -1) % m, (m,) * n)
+    order = np.argsort(masked, kind="stable")  # each masked symbol's columns together
     full = window[:, order]
     masked = masked[order]
     starts = np.searchsorted(masked, np.arange(m ** n))

@@ -16,7 +16,7 @@ import numpy as np
 from latsec._rng import gaussian, substream
 from latsec.channel import (ChannelConfig, LayeredCodebook, SecrecySystem, coordinate_specs,
                             exact_leakage, mod_signals, scale_channel)
-from latsec.counting import WalshCounter, hist_xlog2x
+from latsec.counting import WalshCounter
 from latsec import entropy
 from latsec.entropy import (BitSource, GridSweepReport, renyi2_entropy, violation_mass_counts,
                             xlog2x_sum)
@@ -25,27 +25,24 @@ from latsec.hashing import (EncoderKit, encode_secret, full_rank_check, int_to_b
 from latsec.lattice import NestedLatticePair, SumSecrecyReport, label_grid, reduce_carry
 
 
+def xlog2x_term(x: float) -> float:
+    """x log2 x of one float, with numpy's log2: the library forms its terms in
+    numpy, and the oracles check the routes to the terms, not the libm."""
+    return x * float(np.log2(x))
+
+
 def shannon_oracle(probs) -> float:
-    """-sum p log2 p in bits over exact (or float) masses, each cast to float
-    and subtracted in order."""
-    h = 0.0
-    for p in probs:
-        if p > 0:
-            fp = float(p)
-            h -= fp * math.log2(fp)
-    return h
+    """-sum p log2 p in bits over exact (or float) masses, each cast to float;
+    one math.fsum of the terms."""
+    return -math.fsum(xlog2x_term(float(p)) for p in probs if p > 0)
 
 
 # Exact joints are Fraction mass matrices: a list of rows, row x, column t.
 
 def conditional_shannon_oracle(probs) -> float:
-    """H(X|T) = sum_t p(t) H(X|T=t) of an exact joint."""
-    h = 0.0
-    for col in zip(*probs):
-        mass = sum(col)
-        if mass > 0:
-            h += float(mass) * shannon_oracle([p / mass for p in col])
-    return h
+    """H(X|T) = sum_t p(t) H(X|T=t) of an exact joint, one math.fsum over t."""
+    return math.fsum(float(mass) * shannon_oracle([p / mass for p in col])
+                     for col in zip(*probs) if (mass := sum(col)) > 0)
 
 
 def mutual_information_oracle(probs) -> float:
@@ -95,8 +92,8 @@ def brute_force_leakage(codebook: LayeredCodebook, kit: EncoderKit,
                 key = tuple(np.round(v.ravel(), 9).tolist())
                 counts[(w_int, key)] = counts.get((w_int, key), 0) + 1
                 total += 1
-    xs = sorted({x for x, _ in counts})
-    ts = sorted({t for _, t in counts})
+    xs = list(dict.fromkeys(x for x, _ in counts))
+    ts = list(dict.fromkeys(t for _, t in counts))
     return mutual_information_oracle([[Fraction(counts.get((x, t), 0), total) for t in ts]
                                       for x in xs])
 
@@ -174,8 +171,25 @@ def multiset_key_audit(codebook: LayeredCodebook, r: int, dithers1, sign: str) -
     for w in np.unique(weights):
         hist = hist + int(w) * counter.histogram(rows[weights == w])
     m_total = codebook.size
-    return (hist_xlog2x(counter.hist_w) / (m_total * m_total)
-            - hist_xlog2x(hist) / (float(1 << (r * n0)) * m_total * m_total))
+    values = np.arange(hist.size)
+    return (xlog2x_sum(values, counter.hist_w) / (m_total * m_total)
+            - xlog2x_sum(values, hist) / (float(1 << (r * n0)) * m_total * m_total))
+
+
+def family_bound_oracle(m: int, n_bar: int, r: int) -> float:
+    """B(r) = sum_sigma P(sigma) log2(1 + (2^r - 1) / W(sigma)), the closed-form
+    bound on the average leakage of a uniform r-row GF(2) hash of the sender's
+    label, by a loop over every sum vector sigma of n_bar coordinates.
+
+    W(sigma) = prod_j n(sigma_j) labels are consistent with sigma, n(s) =
+    min(s + 1, 2m - 1 - s), and P(sigma) = W(sigma) / m^(2 n_bar); no dither
+    changes the window sizes."""
+    sizes = [min(s + 1, 2 * m - 1 - s) for s in range(2 * m - 1)]
+    terms = []
+    for sigma in itertools.product(sizes, repeat=n_bar):
+        w = math.prod(sigma)
+        terms.append(w / m ** (2 * n_bar) * math.log2(1 + ((1 << r) - 1) / w))
+    return math.fsum(terms)
 
 
 def iter_grid_joints_oracle(n_x: int, n_t: int, mass_step: int, batch: int = 1 << 14):
@@ -266,8 +280,8 @@ def sum_secrecy_oracle(pair: NestedLatticePair, d1, d2, sign: str, s: float,
 
     Each pair's real sum X1 +/- X2 is reduced mod c; the residual, rounded to
     9 decimals, is the masked symbol and (residual, carry tuple) the full one.
-    Symbols are sorted, which fixes the float summation order of the
-    entropies, so the report compares with the library's by repr.
+    The entropies are math.fsum sums, so the report compares with the
+    library's by repr whatever order the symbols come in.
     """
     book = label_grid([pair], np.arange(pair.codebook_size))[1]
     x1s, x2s = (reduce_carry(book + np.asarray(d, dtype=float), pair.coarse_scale)[0]
@@ -287,7 +301,7 @@ def sum_secrecy_oracle(pair: NestedLatticePair, d1, d2, sign: str, s: float,
             per_masked[mk][(i, z)] = per_masked[mk].get((i, z), 0) + 1
 
     def joint(counts, n):
-        ts = sorted({t for (_, t) in counts})
+        ts = list(dict.fromkeys(t for (_, t) in counts))
         return [[Fraction(counts.get((x, t), 0), n) for t in ts] for x in range(size)]
 
     joint_masked = joint(masked, total)
@@ -369,15 +383,17 @@ def full_rank_fraction_mc_oracle(r: int, n: int, trials: int, seed: int) -> floa
 
 
 def floor_deficit_oracle(weights) -> float:
-    """(H(X) - log2||T||) - H(X|T) of the joint weights / their sum, one call at a time."""
+    """(H(X) - log2||T||) - H(X|T) of the joint weights / their sum, one call at a
+    time: one math.fsum of the signed terms of H(X), log2||T||, H(X, T) and H(T)."""
     p = np.array(weights, dtype=float)
     p /= p.sum()
     px = p.sum(axis=1)
     pt = p.sum(axis=0)
-    h_x = -xlog2x_sum(px)
-    h_xt = -xlog2x_sum(p)
-    h_t = -xlog2x_sum(pt)
-    return (h_x - math.log2(int((pt > 0).sum()))) - (h_xt - h_t)
+    terms = [-xlog2x_term(x) for x in px.tolist() if x > 0]
+    terms.append(-float(np.log2((pt > 0).sum())))
+    terms += [xlog2x_term(x) for x in p.ravel().tolist() if x > 0]
+    terms += [-xlog2x_term(x) for x in pt.tolist() if x > 0]
+    return math.fsum(terms)
 
 
 def floor_sweep_oracle(trials: int, max_x: int, max_t: int, seed: int,
@@ -397,7 +413,8 @@ def floor_sweep_oracle(trials: int, max_x: int, max_t: int, seed: int,
 
 def exact_hashed_entropy_oracle(source: BitSource, r: int, seed_set=None) -> float:
     """`exact_hashed_entropy` one matrix at a time: hash every symbol, bincount the
-    masses, and sum -m log2 m over the nonzero ones."""
+    masses, and sum -m log2 m over the nonzero masses of every matrix with one
+    math.fsum."""
     n, total = source.n, sum(source.weights)
     symbols = np.array([int_to_bits(i, n) for i in range(len(source.weights))])
     weights = np.array([float(Fraction(w, total)) for w in source.weights])
@@ -406,12 +423,11 @@ def exact_hashed_entropy_oracle(source: BitSource, r: int, seed_set=None) -> flo
         matrices = [int_to_bits(g, r * n).reshape(r, n) for g in range(1 << (r * n))]
     else:
         matrices = [sample_linear_hash(r, n, s).entries for s in seed_set]
-    acc = 0.0
+    terms = []
     for g in matrices:
         masses = np.bincount((symbols @ g.T) % 2 @ powers, weights=weights, minlength=1 << r)
-        mask = masses > 0
-        acc += float(-(masses[mask] * np.log2(masses[mask])).sum())
-    avg = acc / len(matrices)
+        terms += [xlog2x_term(m) for m in masses.tolist() if m > 0]
+    avg = -math.fsum(terms) / len(matrices)
     if seed_set is None:
         assert avg >= privacy_amp_bound(r, 2, renyi2_entropy(source)) - 1e-9
     return avg

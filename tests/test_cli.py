@@ -60,7 +60,8 @@ def test_json_format(tmp_path):
 
 
 def test_different_seed_changes_seeded_output(tmp_path):
-    base = SMALL_INVOCATIONS["lattice-verify"]
+    # the seed draws this table's dithers, hash candidates and decoding noise
+    base = SMALL_INVOCATIONS["leakage-trend-random"]
     out1 = tmp_path / "s1.csv"
     out2 = tmp_path / "s2.csv"
     main(base + ["--seed", "1", "--out", str(out1)])
@@ -117,6 +118,10 @@ BAD_FLOAT_GRIDS = [["sdof", "--grid", "inf"], ["amplify", "--c-list", "nan"],
                    ["sdof", "--grid", "1:2:1e-320"], ["amplify", "--c-list=-1"],
                    ["sdof", "--grid", f"0:{GRID_POINT_CAP}:1"]]
 
+# used to print rows of width 0 and leakage 0.0 with exit 0
+NON_FINITE_MARGINS = [["leakage-trend", "--eps", "nan"], ["leakage-trend", "--eps", "inf"],
+                      ["leakage-trend", "--delta", "inf"]]
+
 # used to print a table of NaN figures (an infinite coarse scale) or a negative
 # floor (no hash output bit) with exit 0, to end in a traceback (an overflowing
 # q * sqrt(ab), a negative width), to print only a header (no source bit), or to
@@ -145,6 +150,7 @@ def test_config_error_exit_code(capsys):
                  *UNUSABLE_CHANNELS,
                  *BAD_FLOAT_GRIDS,
                  *BAD_SIZES,
+                 *NON_FINITE_MARGINS,
                  HASHED_OVER_CAP):
         assert main(args) == 2, args
         assert "error:" in capsys.readouterr().err, args
@@ -152,7 +158,7 @@ def test_config_error_exit_code(capsys):
     # and a non-finite or overflowing channel before any decoding warns
     for args in (["leakage-trend", "--nbar", "2", "--family", "0"], NEGATIVE_DECODE_TRIALS,
                  *UNUSABLE_CHANNELS, *MC_OVER_CAP, *BAD_FLOAT_GRIDS, *BAD_SIZES,
-                 HASHED_OVER_CAP):
+                 *NON_FINITE_MARGINS, HASHED_OVER_CAP):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert main(args) == 2, args

@@ -4,6 +4,7 @@ import math
 import tracemalloc
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -15,7 +16,8 @@ from conftest import (conditional_shannon_oracle, floor_deficit_oracle, floor_sw
 from latsec import entropy
 from latsec.entropy import (BitSource, conditional_entropy_floor_sweep,
                             conditional_shannon_counts, floor_deficits, iter_grid_orbits,
-                            renyi2_entropy, violation_mass_counts, violation_mass_grid_sweep)
+                            renyi2_entropy, violation_mass_counts, violation_mass_grid_sweep,
+                            xlog2x_sum)
 from latsec.errors import DomainError, ResourceCapError, ValidationError
 
 
@@ -240,6 +242,51 @@ class TestCountJoints:
         assert violation_mass_counts(j, "min", 0.5).tolist() == [1]
         assert violation_mass_counts(j, "min", 40).tolist() == [0]
         assert violation_mass_counts(j, "renyi2", 40).tolist() == [0]
+
+
+class TestOrderFreedom:
+    """Every entropy sum is one math.fsum, so no order of its terms shows."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 8), st.integers(1, 8), st.integers(0, 2 ** 32 - 1))
+    def test_count_joint_permutations(self, n_x, n_t, seed):
+        rng = np.random.default_rng(seed)
+        counts = rng.integers(0, 1000, size=(n_x, n_t)) * (rng.random((n_x, n_t)) < 0.8)
+        counts[0, 0] += 1
+        h = conditional_shannon_counts(counts)
+        assert conditional_shannon_counts(counts[rng.permutation(n_x)]) == h
+        assert conditional_shannon_counts(counts[:, rng.permutation(n_t)]) == h
+        assert conditional_shannon_counts(counts[rng.permutation(n_x)][:, rng.permutation(n_t)]) == h
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.floats(0, 1e6), min_size=1, max_size=300), st.integers(0, 2 ** 32 - 1))
+    def test_xlog2x_sum_permutations(self, values, seed):
+        rng = np.random.default_rng(seed)
+        x = np.array(values)
+        w = rng.integers(-5, 6, size=len(x))
+        perm = rng.permutation(len(x))
+        assert xlog2x_sum(x[perm]) == xlog2x_sum(x)
+        assert xlog2x_sum(x[perm], w[perm]) == xlog2x_sum(x, w)
+        # chunks fed in turn, and rows, give the sums of the whole
+        cuts = np.sort(rng.integers(0, len(x) + 1, size=3))
+        assert xlog2x_sum(iter(np.split(x[perm], cuts))) == xlog2x_sum(x)
+        assert xlog2x_sum(np.stack([x, x[perm]]), axis=-1).tolist() == [xlog2x_sum(x)] * 2
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=200))
+    def test_xlog2x_sum_of_a_histogram_is_near_exact(self, hist):
+        # every term h v log2 v (v >= 2) is positive, so the correctly rounded sum
+        # carries only the terms' own few-ulp errors
+        got = xlog2x_sum(np.arange(len(hist)), np.array(hist))
+        with mpmath.workdps(60):
+            exact = mpmath.fsum(h * v * mpmath.log(v, 2) for v, h in enumerate(hist) if v > 1)
+            assert abs(mpmath.mpf(got) - exact) <= 4 * np.finfo(float).eps * exact
+
+    def test_rows_and_weights(self):
+        x = np.array([[0.5, 0.0, 0.25], [1.0, 2.0, 4.0]])
+        assert xlog2x_sum(x, axis=-1).tolist() == [-1.0, 10.0]
+        assert xlog2x_sum(x, np.array([[2.0, 1.0, 0.0]] * 2), axis=-1).tolist() == [-1.0, 2.0]
+        assert xlog2x_sum(np.array([1.0, 2.0, 4.0]), np.array([3, -1, 2])) == 14.0
 
 
 class TestMutualInformation:

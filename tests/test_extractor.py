@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import multiset_key_audit
+from conftest import family_bound_oracle, multiset_key_audit
 from latsec.channel import ChannelConfig, make_codebook, mod_signals, random_dithers
 from latsec.errors import DomainError, ResourceCapError, ValidationError
 from latsec.extractor import (ExtractorSpec, KeyAgreementRunner, KeyProtocolSetup,
@@ -126,6 +126,18 @@ class TestKeySecrecyAudit:
             random_dithers(cb, np.random.default_rng(dither_seed))
         rep = key_secrecy_report(cb, r, d1, sign)
         assert rep.h_key_given_view == multiset_key_audit(cb, r, d1, sign)
+
+    @pytest.mark.parametrize("n_bar, r", [(4, 2), (2, 3), (5, 1), (3, 2), (2, 2)])
+    @pytest.mark.parametrize("dither_seed", [None, 5, 6])
+    def test_family_average_below_closed_form_bound(self, n_bar, r, dither_seed):
+        # the audit averages H(key | view) over every r-row hash, so its leakage
+        # r - H is the family average, which B(r) bounds (e.g. 0.1001 <= 0.1417
+        # at (4, 2) and 0.5051 <= 0.6099 at (2, 2))
+        cb = make_codebook(4, n_bar)
+        d1 = None if dither_seed is None else \
+            random_dithers(cb, np.random.default_rng(dither_seed))
+        leak = r - key_secrecy_report(cb, r, d1).h_key_given_view
+        assert 0 < leak <= family_bound_oracle(4, n_bar, r)
 
     def test_peak_memory(self):
         # 2^10 seeds over a 7^5 sum alphabet; a dense 2^n0-by-sigma table

@@ -302,7 +302,6 @@ class TestHashedEntropy:
         (flat_bit_source(3, 8), 4), (flat_bit_source(4, 11), 3), (geometric_bit_source(3), 4),
         (geometric_bit_source(4), 3), (geometric_bit_source(2), 1), (flat_bit_source(6, 1), 2)])
     def test_exhaustive_matches_loop_oracle(self, source, r):
-        # up to 8 nonzero masses per matrix: numpy's unrolled pairwise sum
         assert exact_hashed_entropy(source, r) == exact_hashed_entropy_oracle(source, r)
 
     @pytest.mark.parametrize("source", [geometric_bit_source(6), flat_bit_source(5, 27)])
@@ -324,10 +323,14 @@ class TestHashedEntropy:
             weights[x] = data.draw(st.integers(1, 1000))
         source = BitSource(n, weights)
         seeds = data.draw(st.lists(st.integers(0, 2 ** 62), min_size=1, max_size=300))
-        assert exact_hashed_entropy(source, r, seed_set=seeds) == \
-            exact_hashed_entropy_oracle(source, r, seeds)
-        if r * n <= 10:
-            assert exact_hashed_entropy(source, r) == exact_hashed_entropy_oracle(source, r)
+        # one fsum takes every matrix's terms, however the matrices are chunked
+        chunk = data.draw(st.sampled_from([1, 7, 64, hashing.CHUNK_ENTRIES]))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hashing, "CHUNK_ENTRIES", chunk)
+            assert exact_hashed_entropy(source, r, seed_set=seeds) == \
+                exact_hashed_entropy_oracle(source, r, seeds)
+            if r * n <= 10:
+                assert exact_hashed_entropy(source, r) == exact_hashed_entropy_oracle(source, r)
 
 
 class TestEncoder:
@@ -447,6 +450,9 @@ class TestSecretCodec:
 class TestRateSelect:
     def test_zero_margin(self):
         assert secret_rate_select(10, 1.0, 0.1, 0.1) == 0
+        # a finite eps outside (0, rate0 - 1) selects no width
+        for eps in (-1.0, 0.0, 1.0, 1e300):
+            assert secret_rate_select(8, 2.0, eps, 0.1) == 0
 
     def test_worked_value(self):
         assert secret_rate_select(20, 2.0, 0.1, 0.1) == 15
@@ -470,6 +476,13 @@ class TestRateSelect:
     def test_delta_guard(self):
         with pytest.raises(DomainError):
             secret_rate_select(8, 2.0, 0.1, 0.0)
+
+    @pytest.mark.parametrize("eps, delta", [(math.nan, 0.1), (math.inf, 0.1), (-math.inf, 0.1),
+                                            (0.1, math.inf), (0.1, math.nan)])
+    def test_non_finite_margins_refused(self, eps, delta):
+        # they used to select width 0 and report zero leakage
+        with pytest.raises(DomainError):
+            secret_rate_select(8, 2.0, eps, delta)
 
 
 class TestSources:

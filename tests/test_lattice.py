@@ -1,3 +1,4 @@
+import decimal
 import itertools
 import math
 import warnings
@@ -316,9 +317,30 @@ class TestSumSecrecyReport:
     @example((NestedLatticePair(2, 0.7, 4), np.array([0.293406050579305, 0.5077189894598999]),
               np.array([-0.857859229367604, 0.08640202489062632]), "-", 1.0, "shannon"))
     def test_matches_enumeration_oracle(self, case):
-        # random-dither residuals of one class differ by ulps across carries, so
-        # only sorting by residual rank gives the oracle's summation order
         assert repr(dithered_sum_secrecy_report(*case)) == repr(sum_secrecy_oracle(*case))
+
+    @pytest.mark.parametrize("n, m", [(1, 2), (1, 3), (1, 4), (2, 3), (2, 5), (1, 8)])
+    @settings(max_examples=15, deadline=None)
+    @given(sign=st.sampled_from("+-"), c=st.sampled_from([1.0, 0.7, 3.0]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_shannon_gap_is_one_value(self, n, m, sign, c, seed):
+        # the gap is n (log2 m - sum_sigma W/m^2 log2 W), W = min(sigma + 1, 2m - 1 - sigma)
+        # labels in the window of sum sigma: no dither or sign changes its terms
+        pair = NestedLatticePair(n, c, m)
+        d1, d2 = np.random.default_rng(seed).uniform(-1.5 * c, 1.5 * c, (2, n))
+        gap = dithered_sum_secrecy_report(pair, d1, d2, sign, 1.0, "shannon").shannon_gap
+
+        def log2(w):
+            return decimal.Decimal(w).ln() / decimal.Decimal(2).ln()
+
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            windows = [min(sigma + 1, 2 * m - 1 - sigma) for sigma in range(2 * m - 1)]
+            exact = n * (log2(m) - sum(decimal.Decimal(w) / (m * m) * log2(w) for w in windows))
+            assert abs(decimal.Decimal(gap) - exact) <= 2 * decimal.Decimal(math.ulp(gap))
+        zero = dithered_sum_secrecy_report(NestedLatticePair(n, 1.0, m), np.zeros(n),
+                                           np.zeros(n), "+", 1.0, "shannon")
+        assert gap == zero.shannon_gap
 
     @pytest.mark.parametrize("m, k1, k2, sign", [(4, [0], [-4], "+"), (5, [-5], [-10], "+"),
                                                  (3, [-4, 0], [-3, -3], "+"),
