@@ -42,28 +42,24 @@ DEFAULT_SIGMA_SPACE_CAP = 1 << 23
 
 @dataclass(frozen=True)
 class ChannelConfig:
-    """Cross gains, noise variances, power budgets, and blocklength."""
+    """Cross gains, receiver 1's noise variance, and blocklength; the
+    eavesdropper's noise has unit variance."""
 
     a: float
     b: float
     sign: int = 1
     noise_var1: float = 1.0
-    noise_var2: float = 1.0
-    p1_bar: float = 1e9
-    p2_bar: float = 1e9
     n_uses: int = 1
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.a, self.b, self.noise_var1, self.noise_var2))):
-            raise ConfigError("cross gains and noise variances must be finite")
+        if not all(map(math.isfinite, (self.a, self.b, self.noise_var1))):
+            raise ConfigError("cross gains and noise variance must be finite")
         if not (self.a > 0 and self.b > 0):
             raise ConfigError("cross gains must be positive")
         if self.sign not in (1, -1):
             raise ConfigError("sign must be +1 or -1")
-        if not (self.noise_var1 > 0 and self.noise_var2 > 0):
-            raise ConfigError("noise variances must be positive")
-        if not (self.p1_bar > 0 and self.p2_bar > 0):
-            raise ConfigError("power budgets must be positive")
+        if not self.noise_var1 > 0:
+            raise ConfigError("noise variance must be positive")
         if self.n_uses < 1:
             raise ConfigError("n_uses must be positive")
         coeff = scale_channel(self)
@@ -81,13 +77,12 @@ class ScaledChannel:
     gain_x2_at_d1: float
     noise_std_d1: float
     gain_x2_at_d2: float
-    noise_std_d2: float
 
 
 def scale_channel(cfg: ChannelConfig) -> ScaledChannel:
-    """Y1 = X1 + sqrt(ab) X2 + sqrt(b) Z1 and Y2 = X1 +/- X2 + Z2."""
+    """Y1 = X1 + sqrt(ab) X2 + sqrt(b) Z1 and Y2 = X1 +/- X2 + Z2, Z2 of unit variance."""
     return ScaledChannel(math.sqrt(cfg.a * cfg.b), math.sqrt(cfg.b * cfg.noise_var1),
-                         float(cfg.sign), math.sqrt(cfg.noise_var2))
+                         float(cfg.sign))
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +300,6 @@ def transmit(cfg: ChannelConfig, system: SecrecySystem, w_bits, seed: int) -> Tr
     """
     if system.kit is None:
         raise ConfigError("transmit requires a system with an encoder kit")
-    if system.power1() > cfg.p1_bar + 1e-9 or system.power2() > cfg.p2_bar + 1e-9:
-        raise ConfigError("codebook power exceeds the configured budget")
     w = np.asarray(w_bits, dtype=np.int64)
     coeff = scale_channel(cfg)
 
@@ -322,7 +315,7 @@ def transmit(cfg: ChannelConfig, system: SecrecySystem, w_bits, seed: int) -> Tr
     x2 = system.jammer_signals[1][i2].copy()
 
     y1 = system.received(coeff, i1, i2, noise_rng)
-    y2 = x1 + coeff.gain_x2_at_d2 * x2 + gaussian(noise_rng, x1.size, coeff.noise_std_d2)
+    y2 = x1 + coeff.gain_x2_at_d2 * x2 + gaussian(noise_rng, x1.size)
     return Transcript(w, s_prime, system.labeling.points[i1].copy(),
                       system.jammer_points()[i2].copy(), i2, system.dithers1,
                       system.dithers2, x1, x2, y1, y2)
@@ -363,12 +356,15 @@ class MLDecoder:
     max - tau.  For i any direct argmax and k the factorised one,
     fact_i - C >= direct_i - tau/2 >= direct_k - tau/2 >= fact_k - C - tau:
     every direct argmax is in the tie set, so the decision is the first label
-    an exhaustive direct search returns, and exact ties (identical-layer
-    stacks) go to the first label.  A finite tau bounds every distance: an
-    observation whose tau overflows is refused, and a channel whose tau
-    overflows at y = 0, so at every y, is refused when the decoder is built.
+    an exhaustive direct search returns, and exact ties (such as those of a
+    rational gain) go to the first label.  A finite tau bounds every
+    distance: an observation whose tau overflows is refused, and a channel
+    whose tau overflows at y = 0, so at every y, is refused when the decoder
+    is built.
 
-    A channel whose float64 sums cannot carry x1 is refused.  With
+    A stack whose superposed signal x1 is the same for two labels, such as
+    one of identical layers, is refused: no observation tells them apart.
+    So is a channel whose float64 sums cannot carry x1.  With
     M = max|x1| + g max|x2| and u = ulp(M), no less than the spacing below
     M, each of the two roundings in fl(x1 + fl(g x2)) errs by at most u/2.
     Sender points with the same x2 differ in some coordinate by at least
@@ -393,6 +389,12 @@ class MLDecoder:
         a1, a2 = max(v.size for v, _ in ones), max(v.size for v, _ in twos)
         if n * a1 * a2 > DEFAULT_TABLE_CAP:
             raise ResourceCapError(f"{n * a1 * a2} distances exceed cap {DEFAULT_TABLE_CAP}")
+        # the distinct rows of the per-coordinate index table, one coordinate at a time
+        rows = np.zeros(len(self._x1), dtype=np.int64)
+        for _, inv in ones:
+            rows = np.unique(rows * (inv.max() + 1) + inv, return_inverse=True)[1]
+        if rows.max() + 1 < rows.size:
+            raise ConfigError("two sender labels superpose to the same signal")
         delta = min(np.diff(v).min(initial=math.inf) for v, _ in ones)
         top = max(self._x1.max(), -self._x1.min()) + max(self._gx2.max(), -self._gx2.min())
         if not np.spacing(top) < delta / 2:
@@ -657,15 +659,10 @@ class TrendRow:
     seed: int
 
 
-def make_codebook(m: int, n_bar: int, n_layers: int = 1) -> LayeredCodebook:
-    """Constant-rate stack: n_layers copies of (m, m) with block dim n_bar/n_layers,
-    so the fine lattice is the integer grid."""
-    if n_layers < 1:
-        raise ConfigError("need at least one layer")
-    if n_bar % n_layers:
-        raise ConfigError("n_bar must be divisible by the layer count")
-    block = n_bar // n_layers
-    return LayeredCodebook(tuple(NestedLatticePair(block, float(m), m) for _ in range(n_layers)))
+def make_codebook(m: int, n_bar: int) -> LayeredCodebook:
+    """One (m, m) layer of block dimension n_bar, so the fine lattice is the
+    integer grid."""
+    return LayeredCodebook((NestedLatticePair(n_bar, float(m), m),))
 
 
 def _genie_error_rate(cfg: ChannelConfig, system: SecrecySystem, trials: int,
@@ -688,7 +685,7 @@ def _genie_error_rate(cfg: ChannelConfig, system: SecrecySystem, trials: int,
 
 
 def leakage_trend(m: int, n_bar_values: Sequence[int], eps: float, delta: float,
-                  n_layers: int = 1, sign: str = "+", family: int = 16,
+                  sign: str = "+", family: int = 16,
                   seed: int = 0, policy: str = "best", dither_mode: str = "zero",
                   fixed_r0: int | None = None, decode_trials: int = 0,
                   decode_cfg: ChannelConfig | None = None) -> list[TrendRow]:
@@ -708,7 +705,7 @@ def leakage_trend(m: int, n_bar_values: Sequence[int], eps: float, delta: float,
     rate0 = math.log2(m)
     rows = []
     for n_bar in n_bar_values:
-        codebook = make_codebook(m, n_bar, n_layers)
+        codebook = make_codebook(m, n_bar)
         dithers = (None, None) if dither_mode == "zero" else (
             random_dithers(codebook, substream(seed, f"dither1-{n_bar}")),
             random_dithers(codebook, substream(seed, f"dither2-{n_bar}")))

@@ -84,10 +84,10 @@ def _parse_float_grid(text: str) -> list[float]:
 # ---------------------------------------------------------------------------
 
 def _cmd_entropy_check(args):
-    s_values = tuple(_parse_float_grid(args.s))
+    s_grid = tuple(_parse_float_grid(args.s))
     # the grid refuses a bad step or an over-cap size before any work: run it first
     grid = entropy.violation_mass_grid_sweep(
-        args.grid_max, args.grid_max, args.grid_step, s_values)
+        args.grid_max, args.grid_max, args.grid_step, s_grid)
     floor = entropy.conditional_entropy_floor_sweep(
         args.trials, args.max_x, args.max_t, seed=args.seed)
     rows = [
@@ -115,8 +115,7 @@ def _cmd_lattice_verify(args):
         d1 = d2 = codebook.dither_vectors()[0]
     rows = []
     for measure in ("shannon", "renyi2", "min"):
-        rep = lattice.dithered_sum_secrecy_report(
-            pair, d1, d2, args.sign, args.s, measure, cap=args.cap)
+        rep = lattice.dithered_sum_secrecy_report(pair, d1, d2, args.sign, args.s, measure)
         rows.append({
             "measure": measure, "sign": rep.sign, "s": rep.s,
             "shannon_gap": rep.shannon_gap, "shannon_bound": rep.shannon_bound,
@@ -241,8 +240,7 @@ def _cmd_leakage_trend(args):
         decode_cfg = channel.ChannelConfig(a=args.a, b=args.b,
                                            noise_var1=args.sigma1 ** 2)
     trend = channel.leakage_trend(args.m, n_bars, args.eps, args.delta,
-                                  n_layers=args.layers, sign=args.sign,
-                                  family=args.family, seed=args.seed,
+                                  sign=args.sign, family=args.family, seed=args.seed,
                                   policy=args.policy, dither_mode=args.dither,
                                   fixed_r0=args.fixed_r0,
                                   decode_trials=args.decode_trials,
@@ -311,7 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=float, default=2.0)
     p.add_argument("--sign", choices=("+", "-"), default="+")
     p.add_argument("--dither", choices=("zero", "random"), default="zero")
-    p.add_argument("--cap", type=int, default=lattice.DEFAULT_ENUM_CAP)
 
     p = sub.add_parser("hash-bench", help="full-rank fractions, exhaustive and sampled")
     common(p)
@@ -354,7 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("leakage-trend", help="exact leakage across blocklengths")
     common(p)
-    p.add_argument("--layers", type=int, default=1)
     p.add_argument("--m", type=int, default=4)
     p.add_argument("--nbar", "--Nbar", dest="nbar", type=str, default="2:6")
     p.add_argument("--eps", type=float, default=0.3)

@@ -21,7 +21,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-import time
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -172,7 +171,6 @@ class FloorSweepReport:
     trials: int
     violations: int
     max_deficit: float   # largest observed (H(X) - log2||T||) - H(X|T)
-    elapsed_s: float
 
 
 def floor_deficits(joints: np.ndarray) -> np.ndarray:
@@ -203,7 +201,6 @@ def conditional_entropy_floor_sweep(trials: int, max_x: int = 8, max_t: int = 8,
     if trials < 1 or min(max_x, max_t) < 2:
         raise DomainError("the floor sweep needs a trial and alphabets of 2 or more symbols")
     rng = np.random.default_rng(seed)
-    start = time.perf_counter()
     violations = 0
     max_deficit = -math.inf
     chunk = max(1, FLOOR_CHUNK_ENTRIES // (max_x * max_t))
@@ -216,7 +213,7 @@ def conditional_entropy_floor_sweep(trials: int, max_x: int = 8, max_t: int = 8,
             deficit = floor_deficits(np.stack(stack))
             max_deficit = max(max_deficit, float(deficit.max()))
             violations += int(np.count_nonzero(deficit > FLOOR_TOL))
-    return FloorSweepReport(trials, violations, max_deficit, time.perf_counter() - start)
+    return FloorSweepReport(trials, violations, max_deficit)
 
 
 def _children(lo: np.ndarray, hi: np.ndarray):
@@ -289,16 +286,14 @@ def iter_grid_orbits(n_x: int, n_t: int, mass_step: int):
 @dataclass(frozen=True)
 class GridSweepReport:
     joints: int
-    s_values: tuple
     bound_violations_renyi2: int
     bound_violations_min: int
     max_mass_renyi2: float
     max_mass_min: float
-    elapsed_s: float
 
 
 def violation_mass_grid_sweep(max_x: int = 4, max_t: int = 4, mass_step: int = 8,
-                              s_values=(0.5, 1.0, 2.0, 4.0)) -> GridSweepReport:
+                              s_grid=(0.5, 1.0, 2.0, 4.0)) -> GridSweepReport:
     """Exhaustively check the renyi2/min tail bounds over a quantized simplex grid.
 
     Works in pure integers (mass units of 1/mass_step), so every comparison
@@ -309,7 +304,7 @@ def violation_mass_grid_sweep(max_x: int = 4, max_t: int = 4, mass_step: int = 8
     """
     if min(max_x, max_t) < 2 or mass_step < 1:
         raise DomainError("the grid needs alphabets of 2 or more symbols and a positive step")
-    ks = [_two_s(s) for s in s_values]
+    ks = [_two_s(s) for s in s_grid]
     shapes = [(n_x, n_t) for n_x in range(2, max_x + 1) for n_t in range(2, max_t + 1)]
     planned = sum(math.comb(mass_step + n_x * n_t - 1, n_x * n_t - 1) for n_x, n_t in shapes)
     if planned > GRID_JOINT_CAP:
@@ -324,7 +319,6 @@ def violation_mass_grid_sweep(max_x: int = 4, max_t: int = 4, mass_step: int = 8
                         for k in ks]
               for measure, e, b in (("renyi2", 4, 4), ("min", 2, 0))}
 
-    start = time.perf_counter()
     joints = 0
     tally = {"renyi2": [0, 0], "min": [0, 0]}  # bound violations, largest mass numerator
     for n_x, n_t in shapes:
@@ -337,5 +331,4 @@ def violation_mass_grid_sweep(max_x: int = 4, max_t: int = 4, mass_step: int = 8
                     tally[measure][0] += int(orderings[mass > limit].sum())
                     tally[measure][1] = max(tally[measure][1], int(mass.max()))
     (viol_r, max_r), (viol_m, max_m) = tally.values()
-    return GridSweepReport(joints, tuple(float(s) for s in s_values), viol_r, viol_m,
-                           max_r / step, max_m / step, time.perf_counter() - start)
+    return GridSweepReport(joints, viol_r, viol_m, max_r / step, max_m / step)

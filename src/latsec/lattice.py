@@ -38,6 +38,7 @@ from .errors import DomainError, ResourceCapError, ValidationError
 # One lattice vector is a plain float ndarray in channel-input units.
 LatticeVector = np.ndarray
 
+# codeword pairs the sum audit may count
 DEFAULT_ENUM_CAP = 1 << 16
 # int64 cells per violation-mass call of the sum audit (2 MiB)
 AUDIT_BLOCK = 1 << 18
@@ -230,7 +231,6 @@ class SumSecrecyReport:
     2^(-s) respectively.
     """
 
-    measure: str
     sign: str
     s: float | None
     shannon_gap: float | None
@@ -244,8 +244,7 @@ class SumSecrecyReport:
 
 
 def dithered_sum_secrecy_report(pair: NestedLatticePair, d1, d2, sign: str = "+",
-                                s: float = 2.0, measure: str = "shannon",
-                                cap: int = DEFAULT_ENUM_CAP) -> SumSecrecyReport:
+                                s: float = 2.0, measure: str = "shannon") -> SumSecrecyReport:
     """Exhaustive secrecy audit of V = X1 +/- X2 for independent uniform u1, u2.
 
     X_i = (u_i + d_i) mod c with fixed dithers.  The observation V is
@@ -265,8 +264,8 @@ def dithered_sum_secrecy_report(pair: NestedLatticePair, d1, d2, sign: str = "+"
     if measure not in ("shannon", "renyi2", "min"):
         raise DomainError(f"unknown measure {measure!r}")
     size = pair.codebook_size
-    if size * size > cap:
-        raise ResourceCapError(f"{size}^2 pairs exceed cap {cap}")
+    if size * size > DEFAULT_ENUM_CAP:
+        raise ResourceCapError(f"{size}^2 pairs exceed cap {DEFAULT_ENUM_CAP}")
 
     n, m = pair.dim, pair.nesting
     shifts = pair.dither_shifts(d1)
@@ -295,7 +294,7 @@ def dithered_sum_secrecy_report(pair: NestedLatticePair, d1, d2, sign: str = "+"
     # two summands: at most 2^N carries per residual
     passed = gap <= bound + 1e-9 and masked_independent and max_labels <= 2 ** pair.dim
     if measure == "shannon":
-        return SumSecrecyReport(measure, sign, None, gap, bound, None, None, None,
+        return SumSecrecyReport(sign, None, gap, bound, None, None, None,
                                 masked_independent, max_labels, passed)
 
     # one (u1 label, carry) joint per masked symbol, zero-padded to a common
@@ -310,7 +309,7 @@ def dithered_sum_secrecy_report(pair: NestedLatticePair, d1, d2, sign: str = "+"
     max_mass = max(v / t for v, t in zip(masses, totals))
     joint_mass = sum(masses) / (size * size)
     tail_bound = 2.0 ** (1 - float(s) / 2) if measure == "renyi2" else 2.0 ** (-float(s))
-    return SumSecrecyReport(measure, sign, float(s), gap, bound, max_mass, joint_mass,
+    return SumSecrecyReport(sign, float(s), gap, bound, max_mass, joint_mass,
                             tail_bound, masked_independent, max_labels,
                             passed and max_mass <= tail_bound + 1e-15)
 

@@ -25,6 +25,12 @@ from latsec.hashing import (EncoderKit, encode_secret, full_rank_check, int_to_b
 from latsec.lattice import NestedLatticePair, SumSecrecyReport, label_grid, reduce_carry
 
 
+def layer_stack(m: int, n_bar: int, n_layers: int) -> LayeredCodebook:
+    """n_layers identical (m, m) layers of block dimension n_bar / n_layers."""
+    assert n_bar % n_layers == 0, (n_bar, n_layers)
+    return LayeredCodebook((NestedLatticePair(n_bar // n_layers, float(m), m),) * n_layers)
+
+
 def xlog2x_term(x: float) -> float:
     """x log2 x of one float, with numpy's log2: the library forms its terms in
     numpy, and the oracles check the routes to the terms, not the libm."""
@@ -225,8 +231,8 @@ def _grid_shape_oracle(n_x: int, n_t: int, mass_step: int, mass_test) -> dict:
 
 
 def grid_sweep_oracle(max_x: int, max_t: int, mass_step: int, s_values) -> GridSweepReport:
-    """`entropy.violation_mass_grid_sweep` over every joint of the full grid, with
-    elapsed_s = 0; each s must be in GRID_ORACLE_KS / 2."""
+    """`entropy.violation_mass_grid_sweep` over every joint of the full grid; each
+    s must be in GRID_ORACLE_KS / 2."""
     joints, viol_r, max_r, viol_m, max_m = 0, 0, 0, 0, 0
     for n_x in range(2, max_x + 1):
         for n_t in range(2, max_t + 1):
@@ -236,8 +242,7 @@ def grid_sweep_oracle(max_x: int, max_t: int, mass_step: int, s_values) -> GridS
                 vr, mr, vm, mm = tally[int(2 * s)]
                 viol_r, viol_m = viol_r + vr, viol_m + vm
                 max_r, max_m = max(max_r, mr), max(max_m, mm)
-    return GridSweepReport(joints, tuple(float(s) for s in s_values), viol_r, viol_m,
-                           max_r / mass_step, max_m / mass_step, 0.0)
+    return GridSweepReport(joints, viol_r, viol_m, max_r / mass_step, max_m / mass_step)
 
 
 def grid_joint_from_counts(counts, n_x: int, n_t: int, mass_step: int) -> list:
@@ -314,14 +319,14 @@ def sum_secrecy_oracle(pair: NestedLatticePair, d1, d2, sign: str, s: float,
     bound = float(pair.dim)
     ok = gap <= bound + 1e-9 and independent and max_labels <= 2 ** pair.dim
     if measure == "shannon":
-        return SumSecrecyReport(measure, sign, None, gap, bound, None, None, None,
+        return SumSecrecyReport(sign, None, gap, bound, None, None, None,
                                 independent, max_labels, ok)
     masses = [(sum(sl.values()), violation_mass_oracle(joint(sl, sum(sl.values())), measure, s))
               for sl in per_masked.values()]
     max_mass = max(mass for _, mass in masses)
     joint_mass = sum(Fraction(n, total) * mass for n, mass in masses)
     tail = 2.0 ** (1 - float(s) / 2) if measure == "renyi2" else 2.0 ** (-float(s))
-    return SumSecrecyReport(measure, sign, float(s), gap, bound, float(max_mass),
+    return SumSecrecyReport(sign, float(s), gap, bound, float(max_mass),
                             float(joint_mass), tail, independent, max_labels,
                             ok and float(max_mass) <= tail + 1e-15)
 

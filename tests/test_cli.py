@@ -144,7 +144,6 @@ def test_config_error_exit_code(capsys):
                  ["hash-bench", "--r-max", "1", "--n-max", "1", "--mc-r", "-1"],
                  *MC_OVER_CAP,
                  ["amplify", "--c-list", "x"],
-                 ["leakage-trend", "--layers", "0"],
                  ["leakage-trend", "--nbar", "2", "--family", "0"],
                  NEGATIVE_DECODE_TRIALS,
                  *UNUSABLE_CHANNELS,
@@ -229,8 +228,9 @@ def test_lattice_verify_needs_half_integral_s(capsys):
 
 def test_layer_stacks_refused_by_keygen_and_simulate():
     # identical (c, m) layers superpose to a signal that depends only on the sum
-    # of their digits, so a stack of them cannot be decoded
-    for cmd in ("keygen", "simulate"):
+    # of their digits, so a stack of them cannot be decoded, and their exact
+    # leakage is that of one layer; no subcommand builds one
+    for cmd in ("keygen", "simulate", "leakage-trend"):
         with pytest.raises(SystemExit) as exc:
             main([cmd, "--nbar", "4", "--layers", "2"])
         assert exc.value.code == 2, cmd

@@ -100,17 +100,17 @@ def audit_oracle(cb, r):
 
 class TestKeySecrecyAudit:
     def test_matches_direct_enumeration(self):
-        cb = make_codebook(4, 2, 1)  # label width 4
+        cb = make_codebook(4, 2)  # label width 4
         rep = key_secrecy_report(cb, 1)
         assert rep.h_key_given_view == pytest.approx(audit_oracle(cb, 1), abs=1e-9)
 
     def test_r2_symmetric_path_matches_enumeration(self):
-        cb = make_codebook(4, 2, 1)
+        cb = make_codebook(4, 2)
         rep = key_secrecy_report(cb, 2)
         assert rep.h_key_given_view == pytest.approx(audit_oracle(cb, 2), abs=1e-9)
 
     def test_r3_matches_enumeration(self):
-        cb = make_codebook(2, 3, 1)  # label width 3, 512 seeds
+        cb = make_codebook(2, 3)  # label width 3, 512 seeds
         rep = key_secrecy_report(cb, 3)
         assert rep.h_key_given_view == pytest.approx(audit_oracle(cb, 3), abs=1e-9)
 
@@ -142,7 +142,7 @@ class TestKeySecrecyAudit:
     def test_peak_memory(self):
         # 2^10 seeds over a 7^5 sum alphabet; a dense 2^n0-by-sigma table
         # of the counts peaked near 800 MiB here
-        cb = make_codebook(4, 5, 1)
+        cb = make_codebook(4, 5)
         tracemalloc.start()
         try:
             key_secrecy_report(cb, 1)
@@ -152,14 +152,14 @@ class TestKeySecrecyAudit:
         assert peak < 64 * 2 ** 20
 
     def test_budget_is_analytic(self):
-        cb = make_codebook(4, 2, 1)
+        cb = make_codebook(4, 2)
         rep = key_secrecy_report(cb, 1)
         assert rep.budget_c == pytest.approx(
             2 * math.log2(cb.size) - math.log2(rep.sigma_space), abs=1e-12)
         assert rep.eps_sec == pytest.approx(2 ** (-(rep.budget_c - 1) / 2), abs=1e-12)
 
     def test_dithers_do_not_change_the_audit(self):
-        cb = make_codebook(4, 2, 1)
+        cb = make_codebook(4, 2)
         base = key_secrecy_report(cb, 1)
         shifted = key_secrecy_report(
             cb, 1, dithers1=(np.array([0.3, -1.2]),))
@@ -167,7 +167,7 @@ class TestKeySecrecyAudit:
             base.h_key_given_view, abs=1e-9)
 
     def test_guards(self):
-        cb = make_codebook(3, 2, 1)
+        cb = make_codebook(3, 2)
         with pytest.raises(DomainError):
             key_secrecy_report(cb, 1)  # not power of two
         # 2^24 seeds, refused before any table is built
@@ -177,7 +177,7 @@ class TestKeySecrecyAudit:
 
 class TestProtocol:
     def setup_method(self):
-        self.cb = make_codebook(4, 2, 1)
+        self.cb = make_codebook(4, 2)
         self.spec = ExtractorSpec(self.cb.n0_bits, 2)
         self.setup = KeyProtocolSetup(self.cb, self.spec,
                                       self.cb.dither_vectors(), self.cb.dither_vectors())
@@ -224,7 +224,7 @@ def key_rate(spec: ExtractorSpec, seed: int, n_uses: int) -> float:
 
 class TestKeyRate:
     def test_uniform_key_rate(self):
-        cb = make_codebook(4, 2, 1)
+        cb = make_codebook(4, 2)
         spec = ExtractorSpec(cb.n0_bits, 2)
         setup = KeyProtocolSetup(cb, spec, cb.dither_vectors(), cb.dither_vectors())
         cfg = ChannelConfig(a=2.0, b=1.0, noise_var1=1e-12, n_uses=2)

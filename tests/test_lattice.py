@@ -373,7 +373,7 @@ class TestSumSecrecyReport:
         assert repr(dithered_sum_secrecy_report(pair, d1, d2, "-", 1.0, measure)) == repr(want)
         assert want.joint_violation_mass < want.max_slice_violation_mass
 
-    def test_bad_arguments(self):
+    def test_bad_arguments(self, monkeypatch):
         pair = NestedLatticePair(1, 2.0, 2)
         with pytest.raises(DomainError):
             dithered_sum_secrecy_report(pair, [0.0], [0.0], "*", 1.0, "shannon")
@@ -382,7 +382,7 @@ class TestSumSecrecyReport:
         for measure in ("renyi2", "min"):  # the exact drop test needs 2s integral
             with pytest.raises(DomainError):
                 dithered_sum_secrecy_report(pair, [0.0], [0.0], "+", 1.3, measure)
+        monkeypatch.setattr(lattice, "DEFAULT_ENUM_CAP", 100)
         with pytest.raises(ResourceCapError):
             dithered_sum_secrecy_report(NestedLatticePair(4, 2.0, 4),
-                                        np.zeros(4), np.zeros(4), "+", 1.0,
-                                        "shannon", cap=100)
+                                        np.zeros(4), np.zeros(4), "+", 1.0, "shannon")

@@ -97,6 +97,15 @@ UNCALLED_EXEMPT = {
     "channel.Transcript.to_json": "tests/golden/transcripts.jsonl locks its output",
     "extractor.KeyTranscript.to_json": "tests/golden/transcripts.jsonl locks its output",
 }
+# dataclass fields no code outside their own class reads, each kept for a
+# reader outside src/ and bench/
+UNREAD_EXEMPT = {
+    **dict.fromkeys(
+        [f"channel.HashSelection.{name}" for name in ("chosen_seed", "leakages", "full_ranks")],
+        "tests check the per-candidate report against one exact_leakage call per candidate"),
+    "channel.HashSelection.fallback": "the trace recorder (ROADMAP item 1) is meant to show it",
+    "channel.ChannelConfig.n_uses": "bench/ passes it, so only a benchmark change can drop it",
+}
 
 
 def _definitions(trees):
@@ -144,11 +153,45 @@ def _bench_references() -> set[str]:
     return used
 
 
+def _fields(trees):
+    """(qualified name, name, constructor position or None, default or None,
+    class node) of every field of a module-level dataclass; a field(init=False)
+    has neither position nor default."""
+    for module, tree in trees.items():
+        for top in tree.body:
+            if not (isinstance(top, ast.ClassDef)
+                    and any(ast.unparse(d).startswith("dataclass") for d in top.decorator_list)):
+                continue
+            position = 0
+            for node in top.body:
+                if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                    init = not any(kw.arg == "init" and ast.literal_eval(kw.value) is False
+                                   for call in _calls(node, "field") for kw in call.keywords)
+                    yield (f"{module}.{top.name}.{node.target.id}", node.target.id,
+                           position if init else None, node.value if init else None, top)
+                    position += init
+
+
+def _attributes(trees, ctx, skip=()) -> Counter:
+    """Attributes loaded (ctx ast.Load) or stored (ast.Store) under the given
+    trees, not counting those under the nodes in skip."""
+    hidden = {node for top in skip for node in ast.walk(top)}
+    return Counter(node.attr for tree in trees for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and isinstance(node.ctx, ctx)
+                   and node not in hidden)
+
+
+def _bench_trees() -> list[ast.AST]:
+    return [ast.parse(path.read_text()) for path in sorted(BENCH.rglob("*.py"))]
+
+
 def test_every_public_name_is_used():
     # every function, class and method (public, and private too) is referenced in
     # src/latsec outside its own definition (and __init__.py, which only
     # re-exports) or under bench/; references from unused definitions do not
-    # count, so the scan repeats until no more are found
+    # count, so the scan repeats until no more are found.  Every dataclass field
+    # is read as an attribute outside its own class, by such code or by bench/;
+    # an exempt method reads for its caller outside, so its reads count too.
     trees = {path.stem: ast.parse(path.read_text())
              for path in sorted(set(SRC.glob("*.py")) - {SRC / "__init__.py"})}
     bench = _bench_references()
@@ -169,9 +212,16 @@ def test_every_public_name_is_used():
         unused |= found
     exempt = {qual: called(name, node, skip, refs)
               for qual, name, node, _ in definitions if qual in UNCALLED_EXEMPT}
+    reads = _attributes(trees.values(), ast.Load, skip) + _attributes(_bench_trees(), ast.Load)
+    readers = skip | {node for qual, _, node, _ in definitions if qual in UNCALLED_EXEMPT}
+    read = {qual: reads[name] > _attributes([cls], ast.Load, readers)[name]
+            for qual, name, _, _, cls in _fields(trees)}
+    unused |= {qual: None for qual, was_read in read.items()
+               if not was_read and qual not in UNREAD_EXEMPT}
     assert not unused, "\n".join(sorted(unused))
     stale = sorted(qual for qual in UNCALLED_EXEMPT if exempt.get(qual, True))
-    assert not stale, f"exempt names that are gone or now called: {stale}"
+    stale += sorted(qual for qual in UNREAD_EXEMPT if read.get(qual, True))
+    assert not stale, f"exempt names that are gone or now called or read: {stale}"
 
 
 # defaulted parameters that no library or bench call sets, each kept for a
@@ -228,11 +278,14 @@ def _sets(call: ast.Call, position, name: str, default: ast.AST) -> bool:
 def test_every_default_is_set():
     # a defaulted parameter that no call in src/latsec (outside its own
     # function) or under bench/ sets is a constant in disguise; calls are
-    # matched by bare callee name, and Cls(...) calls Cls.__init__
+    # matched by bare callee name, and Cls(...) calls Cls.__init__.  So is a
+    # defaulted dataclass field that no Cls(...) call and no attribute store
+    # (tr.w_hat = ...) outside its own class sets.
     trees = {path.stem: ast.parse(path.read_text())
              for path in sorted(set(SRC.glob("*.py")) - {SRC / "__init__.py"})}
+    bench = _bench_trees()
     calls: dict[str, list[ast.Call]] = {}
-    for tree in [*trees.values(), *(ast.parse(p.read_text()) for p in BENCH.rglob("*.py"))]:
+    for tree in [*trees.values(), *bench]:
         for call in ast.walk(tree):
             if isinstance(call, ast.Call):
                 callee = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
@@ -244,6 +297,13 @@ def test_every_default_is_set():
         unset |= {f"{qual}({name})" for position, name, default in _defaults(fn)
                   if not any(_sets(call, None if position is None else position - skip_self,
                                    name, default) for call in outside)}
+    stores = _attributes([*trees.values(), *bench], ast.Store)
+    for qual, name, position, default, cls in _fields(trees):
+        own = set(ast.walk(cls))
+        if default is not None and stores[name] == _attributes([cls], ast.Store)[name] and not any(
+                _sets(call, position, name, default)
+                for call in calls.get(cls.name, []) if call not in own):
+            unset.add(qual)
     assert not unset - set(DEFAULT_EXEMPT), "\n".join(sorted(unset - set(DEFAULT_EXEMPT)))
     stale = sorted(set(DEFAULT_EXEMPT) - unset)
     assert not stale, f"exempt parameters that are gone or now set: {stale}"
