@@ -1,17 +1,18 @@
 """Gaussian wiretap channel with a cooperative jammer, at desk scale.
 
-Transmitters superimpose per-layer nested-lattice codewords; the intended
-receiver decodes by exhaustive maximum likelihood, and the eavesdropper's
-information about the secret is computed exactly rather than estimated.
+Each transmitter sends one dithered codeword of a single nested-lattice
+pair; the intended receiver decodes by exhaustive maximum likelihood, and
+the eavesdropper's information about the secret is computed exactly rather
+than estimated.
 
-The exact leakage uses the carry decomposition of the per-layer real sums:
-coordinate-wise, the observation is (up to relabeling) the integer sum of
-the two senders' codebook indices, and the joint with the hashed secret is
-an integer counting problem.  Counts are evaluated with a character sum
-over the hash (a Walsh transform, in `latsec.counting`), which keeps
-desk-scale sweeps exact and fast.  Noise at the eavesdropper only
-processes that observation further, so the reported figure upper-bounds
-what the physical channel reveals.
+The exact leakage uses the carry decomposition of the real sum of the two
+codewords: coordinate-wise, the observation is (up to relabeling) the
+integer sum of the two senders' codebook indices, and the joint with the
+hashed secret is an integer counting problem.  Counts are evaluated with a
+character sum over the hash (a Walsh transform, in `latsec.counting`),
+which keeps desk-scale sweeps exact and fast.  Noise at the eavesdropper
+only processes that observation further, so the reported figure
+upper-bounds what the physical channel reveals.
 """
 from __future__ import annotations
 
@@ -86,42 +87,27 @@ def scale_channel(cfg: ChannelConfig) -> ScaledChannel:
 
 
 # ---------------------------------------------------------------------------
-# Layered codebooks and the transmission system.
+# The codebook and the transmission system.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class LayeredCodebook:
-    """A stack of nested-lattice layers sharing one block dimension."""
+    """The codebook of one nested-lattice pair, of block dimension pair.dim."""
 
-    layers: tuple
+    pair: NestedLatticePair
 
-    def __post_init__(self):
-        layers = tuple(self.layers)
-        object.__setattr__(self, "layers", layers)
-        if not layers:
-            raise ConfigError("need at least one layer")
-        dims = {layer.dim for layer in layers}
-        if len(dims) != 1:
-            raise ConfigError("all layers must share the block dimension")
+    @property
+    def layers(self) -> tuple:
+        """(pair,), the one-layer view the benchmark's reference code reads."""
+        return (self.pair,)
 
     @property
     def block_dim(self) -> int:
-        return self.layers[0].dim
-
-    @property
-    def n_layers(self) -> int:
-        return len(self.layers)
-
-    @property
-    def n_bar(self) -> int:
-        return self.n_layers * self.block_dim
+        return self.pair.dim
 
     @property
     def size(self) -> int:
-        out = 1
-        for layer in self.layers:
-            out *= layer.codebook_size
-        return out
+        return self.pair.codebook_size
 
     @property
     def n0_bits(self) -> int:
@@ -129,70 +115,58 @@ class LayeredCodebook:
 
     @property
     def walsh_countable(self) -> bool:
-        """Power-of-two layers, so the labeling covers the whole codebook and the
-        Walsh-domain counts of `latsec.counting` apply."""
-        return all(layer.nesting & (layer.nesting - 1) == 0 for layer in self.layers)
+        """A power-of-two nesting, so the labeling covers the whole codebook and
+        the Walsh-domain counts of `latsec.counting` apply."""
+        return self.pair.nesting & (self.pair.nesting - 1) == 0
 
     def labeling(self) -> BitLabeling:
-        return BitLabeling(self.layers)
+        return BitLabeling(self.pair)
 
     def dither_vectors(self, dithers=None) -> tuple:
-        """One finite dither vector per layer, each of that layer's dimension;
-        None stands for zero dithers.  Any other count, shape or non-finite
-        entry raises ConfigError."""
+        """The one-tuple of a finite dither vector of the block dimension; None
+        stands for the zero dither.  Any other count, shape or non-finite entry
+        raises ConfigError."""
         if dithers is None:
-            return tuple(np.zeros(layer.dim) for layer in self.layers)
+            return (np.zeros(self.block_dim),)
         vecs = tuple(np.atleast_1d(np.asarray(d, dtype=float)) for d in dithers)
-        if [v.shape for v in vecs] != [(layer.dim,) for layer in self.layers] \
-                or not all(np.isfinite(v).all() for v in vecs):
-            raise ConfigError("need one finite dither vector per layer, of its dimension")
+        if [v.shape for v in vecs] != [(self.block_dim,)] or not np.isfinite(vecs[0]).all():
+            raise ConfigError("need one finite dither vector of the block dimension")
         return vecs
 
     def product_points(self) -> np.ndarray:
-        """All size-by-n_bar codebook points in label (lexicographic) order."""
-        return label_grid(self.layers, np.arange(self.size))[1]
+        """All size-by-block_dim codebook points in label (lexicographic) order."""
+        return label_grid(self.pair, np.arange(self.size))[1]
 
 
 def random_dithers(codebook: LayeredCodebook, rng: np.random.Generator) -> tuple:
-    """Fixed dither vectors drawn once, uniform over each layer's region."""
-    out = []
-    for layer in codebook.layers:
-        c = layer.coarse_scale
-        out.append(c * rng.random(layer.dim) - c / 2)
-    return tuple(out)
+    """A fixed dither vector drawn once, uniform over the coarse region, as a one-tuple."""
+    c = codebook.pair.coarse_scale
+    return (c * rng.random(codebook.block_dim) - c / 2,)
 
 
-def mod_signals(codebook: LayeredCodebook, points, dithers) -> tuple[np.ndarray, np.ndarray]:
-    """Per-layer dithered reductions of each row of a (P, n_bar) array of
-    points, shape (P, L, n), and their superposition over the block, (P, n)."""
+def mod_signals(codebook: LayeredCodebook, points, dithers) -> np.ndarray:
+    """Dithered reductions into the coarse region of each row of a (P, n)
+    array of points, shape (P, n)."""
     pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != codebook.n_bar:
-        raise DomainError(f"expected points of dimension {codebook.n_bar}")
-    n = codebook.block_dim
-    layers = zip(codebook.layers, codebook.dither_vectors(dithers))
-    per_layer = np.stack([reduce_carry(pts[:, i * n:(i + 1) * n] + d, layer.coarse_scale)[0]
-                          for i, (layer, d) in enumerate(layers)], axis=1)
-    return per_layer, per_layer.sum(axis=1)
+    if pts.ndim != 2 or pts.shape[1] != codebook.block_dim:
+        raise DomainError(f"expected points of dimension {codebook.block_dim}")
+    return reduce_carry(pts + codebook.dither_vectors(dithers)[0], codebook.pair.coarse_scale)[0]
 
 
 def exact_signal_power(codebook: LayeredCodebook, dithers) -> float:
     """Exact per-symbol transmit power under a uniform codebook draw."""
-    n = codebook.block_dim
-    coord_power = np.zeros(n)
-    mean_sum = np.zeros(n)
-    for layer, d in zip(codebook.layers, codebook.dither_vectors(dithers)):
-        vals = layer.coordinate_values()
-        for j in range(n):
-            shifted = reduce_carry(vals + d[j], layer.coarse_scale)[0]
-            coord_power[j] += shifted.var()
-            mean_sum[j] += shifted.mean()
-    coord_power += mean_sum ** 2
-    return float(coord_power.mean())
+    pair, d = codebook.pair, codebook.dither_vectors(dithers)[0]
+    vals = pair.coordinate_values()
+    coord_power, coord_mean = np.zeros(pair.dim), np.zeros(pair.dim)
+    for j in range(pair.dim):
+        shifted = reduce_carry(vals + d[j], pair.coarse_scale)[0]
+        coord_power[j], coord_mean[j] = shifted.var(), shifted.mean()
+    return float((coord_power + coord_mean ** 2).mean())
 
 
 @dataclass(frozen=True, eq=False)
 class SecrecySystem:
-    """Codebook stack plus encoder and the fixed public dithers.
+    """Codebook plus encoder and the fixed public dithers.
 
     Points are handled by label: the signal tables below are indexed by the
     sender's label and the jammer's index, and are built on first use, as
@@ -232,12 +206,12 @@ class SecrecySystem:
         return self._points
 
     @cached_property
-    def sender_signals(self) -> tuple[np.ndarray, np.ndarray]:
+    def sender_signals(self) -> np.ndarray:
         """`mod_signals` of every labeled point under dithers1, row = label."""
         return mod_signals(self.codebook, self.labeling.points, self.dithers1)
 
     @cached_property
-    def jammer_signals(self) -> tuple[np.ndarray, np.ndarray]:
+    def jammer_signals(self) -> np.ndarray:
         """`mod_signals` of every jammer point under dithers2, row = jammer index."""
         return mod_signals(self.codebook, self._points, self.dithers2)
 
@@ -245,7 +219,7 @@ class SecrecySystem:
                  rng: np.random.Generator) -> np.ndarray:
         """Receiver 1's observation x1 + g x2 + noise of sender label i1 under
         jammer index i2, the noise drawn from rng."""
-        return (self.sender_signals[1][i1] + coeff.gain_x2_at_d1 * self.jammer_signals[1][i2]
+        return (self.sender_signals[i1] + coeff.gain_x2_at_d1 * self.jammer_signals[i2]
                 + gaussian(rng, self.codebook.block_dim, coeff.noise_std_d1))
 
 
@@ -311,8 +285,8 @@ def transmit(cfg: ChannelConfig, system: SecrecySystem, w_bits, seed: int) -> Tr
     s_prime = enc_rng.integers(0, 2, size=n0 - r0, dtype=np.int64)
     i1 = encode_label(system.kit, w, s_prime)
     i2 = int(jam_rng.integers(0, system.codebook.size))
-    x1 = system.sender_signals[1][i1].copy()
-    x2 = system.jammer_signals[1][i2].copy()
+    x1 = system.sender_signals[i1].copy()
+    x2 = system.jammer_signals[i2].copy()
 
     y1 = system.received(coeff, i1, i2, noise_rng)
     y2 = x1 + coeff.gain_x2_at_d2 * x2 + gaussian(noise_rng, x1.size)
@@ -362,9 +336,9 @@ class MLDecoder:
     whose tau overflows at y = 0, so at every y, is refused when the decoder
     is built.
 
-    A stack whose superposed signal x1 is the same for two labels, such as
-    one of identical layers, is refused: no observation tells them apart.
-    So is a channel whose float64 sums cannot carry x1.  With
+    A codebook whose signal x1 is the same for two labels, as when a huge
+    dither rounds its values together, is refused: no observation tells them
+    apart.  So is a channel whose float64 sums cannot carry x1.  With
     M = max|x1| + g max|x2| and u = ulp(M), no less than the spacing below
     M, each of the two roundings in fl(x1 + fl(g x2)) errs by at most u/2.
     Sender points with the same x2 differ in some coordinate by at least
@@ -374,15 +348,15 @@ class MLDecoder:
 
     def __init__(self, cfg: ChannelConfig, system: SecrecySystem):
         cb = system.codebook
-        if cb.size * cb.n_bar > DEFAULT_TABLE_CAP:
-            raise ResourceCapError(f"{cb.size} points of dimension {cb.n_bar} exceed "
+        if cb.size * cb.block_dim > DEFAULT_TABLE_CAP:
+            raise ResourceCapError(f"{cb.size} points of dimension {cb.block_dim} exceed "
                                    f"the decoder's table cap {DEFAULT_TABLE_CAP}")
         self.cfg = cfg
         self.system = system
         coeff = scale_channel(cfg)
         self._two_var = 2 * coeff.noise_std_d1 ** 2
-        self._x1 = system.sender_signals[1]
-        self._gx2 = coeff.gain_x2_at_d1 * system.jammer_signals[1]
+        self._x1 = system.sender_signals
+        self._gx2 = coeff.gain_x2_at_d1 * system.jammer_signals
         n, j = self._x1.shape[1], self._gx2.shape[0]
         ones = [np.unique(col, return_inverse=True) for col in self._x1.T]
         twos = [np.unique(col, return_counts=True) for col in self._gx2.T]
@@ -394,7 +368,7 @@ class MLDecoder:
         for _, inv in ones:
             rows = np.unique(rows * (inv.max() + 1) + inv, return_inverse=True)[1]
         if rows.max() + 1 < rows.size:
-            raise ConfigError("two sender labels superpose to the same signal")
+            raise ConfigError("two sender labels share one signal")
         delta = min(np.diff(v).min(initial=math.inf) for v, _ in ones)
         top = max(self._x1.max(), -self._x1.min()) + max(self._gx2.max(), -self._gx2.min())
         if not np.spacing(top) < delta / 2:
@@ -490,9 +464,9 @@ def run_message_round(cfg: ChannelConfig, system: SecrecySystem, w_bits, seed: i
 
 def coordinate_specs(codebook: LayeredCodebook, dithers1) -> list[Coordinate]:
     """Each label coordinate's nesting and the cyclic shift the sender's dither induces."""
-    return [Coordinate(layer.nesting, int(k))
-            for layer, d in zip(codebook.layers, codebook.dither_vectors(dithers1))
-            for k in layer.dither_shifts(d)]
+    pair = codebook.pair
+    return [Coordinate(pair.nesting, int(k))
+            for k in pair.dither_shifts(codebook.dither_vectors(dithers1)[0])]
 
 
 def _leakage_coords(codebook: LayeredCodebook, dithers1, sign: str) -> list[Coordinate]:
@@ -510,7 +484,7 @@ def _leakage_coords(codebook: LayeredCodebook, dithers1, sign: str) -> list[Coor
 def exact_leakage(codebook: LayeredCodebook, hash_or_kit: FiniteFieldMatrix | EncoderKit,
                   dithers1=None, sign: str = "+", method: str = "auto",
                   counter: WalshCounter | None = None) -> float:
-    """Exact I(secret; per-layer real sums) in bits, dithers public and fixed.
+    """Exact I(secret; real sum of the two codewords) in bits, dithers public and fixed.
 
     The secret is the hash image of the sender's uniformly encoded point;
     the jammer's point is uniform and independent.  Equals the information
@@ -533,7 +507,8 @@ def exact_leakage(codebook: LayeredCodebook, hash_or_kit: FiniteFieldMatrix | En
     if method == "auto":
         method = "fast" if codebook.walsh_countable else "enumerate"
     if method == "fast" and not codebook.walsh_countable:
-        raise DomainError("fast leakage needs power-of-two layers labeling the whole codebook")
+        raise DomainError("fast leakage needs a power-of-two nesting, so the labels "
+                          "cover the whole codebook")
 
     if method == "fast":
         counter = counter or WalshCounter(coords, sign)
@@ -561,7 +536,7 @@ def _enumerated_histograms(codebook: LayeredCodebook, g: FiniteFieldMatrix,
     """`WalshCounter`'s two histograms for one hash and any m: each label adds
     one to N(k, sigma) on the box of sums its digits fit, one key's sigma slab
     at a time.  Trimmed to length max W + 1, the histograms equal the kernel's
-    on power-of-two layers."""
+    on a power-of-two nesting."""
     n0 = codebook.n0_bits
     shape = tuple(2 * c.m - 1 for c in coords)
     if (1 << n0) * math.prod(shape) > (DEFAULT_SIGMA_SPACE_CAP << 4):
@@ -571,7 +546,7 @@ def _enumerated_histograms(codebook: LayeredCodebook, g: FiniteFieldMatrix,
     labels = np.arange(1 << n0)
     label_bits = (labels[:, None] >> np.arange(n0 - 1, -1, -1)) & 1
     keys = (label_bits @ g.entries.T % 2) @ (1 << np.arange(g.rows - 1, -1, -1))
-    digits = label_grid(codebook.layers, labels)[0]
+    digits = label_grid(codebook.pair, labels)[0]
     # no count exceeds its window, and no window holds more than size labels
     hist = np.zeros(codebook.size + 1, dtype=np.int64)
     windows = np.zeros(shape, dtype=np.int64)
@@ -660,9 +635,9 @@ class TrendRow:
 
 
 def make_codebook(m: int, n_bar: int) -> LayeredCodebook:
-    """One (m, m) layer of block dimension n_bar, so the fine lattice is the
+    """The (m, m) pair of block dimension n_bar, so the fine lattice is the
     integer grid."""
-    return LayeredCodebook((NestedLatticePair(n_bar, float(m), m),))
+    return LayeredCodebook(NestedLatticePair(n_bar, float(m), m))
 
 
 def _genie_error_rate(cfg: ChannelConfig, system: SecrecySystem, trials: int,

@@ -107,7 +107,7 @@ def _cmd_entropy_check(args):
 def _cmd_lattice_verify(args):
     pair = lattice.NestedLatticePair(args.n, float(args.m if args.c is None else args.c),
                                      args.m)
-    codebook = channel.LayeredCodebook((pair,))
+    codebook = channel.LayeredCodebook(pair)
     if args.dither == "random":
         rng = substream(args.seed, "lattice-verify-dither")
         d1, d2 = (channel.random_dithers(codebook, rng)[0] for _ in range(2))
@@ -184,7 +184,7 @@ def _cmd_keygen(args):
         raise ConfigError("keygen needs at least one trial")
     codebook = channel.make_codebook(args.m, args.nbar)
     if not codebook.walsh_countable:
-        raise ConfigError("keygen needs power-of-two layers labeling the whole codebook")
+        raise ConfigError("keygen needs a power-of-two --m, so the labels cover the codebook")
     spec = extractor.ExtractorSpec(codebook.n0_bits, args.r)
     report = extractor.key_secrecy_report(codebook, args.r, sign=args.sign)
     cfg = channel.ChannelConfig(a=args.a, b=args.b, sign=1 if args.sign == "+" else -1,

@@ -26,7 +26,7 @@ from .counting import WalshCounter
 from .entropy import xlog2x_sum
 from .errors import ConfigError, DomainError, ResourceCapError, ValidationError
 from .hashing import bits_to_int, int_to_bits, row_space_bases
-from .lattice import reduce_carry
+from .lattice import NestedLatticePair, reduce_carry
 
 DEFAULT_SEED_SPACE_CAP = 1 << 20
 
@@ -88,7 +88,6 @@ class KeySecrecyReport:
     above r - eps_sec.
     """
 
-    r: int
     h_key_given_view: float
     budget_c: float
     eps_sec: float
@@ -103,15 +102,16 @@ def key_secrecy_report(codebook: LayeredCodebook, r: int, dithers1=None,
     """Average the key entropy over every seed (at most DEFAULT_SEED_SPACE_CAP)
     and every eavesdropper value.
 
-    Requires power-of-two layers labeling the whole codebook, uniform
-    independent sender and jammer points, and fixed dithers.  The count of
-    sender points consistent with each observation is an integer windowing
-    problem, evaluated with a character sum once per row space of the seeds.
+    Requires a power-of-two nesting, so the labels cover the whole codebook,
+    uniform independent sender and jammer points, and fixed dithers.  The
+    count of sender points consistent with each observation is an integer
+    windowing problem, evaluated with a character sum once per row space of
+    the seeds.
     """
     if sign not in ("+", "-"):
         raise DomainError("sign must be '+' or '-'")
     if not codebook.walsh_countable:
-        raise DomainError("exhaustive audit needs power-of-two layers, fully labeled")
+        raise DomainError("exhaustive audit needs a power-of-two nesting, fully labeled")
     n0 = codebook.n0_bits
     if r < 1 or r > n0:
         raise DomainError("key width must lie in [1, label width]")
@@ -139,7 +139,7 @@ def key_secrecy_report(codebook: LayeredCodebook, r: int, dithers1=None,
     budget_c = 2 * math.log2(m_total) - math.log2(sigma_space)
     eps_sec = 2.0 ** (-(budget_c - r) / 2)
     floor = r - eps_sec
-    return KeySecrecyReport(r, h, budget_c, eps_sec, floor,
+    return KeySecrecyReport(h, budget_c, eps_sec, floor,
                             seed_space, sigma_space, h >= floor - 1e-12)
 
 
@@ -224,8 +224,8 @@ class KeyAgreementRunner:
         k1 = extract(spec, bits1, v_seed)
         k1_hat = extract(spec, int_to_bits(i1_hat, spec.input_len), v_seed)
 
-        masked, carry = _eavesdropper_pair(cb, self.system.sender_signals[0][i1],
-                                           self.system.jammer_signals[0][i2], self.cfg.sign)
+        masked, carry = _eavesdropper_pair(cb.pair, self.system.sender_signals[i1],
+                                           self.system.jammer_signals[i2], self.cfg.sign)
         return KeyTranscript(v_seed, i1, i2, k1, k1_hat,
                              bool(np.array_equal(k1, k1_hat)), i1_hat != i1,
                              masked, carry)
@@ -238,13 +238,7 @@ class KeyAgreementRunner:
         return agree / trials
 
 
-def _eavesdropper_pair(codebook: LayeredCodebook, x1_layers, x2_layers, sign: int):
-    """Modular sum and integer carry of the per-layer real sums of two senders'
-    (L, n) dithered signals."""
-    masked = []
-    carry = []
-    for layer, a, b in zip(codebook.layers, x1_layers, x2_layers):
-        w, z = reduce_carry(a + sign * b, layer.coarse_scale)
-        masked.extend(np.round(w, 9).tolist())
-        carry.extend(z.tolist())
-    return tuple(masked), tuple(carry)
+def _eavesdropper_pair(pair: NestedLatticePair, x1, x2, sign: int):
+    """Modular sum and integer carry of the real sum of two senders' dithered signals."""
+    w, z = reduce_carry(x1 + sign * x2, pair.coarse_scale)
+    return tuple(np.round(w, 9).tolist()), tuple(z.tolist())

@@ -23,7 +23,7 @@ import numpy as np
 
 from .entropy import BitSource, renyi2_entropy, xlog2x_sum
 from .errors import DomainError, ResourceCapError, ValidationError
-from .lattice import grid_label, label_grid
+from .lattice import NestedLatticePair, grid_label, label_grid
 
 DEFAULT_MATRIX_CAP = 1 << 22
 # Largest support a bit source enumerates.  `exact_hashed_entropy` hashes
@@ -285,7 +285,8 @@ def exact_hashed_entropy(source: BitSource, r: int, seed_set=None) -> float:
             yield np.bincount(idx.ravel(), weights=np.tile(weights, len(g)),
                               minlength=len(g) << r)
 
-    avg = -xlog2x_sum(chunk_masses()) / count
+    # 0.0 - x, not -x: a family whose outputs are all certain averages +0.0
+    avg = 0.0 - xlog2x_sum(chunk_masses()) / count
 
     if seed_set is None:
         floor = privacy_amp_bound(r, 2, renyi2_entropy(source))
@@ -342,29 +343,27 @@ def build_encoder(g: FiniteFieldMatrix) -> EncoderKit:
 
 @dataclass(frozen=True, eq=False)
 class BitLabeling:
-    """Binary labels of the product codebook of nested-lattice layers.
+    """Binary labels of the codebook of one nested-lattice pair.
 
     A point's label is its integer label (`lattice.label_grid`), i.e. its
     position in lexicographic coordinate order, written as n_bits binary
-    digits.  When the product size is a power of two the whole codebook is
+    digits.  When the codebook size is a power of two the whole codebook is
     labeled; otherwise the first 2^floor(log2 size) points are kept.
     """
 
-    layers: tuple
+    pair: NestedLatticePair
     n_bits: int = field(init=False)
     points: np.ndarray = field(init=False)  # (2^n_bits, dim), in label order
 
     def __post_init__(self):
-        layers = tuple(self.layers)
-        n_bits = math.prod(layer.codebook_size for layer in layers).bit_length() - 1
-        pts = label_grid(layers, np.arange(1 << n_bits))[1]
+        n_bits = self.pair.codebook_size.bit_length() - 1
+        pts = label_grid(self.pair, np.arange(1 << n_bits))[1]
         pts.setflags(write=False)
-        object.__setattr__(self, "layers", layers)
         object.__setattr__(self, "n_bits", n_bits)
         object.__setattr__(self, "points", pts)
 
     def index_of(self, point) -> int:
-        label = grid_label(self.layers, point)
+        label = grid_label(self.pair, point)
         if label >= self.points.shape[0]:
             raise DomainError("point is not in the labeled codebook subset")
         return label

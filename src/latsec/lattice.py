@@ -122,25 +122,21 @@ class NestedLatticePair:
                             self.coarse_scale)[1].sum(axis=0) % self.nesting
 
 
-def label_grid(pairs: Sequence[NestedLatticePair], labels) -> tuple[np.ndarray, np.ndarray]:
-    """Digit vectors and points, both (P, n_bar), of P labels of the product
-    codebook of `pairs`, each pair contributing its dim coordinates in order."""
-    coords = [pair for pair in pairs for _ in range(pair.dim)]
-    digits = np.stack(np.unravel_index(labels, [pair.nesting for pair in coords]), axis=-1)
-    return digits, np.stack([pair.coordinate_values()[digits[:, j]]
-                             for j, pair in enumerate(coords)], axis=-1)
+def label_grid(pair: NestedLatticePair, labels) -> tuple[np.ndarray, np.ndarray]:
+    """Digit vectors and points, both (P, dim), of P labels of the codebook of `pair`."""
+    digits = np.stack(np.unravel_index(labels, (pair.nesting,) * pair.dim), axis=-1)
+    return digits, pair.coordinate_values()[digits]
 
 
-def grid_label(pairs: Sequence[NestedLatticePair], point) -> int:
+def grid_label(pair: NestedLatticePair, point) -> int:
     """Inverse of `label_grid` for one point; DomainError when it is off the grid."""
-    coords = [pair for pair in pairs for _ in range(pair.dim)]
-    m = np.array([pair.nesting for pair in coords])
+    m = pair.nesting
     v = np.asarray(point, dtype=float)
-    if v.shape == m.shape and np.all(np.isfinite(v)):
-        digits = np.round(v * m / [pair.coarse_scale for pair in coords]).astype(int) + m // 2
+    if v.shape == (pair.dim,) and np.all(np.isfinite(v)):
+        digits = np.round(v * m / pair.coarse_scale).astype(int) + m // 2
         if np.all((digits >= 0) & (digits < m)):
-            label = int(np.ravel_multi_index(digits, m))
-            if np.all(np.abs(label_grid(pairs, [label])[1][0] - v) <= 1e-9):
+            label = int(np.ravel_multi_index(digits, (m,) * pair.dim))
+            if np.all(np.abs(label_grid(pair, [label])[1][0] - v) <= 1e-9):
                 return label
     raise DomainError("point is not on the product grid")
 

@@ -25,12 +25,6 @@ from latsec.hashing import (EncoderKit, encode_secret, full_rank_check, int_to_b
 from latsec.lattice import NestedLatticePair, SumSecrecyReport, label_grid, reduce_carry
 
 
-def layer_stack(m: int, n_bar: int, n_layers: int) -> LayeredCodebook:
-    """n_layers identical (m, m) layers of block dimension n_bar / n_layers."""
-    assert n_bar % n_layers == 0, (n_bar, n_layers)
-    return LayeredCodebook((NestedLatticePair(n_bar // n_layers, float(m), m),) * n_layers)
-
-
 def xlog2x_term(x: float) -> float:
     """x log2 x of one float, with numpy's log2: the library forms its terms in
     numpy, and the oracles check the routes to the terms, not the libm."""
@@ -76,15 +70,14 @@ def violation_mass_oracle(probs, measure: str, s) -> Fraction:
 
 def brute_force_leakage(codebook: LayeredCodebook, kit: EncoderKit,
                         dithers1, dithers2, sign: str) -> float:
-    """I(secret; per-layer real sums) by full enumeration of (S, S', t2).
+    """I(secret; real sum of the two codewords) by full enumeration of (S, S', t2).
 
     Builds the exact joint over the eavesdropper's real-valued observation
     with Fraction masses and evaluates its mutual information.
     """
     labeling = codebook.labeling()
     n0, r0 = kit.n_bits, kit.r_secret
-    jam_layers = [mod_signals(codebook, [p], dithers2)[0][0]
-                  for p in codebook.product_points()]
+    jam_signals = [mod_signals(codebook, [p], dithers2)[0] for p in codebook.product_points()]
     counts: dict = {}
     total = 0
     for w_int in range(1 << r0):
@@ -92,10 +85,10 @@ def brute_force_leakage(codebook: LayeredCodebook, kit: EncoderKit,
         for sp_int in range(1 << (n0 - r0)):
             sp = int_to_bits(sp_int, n0 - r0)
             t1 = encode_secret(kit, w, sp, labeling)
-            x1_layers = mod_signals(codebook, [t1], dithers1)[0][0]
-            for x2_layers in jam_layers:
-                v = x1_layers + x2_layers if sign == "+" else x1_layers - x2_layers
-                key = tuple(np.round(v.ravel(), 9).tolist())
+            x1 = mod_signals(codebook, [t1], dithers1)[0]
+            for x2 in jam_signals:
+                v = x1 + x2 if sign == "+" else x1 - x2
+                key = tuple(np.round(v, 9).tolist())
                 counts[(w_int, key)] = counts.get((w_int, key), 0) + 1
                 total += 1
     xs = list(dict.fromkeys(x for x, _ in counts))
@@ -288,7 +281,7 @@ def sum_secrecy_oracle(pair: NestedLatticePair, d1, d2, sign: str, s: float,
     The entropies are math.fsum sums, so the report compares with the
     library's by repr whatever order the symbols come in.
     """
-    book = label_grid([pair], np.arange(pair.codebook_size))[1]
+    book = label_grid(pair, np.arange(pair.codebook_size))[1]
     x1s, x2s = (reduce_carry(book + np.asarray(d, dtype=float), pair.coarse_scale)[0]
                 for d in (d1, d2))
     size = len(book)
@@ -474,8 +467,8 @@ def genie_error_rate_oracle(codebook: LayeredCodebook, d1, d2, cfg: ChannelConfi
     Draws a uniform labeled point, a uniform jammer point and the noise from
     the trend's stream, then picks the labeled point nearest to the residual.
     """
-    x1_table = mod_signals(codebook, codebook.labeling().points, d1)[1]
-    x2_table = mod_signals(codebook, codebook.product_points(), d2)[1]
+    x1_table = mod_signals(codebook, codebook.labeling().points, d1)
+    x2_table = mod_signals(codebook, codebook.product_points(), d2)
     coeff = scale_channel(cfg)
     rng = substream(seed, "trend-decode")
     errors = 0
@@ -498,8 +491,8 @@ def direct_marginal_oracle(cfg: ChannelConfig, system: SecrecySystem, y) -> np.n
     ML decision is the first argmax.
     """
     coeff = scale_channel(cfg)
-    x1 = system.sender_signals[1]
-    x2 = system.jammer_signals[1]
+    x1 = system.sender_signals
+    x2 = system.jammer_signals
     pair = x1[:, None, :] + coeff.gain_x2_at_d1 * x2[None, :, :]
     neg = -((pair - np.asarray(y, dtype=float)) ** 2).sum(axis=2) / (2 * coeff.noise_std_d1 ** 2)
     peak = neg.max(axis=1, keepdims=True)
@@ -516,7 +509,7 @@ def direct_search_oracle(cfg: ChannelConfig, system: SecrecySystem, y) -> int:
     """
     coeff = scale_channel(cfg)
     two_var = 2 * coeff.noise_std_d1 ** 2
-    pair = system.sender_signals[1][:, None, :] + coeff.gain_x2_at_d1 * system.jammer_signals[1]
+    pair = system.sender_signals[:, None, :] + coeff.gain_x2_at_d1 * system.jammer_signals
     d = ((pair - np.asarray(y, dtype=float)) ** 2).sum(axis=2)
     low = d.min(axis=1, keepdims=True)
     with np.errstate(over="ignore"):

@@ -138,7 +138,7 @@ def test_07_encoder_bijectivity_and_uniformity():
     checked = 0
     for n_bits, r in ((4, 1), (6, 2), (8, 3), (10, 4)):
         pair = NestedLatticePair(1, float(1 << n_bits), 1 << n_bits)
-        labeling = BitLabeling([pair])
+        labeling = BitLabeling(pair)
         g = next(sample_linear_hash(r, n_bits, s) for s in range(50)
                  if full_rank_check(sample_linear_hash(r, n_bits, s)))
         kit = build_encoder(g)
@@ -196,9 +196,8 @@ def test_09_key_protocol_secrecy_and_agreement():
     assert report.passed
 
     spec = ExtractorSpec(codebook.n0_bits, r)
-    setup = KeyProtocolSetup(codebook, spec,
-                             tuple(np.zeros(l.dim) for l in codebook.layers),
-                             tuple(np.zeros(l.dim) for l in codebook.layers))
+    setup = KeyProtocolSetup(codebook, spec, (np.zeros(codebook.block_dim),),
+                             (np.zeros(codebook.block_dim),))
     cfg = ChannelConfig(a=2.0, b=1.0, noise_var1=1e-12, n_uses=4)
     runner = KeyAgreementRunner(cfg, setup)
     rate = runner.agreement_rate(1000, seed=77)

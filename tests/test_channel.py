@@ -8,8 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (brute_force_leakage, cyclic_shift_oracle, direct_marginal_oracle,
-                      direct_search_oracle, genie_error_rate_oracle, layer_stack,
-                      per_candidate_leakages)
+                      direct_search_oracle, genie_error_rate_oracle, per_candidate_leakages)
 from latsec import channel
 from latsec._rng import gaussian, substream
 from latsec.channel import (ChannelConfig, LayeredCodebook, MLDecoder, TrendRow,
@@ -83,23 +82,18 @@ class TestScaling:
 
 class TestCodebookStack:
     def test_rates(self):
-        cb = LayeredCodebook((NestedLatticePair(2, 4.0, 4),
-                              NestedLatticePair(2, 2.0, 2)))
-        assert cb.n_bar == 4
+        cb = LayeredCodebook(NestedLatticePair(3, 4.0, 4))
+        assert cb.block_dim == 3
         assert cb.size == 64
-        assert cb.n0_bits == 6  # 2 dims at 2 bits each, then 2 dims at 1 bit
-
-    def test_mixed_dims_rejected(self):
-        with pytest.raises(ConfigError):
-            LayeredCodebook((NestedLatticePair(1, 2.0, 2),
-                             NestedLatticePair(2, 2.0, 2)))
+        assert cb.n0_bits == 6  # 3 dims at 2 bits each
 
     def test_bad_dither_tuples_refused_everywhere(self):
-        # every dither consumer goes through LayeredCodebook.dither_vectors
-        cb = layer_stack(4, 4, 2)  # two layers of dimension 2
+        # every dither consumer goes through LayeredCodebook.dither_vectors, which
+        # takes a one-tuple: a 2-tuple is a wrong count like the empty tuple
+        cb = make_codebook(4, 4)
         g = sample_linear_hash(2, cb.n0_bits, 19)
-        for bad in [(np.full(2, 0.3),), (np.full(2, 0.3),) * 3,
-                    (np.full(2, 0.3), np.full(3, 0.3)), (np.full(2, 0.3), [0.1, np.nan])]:
+        for bad in [(), (np.full(4, 0.3),) * 2, (np.full(3, 0.3),),
+                    (np.array([0.1, 0.2, np.nan, 0.3]),), (np.full(4, np.inf),)]:
             for method in ("fast", "enumerate"):
                 with pytest.raises(ConfigError):
                     exact_leakage(cb, g, bad, method=method)
@@ -114,7 +108,8 @@ class TestCodebookStack:
                 exact_signal_power(cb, bad)
             with pytest.raises(ConfigError):
                 mod_signals(cb, cb.product_points()[:3], bad)
-        assert all(np.array_equal(d, np.zeros(2)) for d in cb.dither_vectors())
+        assert len(cb.dither_vectors()) == 1
+        assert np.array_equal(cb.dither_vectors()[0], np.zeros(4))
 
 
 class TestTransmit:
@@ -133,7 +128,7 @@ class TestTransmit:
         system = system_with_hash(4, 2, 1)
         cfg = ChannelConfig(a=2.0, b=1.0, n_uses=2)
         tr = transmit(cfg, system, np.array([0]), seed=5)
-        assert np.allclose(tr.x1, tr.t1)  # single layer, zero dither
+        assert np.allclose(tr.x1, tr.t1)  # zero dither
 
     def test_empirical_power_matches_exact(self):
         system = system_with_hash(4, 2, 1, dithers=True)
@@ -170,18 +165,20 @@ class TestTransmit:
 
 
 class TestDecoding:
-    @pytest.mark.parametrize("m, n_bar, n_layers",
+    @pytest.mark.parametrize("m, n_bar, batch",
                              [(4, 2, 1), (3, 2, 1), (8, 2, 2), (4, 3, 3), (2, 9, 9)])
-    def test_signal_tables_match_per_point_reductions(self, m, n_bar, n_layers):
-        # the signal tables (one batched call) equal one-point reductions
-        cb = layer_stack(m, n_bar, n_layers)
+    def test_signal_tables_match_per_point_reductions(self, m, n_bar, batch):
+        # the signal tables (one batched call) equal the reductions of the
+        # points taken `batch` at a time, one at a time for batch = 1
+        cb = make_codebook(m, n_bar)
         rng = substream(m * 100 + n_bar, "table-dithers")
         dithers = random_dithers(cb, rng)
         for points in (cb.labeling().points, cb.product_points()):
-            per_layer, total = mod_signals(cb, points, dithers)
-            one_point = [mod_signals(cb, [p], dithers) for p in points]
-            assert np.array_equal(per_layer, np.concatenate([lay for lay, _ in one_point]))
-            assert np.array_equal(total, np.concatenate([sig for _, sig in one_point]))
+            table = mod_signals(cb, points, dithers)
+            assert table.shape == points.shape
+            parts = [mod_signals(cb, points[i:i + batch], dithers)
+                     for i in range(0, len(points), batch)]
+            assert np.array_equal(table, np.concatenate(parts))
 
     def test_tiny_noise_always_decodes(self):
         system = system_with_hash(4, 2, 2)
@@ -250,7 +247,7 @@ class TestDecoding:
                 MLDecoder(ChannelConfig(a=1e300, b=1e8, n_uses=2), system_with_hash(4, 2, 1))
             with pytest.raises(ConfigError):
                 MLDecoder(ChannelConfig(a=1.0, b=1.0, n_uses=2),
-                          build_system(LayeredCodebook((NestedLatticePair(2, 1e154, 4),)), None))
+                          build_system(LayeredCodebook(NestedLatticePair(2, 1e154, 4)), None))
 
     @pytest.mark.parametrize("mode", ["marginal", "genie"])
     def test_float_resolution_limits_the_gain(self, mode):
@@ -292,10 +289,9 @@ class TestDecoding:
             MLDecoder(ChannelConfig(a=1.0, b=1.0), system)
 
     def test_distance_table_cap(self):
-        # twelve one-coordinate m = 2 layers at scales 2, 4, ..., 4096 under
-        # random dithers: 2^12 distinct values of x1 and of g x2, so 2^24
-        # distances, refused before the 128-MiB table is built
-        cb = LayeredCodebook(tuple(NestedLatticePair(1, 2.0 ** (l + 1), 2) for l in range(12)))
+        # one coordinate at m = 4096: 2^12 distinct values of x1 and of g x2,
+        # so 2^24 distances, refused before the 128-MiB table is built
+        cb = make_codebook(4096, 1)
         rng = np.random.default_rng(0)
         system = build_system(cb, None, random_dithers(cb, rng), random_dithers(cb, rng))
         tracemalloc.start()
@@ -321,30 +317,30 @@ class TestDecoding:
                 i2 = int(rng.integers(0, system.codebook.size))
                 assert decoder.decode_index(system.received(coeff, i1, i2, rng)) == i1
 
+    def test_labels_sharing_a_signal_refused(self):
+        # a dither of 1e17 rounds every coordinate value of the m = 4 codebook
+        # to one float, so all labels share one signal
+        cb = make_codebook(4, 2)
+        system = build_system(cb, None, (np.full(2, 1e17),))
+        with pytest.raises(ConfigError, match="share one signal"):
+            MLDecoder(ChannelConfig(a=2.0, b=1.0), system)
+
     @settings(max_examples=120, deadline=None)
-    @given(st.sampled_from([(m, n_bar, layers) for m in (2, 3, 4, 8) for n_bar in range(1, 10)
-                            for layers in (1, 2, 3) if m ** n_bar <= 512 and n_bar % layers == 0]),
+    @given(st.sampled_from([(m, n_bar) for m in (2, 3, 4, 8) for n_bar in range(1, 10)
+                            if m ** n_bar <= 512]),
            st.booleans(),
            st.sampled_from([1e-9, 1e-6, 0.05, 0.1, 0.2, 0.3, 0.5, 1.0, 2.0, 5.0, 100.0]),
            st.sampled_from([2.0, 4.0]), st.integers(0, 2 ** 16))
-    def test_marginal_matches_direct_oracle(self, stack, dithered, sigma1, a, seed):
+    def test_marginal_matches_direct_oracle(self, shape, dithered, sigma1, a, seed):
         # m = 3 labels a prefix of the codebook; the rational gain 2 (a = 4) holds
         # exact ties; sigma1 runs from error-free to guessing
-        m, n_bar, n_layers = stack
-        cb = layer_stack(m, n_bar, n_layers)
+        cb = make_codebook(*shape)
         rng = np.random.default_rng(seed)
         dithers = (random_dithers(cb, rng), random_dithers(cb, rng)) if dithered else ()
         system = build_system(cb, None, *dithers)
         cfg = ChannelConfig(a=a, b=1.0, noise_var1=sigma1 ** 2)
-        if n_layers > 1:
-            # identical layers superpose two labels to one signal; dithered m = 3
-            # stacks, whose sums of layers are equal up to an ulp, are refused on
-            # float resolution instead (test_float_resolution_limits_the_gain)
-            with pytest.raises(ConfigError):
-                MLDecoder(cfg, system)
-            return
         decoder, coeff = MLDecoder(cfg, system), scale_channel(cfg)
-        labels = [system.sender_signals[1].shape[0], cb.size]
+        labels = [system.sender_signals.shape[0], cb.size]
         # noisy observations: the same decision as the direct form.  At the
         # rational gain distinct labels can tie exactly (x1 + 2 x2 repeats when
         # x1 moves by 2 and x2 by -1), and then the log-unit oracle's rounding,
@@ -360,7 +356,7 @@ class TestDecoding:
         # scores within a few ulps of the best.  Deciding on the factorised
         # score alone, without the direct re-check, can pick another of them.
         pairs = rng.integers(0, labels, size=(3, 2, 2))
-        x1, x2 = system.sender_signals[1], system.jammer_signals[1]
+        x1, x2 = system.sender_signals, system.jammer_signals
         signals = x1[pairs[..., 0]] + coeff.gain_x2_at_d1 * x2[pairs[..., 1]]
         for y in [*(signals.sum(axis=1) / 2), np.zeros(cb.block_dim)]:
             loglik = direct_marginal_oracle(cfg, system, y)
@@ -411,7 +407,7 @@ class TestDecoding:
 
 @st.composite
 def dithered_coordinates(draw):
-    """A layer (m, c) and dithers: uniform over [-1.5c, 1.5c), multiples of
+    """A pair (m, c) and dithers: uniform over [-1.5c, 1.5c), multiples of
     c/m give or take 1e-12, and +-c/2 with their float neighbours."""
     m = draw(st.sampled_from([2, 3, 4, 5, 8, 16]))
     c = draw(st.sampled_from([float(m), 1.0, 4.0, 0.7]))
@@ -428,8 +424,8 @@ class TestCoordinateSpecs:
     @given(dithered_coordinates())
     def test_shift_from_carries_matches_rank_oracle(self, case):
         m, c, d = case
-        pair = NestedLatticePair(len(d), c, m)
-        specs = coordinate_specs(LayeredCodebook((pair, pair)), (d, -d))
+        pair = NestedLatticePair(2 * len(d), c, m)
+        specs = coordinate_specs(LayeredCodebook(pair), (np.concatenate([d, -d]),))
         want = [cyclic_shift_oracle(pair.coordinate_values(), float(x), c) for x in [*d, *-d]]
         assert [spec.shift for spec in specs] == want
         assert all(spec.m == m for spec in specs)
@@ -465,34 +461,6 @@ class TestExactLeakage:
         assert fast == pytest.approx(oracle, abs=1e-9)
         assert enum == fast
 
-    def test_layered_stack_routes_agree(self):
-        cb = layer_stack(4, 4, 2)  # two layers of dimension 2
-        rng = substream(4, "layered")
-        d1 = random_dithers(cb, rng)
-        d2 = random_dithers(cb, rng)
-        g = sample_linear_hash(2, cb.n0_bits, 19)
-        kit = build_encoder(g)
-        oracle = brute_force_leakage(cb, kit, d1, d2, "+")
-        assert exact_leakage(cb, kit, d1, "+") == pytest.approx(oracle, abs=1e-9)
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.sampled_from([(m, n_bar, layers) for m in (2, 3, 4, 8) for n_bar in range(2, 5)
-                            for layers in range(2, n_bar + 1)
-                            if m ** n_bar <= 512 and n_bar % layers == 0]),
-           st.integers(1, 3), st.integers(0, 2 ** 16))
-    def test_identical_layers_leak_as_one(self, stack, r0, seed):
-        # a stack of identical layers has the one-layer codebook's labels, digits
-        # and coordinates, so the dithers cut into per-layer pieces give its leakage
-        m, n_bar, n_layers = stack
-        one, split = make_codebook(m, n_bar), layer_stack(m, n_bar, n_layers)
-        d1 = random_dithers(one, np.random.default_rng(seed))
-        pieces = tuple(np.split(d1[0], n_layers))
-        g = sample_linear_hash(min(r0, one.n0_bits), one.n0_bits, seed)
-        for sign in ("+", "-"):
-            for method in ("fast", "enumerate") if one.walsh_countable else ("enumerate",):
-                assert (exact_leakage(split, g, pieces, sign, method)
-                        == exact_leakage(one, g, d1, sign, method)), (sign, method)
-
     def test_sign_symmetry_exact(self):
         cb = make_codebook(4, 3)
         g = sample_linear_hash(2, cb.n0_bits, 23)
@@ -512,7 +480,7 @@ class TestExactLeakage:
         g = sample_linear_hash(2, cb.n0_bits, 3)
         leak = exact_leakage(cb, g)
         assert leak <= 2.0 + 1e-12   # never more than the secret width
-        assert leak <= cb.n_bar + 1e-12
+        assert leak <= cb.block_dim + 1e-12
 
     def test_kit_and_matrix_equivalent(self):
         cb = make_codebook(4, 2)
@@ -543,11 +511,10 @@ class TestExactLeakage:
         assert leak == exact_leakage(cb, g, method="fast")
 
     @settings(max_examples=40, deadline=None)
-    @given(st.sampled_from([3, 5]), st.integers(1, 3), st.booleans(), st.integers(1, 3),
+    @given(st.sampled_from([3, 5]), st.integers(1, 3), st.integers(1, 3),
            st.integers(0, 2 ** 16), st.sampled_from(["+", "-"]))
-    def test_enumeration_matches_brute_force_off_power_of_two(self, m, n_bar, layered, r0,
-                                                              seed, sign):
-        cb = layer_stack(m, n_bar, n_bar if layered else 1)
+    def test_enumeration_matches_brute_force_off_power_of_two(self, m, n_bar, r0, seed, sign):
+        cb = make_codebook(m, n_bar)
         rng = np.random.default_rng(seed)
         d1, d2 = random_dithers(cb, rng), random_dithers(cb, rng)
         g = sample_linear_hash(min(r0, cb.n0_bits), cb.n0_bits, seed)

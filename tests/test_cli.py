@@ -226,10 +226,17 @@ def test_lattice_verify_needs_half_integral_s(capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_certain_hash_outputs_print_positive_zero_entropy(capsys):
+    # at n = 1, c = 0 the flat source has one symbol, so every hashed output is
+    # certain and the average entropy is +0.0, not -0.0
+    assert main(["amplify", "--n", "1", "--r", "1", "--c-list", "0"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()]
+    flat = dict(zip(rows[0], next(row for row in rows if row[3] == "flat1")))
+    assert flat["avg_entropy"] == "0.0"
+
+
 def test_layer_stacks_refused_by_keygen_and_simulate():
-    # identical (c, m) layers superpose to a signal that depends only on the sum
-    # of their digits, so a stack of them cannot be decoded, and their exact
-    # leakage is that of one layer; no subcommand builds one
+    # every codebook is one nested-lattice pair, so no subcommand takes --layers
     for cmd in ("keygen", "simulate", "leakage-trend"):
         with pytest.raises(SystemExit) as exc:
             main([cmd, "--nbar", "4", "--layers", "2"])

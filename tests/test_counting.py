@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_histograms, layer_stack
+from conftest import brute_force_histograms
 from latsec import counting
 from latsec.channel import exact_leakage, make_codebook, random_dithers, select_secrecy_hash
 from latsec.counting import Coordinate, WalshCounter, reflection_folds
@@ -19,9 +19,7 @@ from latsec.hashing import FiniteFieldMatrix, sample_linear_hash
 @st.composite
 def leakage_instances(draw):
     m = draw(st.sampled_from([2, 4, 8]))
-    n_bar = draw(st.integers(1, 3))
-    n_layers = draw(st.sampled_from([1, n_bar]))
-    cb = layer_stack(m, n_bar, n_layers)
+    cb = make_codebook(m, draw(st.integers(1, 3)))
     n0 = cb.n0_bits
     r0 = draw(st.integers(1, min(n0, 4)))
     bits = draw(st.lists(st.integers(0, 1), min_size=r0 * n0, max_size=r0 * n0))

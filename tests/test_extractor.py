@@ -81,13 +81,13 @@ def audit_oracle(cb, r):
     spec = ExtractorSpec(cb.n0_bits, r)
     pts = cb.product_points()
     d = cb.dither_vectors()
-    layers = [mod_signals(cb, [p], d)[0][0] for p in pts]
+    signals = [mod_signals(cb, [p], d)[0] for p in pts]
     joint = collections.Counter()
     for v in range(spec.seed_space):
         for i1 in range(pts.shape[0]):
             k = bits_to_int(extract(spec, int_to_bits(i1, cb.n0_bits), v))
             for i2 in range(pts.shape[0]):
-                key = tuple(np.round((layers[i1] + layers[i2]).ravel(), 9).tolist())
+                key = tuple(np.round(signals[i1] + signals[i2], 9).tolist())
                 joint[(v, key, k)] += 1
     total = sum(joint.values())
     view = collections.Counter()
@@ -196,8 +196,8 @@ class TestProtocol:
         assert tr.agreement
         assert not tr.decode_failed
         assert len(tr.k1_bits) == 2
-        assert len(tr.masked_sum) == self.cb.n_bar
-        assert len(tr.carry) == self.cb.n_bar
+        assert len(tr.masked_sum) == self.cb.block_dim
+        assert len(tr.carry) == self.cb.block_dim
         text = tr.to_json()
         assert '"agreement": true' in text
         assert f'"k1": "{bits_to_int(tr.k1_bits):x}"' in text

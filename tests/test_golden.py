@@ -11,12 +11,10 @@ from pathlib import Path
 
 import numpy as np
 
-from latsec.channel import (ChannelConfig, LayeredCodebook, MLDecoder, build_system,
-                            make_codebook, random_dithers, run_message_round,
-                            select_secrecy_hash)
+from latsec.channel import (ChannelConfig, MLDecoder, build_system, make_codebook,
+                            random_dithers, run_message_round, select_secrecy_hash)
 from latsec.extractor import ExtractorSpec, KeyAgreementRunner, KeyProtocolSetup
 from latsec.hashing import int_to_bits
-from latsec.lattice import NestedLatticePair
 
 TRANSCRIPTS = Path(__file__).resolve().parent / "golden" / "transcripts.jsonl"
 
@@ -30,10 +28,9 @@ def _dithers(codebook, kind: str, seed: int):
 
 def transcript_lines() -> list[str]:
     """JSON of 8 message rounds (both modes, zero and random dithers) and of
-    8 key rounds (one and two layers, both signs, zero and random dithers)."""
+    8 key rounds (two block dimensions, both signs, zero and random dithers)."""
     lines = []
-    # two layers at scales 4 and 16: their digits superpose to distinct signals
-    cb = LayeredCodebook((NestedLatticePair(2, 4.0, 4), NestedLatticePair(2, 16.0, 4)))
+    cb = make_codebook(4, 4)
     cfg = ChannelConfig(a=2.0, b=1.0, noise_var1=0.05)
     for kind in ("zero", "random"):
         d1, d2 = _dithers(cb, kind, 11)

@@ -396,7 +396,7 @@ class TestEncoder:
 
 def _labeling_for(n_bits):
     pair = NestedLatticePair(1, 2.0 ** n_bits, 2 ** n_bits)
-    return BitLabeling([pair])
+    return BitLabeling(pair)
 
 
 class TestSecretCodec:
@@ -438,7 +438,7 @@ class TestSecretCodec:
 
     def test_partial_codebook_labeling(self):
         pair = NestedLatticePair(1, 3.0, 3)  # 3 points -> 1 labeled bit
-        lab = BitLabeling([pair])
+        lab = BitLabeling(pair)
         assert lab.n_bits == 1
         assert lab.points.shape == (2, 1)
         assert lab.index_of(lab.points[1]) == 1

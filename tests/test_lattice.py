@@ -19,7 +19,7 @@ from latsec.lattice import (NestedLatticePair, RepresentationIndex, ScaledLattic
 
 def codebook(pair):
     """All m^N codebook points of a pair, in label (lexicographic) order."""
-    return label_grid([pair], np.arange(pair.codebook_size))[1]
+    return label_grid(pair, np.arange(pair.codebook_size))[1]
 
 
 def mod_coarse(x, pair):
@@ -29,7 +29,7 @@ def mod_coarse(x, pair):
 
 def in_codebook(x, pair):
     try:
-        grid_label([pair], x)
+        grid_label(pair, x)
     except DomainError:
         return False
     return True
@@ -126,17 +126,17 @@ class TestCodebook:
             dithered_sum_secrecy_report(pair, np.zeros(8), np.zeros(8))
 
     def test_labels_count_the_product_grid(self):
-        # mixed nestings and scales: label order is itertools.product order
-        pairs = [NestedLatticePair(2, 3.0, 3), NestedLatticePair(1, 0.7, 4)]
-        values = [p.coordinate_values() for p in pairs for _ in range(p.dim)]
-        want = np.array(list(itertools.product(*values)))
-        digits, points = label_grid(pairs, np.arange(len(want)))
+        # label order is itertools.product order over the coordinates
+        pair = NestedLatticePair(3, 0.7, 3)
+        values = pair.coordinate_values()
+        want = np.array(list(itertools.product(values, repeat=3)))
+        digits, points = label_grid(pair, np.arange(len(want)))
         assert np.array_equal(points, want)
-        assert all(np.array_equal(values[j][digits[:, j]], points[:, j]) for j in range(3))
-        assert [grid_label(pairs, p) for p in points] == list(range(len(want)))
+        assert np.array_equal(values[digits], points)
+        assert [grid_label(pair, p) for p in points] == list(range(len(want)))
         for bad in ([0.0, 0.0, 0.1], [0.0, 0.0, 0.35], [0.0, 0.0], [np.inf, 0.0, 0.0]):
             with pytest.raises(DomainError):
-                grid_label(pairs, bad)
+                grid_label(pair, bad)
 
     def test_validation(self):
         with pytest.raises(ValidationError):
@@ -177,7 +177,7 @@ class TestGroupLaw:
     def test_non_member_rejected(self):
         pair = NestedLatticePair(1, 4.0, 2)
         with pytest.raises(DomainError):
-            grid_label([pair], [0.5])
+            grid_label(pair, [0.5])
 
 
 class TestDither:
@@ -255,8 +255,8 @@ class TestRate:
     def test_examples(self):
         # bits per channel use: (1/N) log2 m^N = log2 m
         for dim, m, bits in ((1, 2, 1), (1, 8, 3), (2, 4, 2)):
-            cb = LayeredCodebook((NestedLatticePair(dim, float(m), m),))
-            assert cb.n0_bits / cb.n_bar == bits == math.log2(m)
+            cb = LayeredCodebook(NestedLatticePair(dim, float(m), m))
+            assert cb.n0_bits / cb.block_dim == bits == math.log2(m)
 
 
 class TestMaskedSumUniformity:

@@ -174,11 +174,14 @@ def _fields(trees):
 
 def _attributes(trees, ctx, skip=()) -> Counter:
     """Attributes loaded (ctx ast.Load) or stored (ast.Store) under the given
-    trees, not counting those under the nodes in skip."""
+    trees, not counting those under the nodes in skip, nor loads from a name
+    `args`: those read argparse options, not dataclass fields."""
     hidden = {node for top in skip for node in ast.walk(top)}
     return Counter(node.attr for tree in trees for node in ast.walk(tree)
                    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ctx)
-                   and node not in hidden)
+                   and node not in hidden
+                   and not (ctx is ast.Load and isinstance(node.value, ast.Name)
+                            and node.value.id == "args"))
 
 
 def _bench_trees() -> list[ast.AST]:
