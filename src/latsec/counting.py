@@ -11,10 +11,30 @@ P[mu, sigma] = sum_i (-1)^(mu.i) F[sigma, i],
     N(k, sigma) = 2^-r sum_lambda (-1)^(k.lambda) P[xor_{j in lambda} h_j, sigma].
 
 A label concatenates per-coordinate index blocks, coordinate 0 in the most
-significant bits, so P factors over coordinates.  The coordinates are split
-into two halves of similar sum-alphabet size, and a row of P is the outer
-product U[mu_L] (x) V[mu_R] of two half-tables: the sum over lambda is one
-matmul per key value, and no 2^n0-by-sigma table is ever built.
+significant bits, so P factors over coordinates: P[mu, sigma] is the product
+of the per-coordinate tables G_c[mu_c, sigma_c].  The package counts with it
+in two ways.
+
+`WalshCounter.histogram` counts given hashes, as exact leakage needs.  The
+coordinates are split into two halves of similar sum-alphabet size, and a
+row of P is the outer product U[mu_L] (x) V[mu_R] of two half-tables: the
+sum over lambda is one matmul per key value, and no 2^n0-by-sigma table is
+ever built.
+
+`seed_histogram` counts every seed of r rows at once, as the key audit
+needs.  Restricted to coordinate c, a seed's rows are an r-tuple
+(mu_1..mu_r) of that coordinate's masks, chosen independently for each
+coordinate, so the seed's lambda-vector (P[xor_{j in lambda} h_j, sigma])_lambda
+is the elementwise product over coordinates of the vectors
+(G_c[xor_{j in lambda} mu_j, sigma_c])_lambda.  Each coordinate contributes
+the distinct such vectors over every r-tuple and kept sigma_c, with integer
+multiplicities; each half of the coordinates multiplies its tables out,
+keeping only distinct products; and every pair of half states gives its 2^r
+counts by one Walsh transform, weighted by the product of the two
+multiplicities.  Summing over all 2^(r n0) seeds thus touches a few
+thousand states instead of one Walsh pass per seed or row space.  At r = 0
+the one count per sigma is the window size W(sigma), so the same call gives
+the window histogram.
 
 Reflecting one coordinate's sum, sigma_j -> 2m-2-sigma_j, is a symmetry of
 the counts whenever it equals XOR-relabelling that coordinate's sender
@@ -25,16 +45,16 @@ relabelling XORs every key value with one constant, and the multiset
 coordinate keeps only sigma_j <= m-1: each sigma_j < m-1 counts twice and
 the centre sigma_j = m-1 once.  Every m = 2 or 4 coordinate folds; m = 8
 folds at even shifts, m = 16 at shifts 0, 4, 8, 12.  A coordinate that does
-not fold keeps all 2m-1 sums, each counted once.  The kept columns of each
-half-table are grouped by how many folded off-centre coordinates they hold,
-and a block pair's integer histogram is added with weight 2^(that number).
+not fold keeps all 2m-1 sums, each counted once.  `WalshCounter` groups the
+kept columns of each half-table by how many folded off-centre coordinates
+they hold and adds a block pair's histogram with weight 2^(that number);
+`seed_histogram` carries the weight 2 in the sum's multiplicity.
 
-None of this depends on the hash, so a `WalshCounter` builds it once per
-(coordinates, sign) and counts every hash of a family, or every row space of
-a key audit, against the same tables.  Counts are exact integers,
-histogrammed across chunks, blocks and hashes, so the histogram depends
-neither on how the work was chunked nor on the fold; callers evaluate
-sum N log2 N from it with `entropy.xlog2x_sum`.
+A `WalshCounter` builds its tables once per (coordinates, sign) and counts
+every hash of a family against them.  Counts are exact integers,
+histogrammed in int64 across chunks, blocks, hashes and states, so a
+histogram depends neither on how the work was chunked nor on the fold;
+callers evaluate sum N log2 N from it with `entropy.xlog2x_sum`.
 """
 from __future__ import annotations
 
@@ -51,6 +71,22 @@ import numpy as np
 # traced pass its three key audits went 0.111 -> 0.096 s and its exact
 # leakage rows 0.086 -> 0.100 s, so the pass took as long as before.
 CHUNK_CELLS = 1 << 18
+
+# Cells one `seed_histogram` call may touch in all: the histogram's bins,
+# every coordinate's tuple table, every half product before it is
+# de-duplicated and the cross of the two halves.  On the same VM a cross
+# cell cost about 6 ns and a tuple-table cell about 20 ns.  Over every m in
+# {2, 4, ..., 64, 256}, N_bar and r that the cap admits, with zero shifts, no
+# count took more than 0.83 s (m=256, N_bar=3, r=0, nearly all of it bins);
+# the m=4 audit at (N_bar=4, r=3) took 0.05 s, and (N_bar=5, r=3), whose
+# cross alone holds 5.2e7 cells, is refused.  The cap also keeps every
+# Walsh sum, at most 2^r prod(m) with both factors under the cap, below
+# 2^53, so float64 transforms the counts exactly.
+SEED_CELL_CAP = 1 << 25
+
+
+class CellCapError(RuntimeError):
+    """A seed count would touch more than SEED_CELL_CAP cells or overflow int64."""
 
 
 @dataclass(frozen=True)
@@ -112,7 +148,8 @@ def _half_blocks(kept: list[tuple[np.ndarray, np.ndarray]]) -> list[tuple[int, n
 
 
 def _balanced_cut(widths: Sequence[int]) -> int:
-    """Number of leading coordinates whose kept sums best balance the rest."""
+    """Number of leading coordinates whose product of widths (kept sums, or
+    distinct tuple-table rows) best balances the rest."""
     total = math.prod(widths)
     best_cut, best_gap = 1, float("inf")
     left = 1
@@ -122,6 +159,122 @@ def _balanced_cut(widths: Sequence[int]) -> int:
         if gap < best_gap:
             best_cut, best_gap = cut, gap
     return best_cut
+
+
+def _distinct(states: np.ndarray, mult: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of states, each with the summed multiplicity of its
+    copies.  Rows are sorted as fixed-width digits packed into int64 words,
+    so equal rows, and only they, become neighbours."""
+    low = int(states.min())
+    width = max(1, (int(states.max()) - low).bit_length())
+    per_word = 63 // width
+    words = []
+    for j in range(0, states.shape[1], per_word):
+        digits = states[:, j:j + per_word] - low
+        words.append((digits << (width * np.arange(digits.shape[1]))).sum(axis=1))
+    order = np.lexsort(words)
+    keys = np.stack(words)[:, order]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
+    starts = np.flatnonzero(first)
+    return states[order[starts]], np.add.reduceat(mult[order], starts)
+
+
+def _distinct_union(parts) -> tuple[np.ndarray, np.ndarray]:
+    """`_distinct` of the union of (states, mult) chunks, each made distinct first."""
+    parts = [_distinct(*part) for part in parts]
+    if len(parts) == 1:
+        return parts[0]
+    return _distinct(np.concatenate([s for s, _ in parts]), np.concatenate([w for _, w in parts]))
+
+
+def _tuple_table(tab: np.ndarray, off: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """One coordinate's distinct lambda-vectors (G[xor_{j in lambda} mu_j, sigma])_lambda
+    over every r-tuple of masks (mu_1..mu_r) and every kept sigma, with their
+    multiplicities; tab and off are the coordinate's `_kept_columns`."""
+    m, n_k = tab.shape[0], 1 << r
+    bits = m.bit_length() - 1
+    lam = np.arange(n_k)
+    step = max(1, CHUNK_CELLS // (n_k * tab.shape[1]))
+
+    def chunk(t0):
+        # digit j of a tuple index is row j's mask, row 0 in the top digit
+        tuples = np.arange(t0, min(t0 + step, m ** r))[:, None]
+        masks = np.zeros((tuples.size, n_k), dtype=np.int64)
+        for j in range(r):
+            masks ^= ((tuples >> (bits * (r - 1 - j))) & (m - 1)) * ((lam >> (r - 1 - j)) & 1)
+        vectors = tab[masks].transpose(0, 2, 1).reshape(-1, n_k)  # (tuple, sigma) rows
+        return vectors, np.tile(1 + off, tuples.size)
+
+    return _distinct_union(chunk(t0) for t0 in range(0, m ** r, step))
+
+
+def seed_histogram(coords: Sequence[Coordinate], sign: str, r: int) -> np.ndarray:
+    """hist[v], the number of (seed, k, sigma) with N(k, sigma) = v over every
+    seed of r hash rows on these coordinates: 2^(r n0) seeds, each with 2^r
+    key values k at every sum sigma.  At r = 0 there is one seed and one key,
+    and hist is the window histogram.  Every coordinate's m must be a power
+    of two; the histogram has prod(m) + 1 bins.
+
+    Refused with `CellCapError` before the allocation that would take the
+    cells touched past SEED_CELL_CAP, and before any work when the number of
+    (seed, k, sigma), 2^(r n0 + r) prod(2m - 1), which bounds every
+    multiplicity and bin, would overflow int64.
+    """
+    return _count_seeds([_kept_columns(c, sign) for c in coords], r)
+
+
+def _count_seeds(kept: list[tuple[np.ndarray, np.ndarray]], r: int) -> np.ndarray:
+    """`seed_histogram` from the coordinates' `_kept_columns`."""
+    n_k = 1 << r
+    ms = [tab.shape[0] for tab, _ in kept]
+    n0 = sum(m.bit_length() - 1 for m in ms)
+    total = (1 << (r * n0 + r)) * math.prod(2 * m - 1 for m in ms)
+    if total >= 1 << 63:
+        raise CellCapError(f"{total} counted (seed, key, sum) triples overflow int64")
+    spent = 0
+
+    def spend(cells: int, what: str):
+        nonlocal spent
+        spent += cells
+        if spent > SEED_CELL_CAP:
+            raise CellCapError(f"{what} take the cells touched to {spent}, "
+                               f"past cap {SEED_CELL_CAP}")
+
+    size = math.prod(ms) + 1
+    spend(size, "the histogram's bins")
+    hist = np.zeros(size, dtype=np.int64)
+    tables = []
+    for tab, off in kept:
+        spend(tab.shape[0] ** r * tab.shape[1] * n_k, "the tuple tables")
+        tables.append(_tuple_table(tab, off, r))
+
+    cut = _balanced_cut([t.shape[0] for t, _ in tables])
+    halves = []
+    for half in (tables[:cut], tables[cut:]):
+        states, mult = np.ones((1, n_k), dtype=np.int64), np.ones(1, dtype=np.int64)
+        for tab, weights in half:
+            spend(states.shape[0] * tab.shape[0] * n_k, "the half products")
+            step = max(1, CHUNK_CELLS // (tab.shape[0] * n_k))
+            states, mult = _distinct_union(
+                ((states[s0:s0 + step, None, :] * tab).reshape(-1, n_k),
+                 (mult[s0:s0 + step, None] * weights).ravel())
+                for s0 in range(0, states.shape[0], step))
+        halves.append((states.astype(np.float64), mult))
+
+    (a, a_mult), (b, b_mult) = halves
+    spend(a.shape[0] * b.shape[0] * n_k, "the cross of the halves")
+    signs = _hadamard(n_k).astype(np.float64)
+    b_chunk = max(1, min(b.shape[0], CHUNK_CELLS // n_k))
+    a_chunk = max(1, CHUNK_CELLS // (b_chunk * n_k))
+    for a0 in range(0, a.shape[0], a_chunk):
+        for b0 in range(0, b.shape[0], b_chunk):
+            walsh = (a[a0:a0 + a_chunk, None, :] * b[b0:b0 + b_chunk]) @ signs
+            # exact integers 2^r N, so truncation and the shift are exact
+            counts = walsh.astype(np.int64) >> r
+            weights = a_mult[a0:a0 + a_chunk, None] * b_mult[b0:b0 + b_chunk]
+            np.add.at(hist, counts.ravel(), np.repeat(weights.ravel(), n_k))
+    return hist
 
 
 class WalshCounter:
@@ -134,7 +287,8 @@ class WalshCounter:
     two.  `coords` and `sign` record what the tables were built for.
 
     hist_w[v] is the number of sigma whose window W(sigma), N summed over k,
-    holds v labels, which no hash changes; it has length max W + 1.
+    holds v labels, which no hash changes: `seed_histogram` at r = 0.  It has
+    prod(m) + 1 bins, the centre window's size plus one.
     """
 
     def __init__(self, coords: list[Coordinate], sign: str):
@@ -147,18 +301,7 @@ class WalshCounter:
         self._bits_right = sum(c.m.bit_length() - 1 for c in coords[cut:])
         self._u_max = float(max(np.abs(ub).max() for _, ub in self._left))
         self._v_max = float(max(np.abs(vb).max() for _, vb in self._right))
-
-        # the lambda = 0 row of P holds the plain window sizes, which bound
-        # every count; the largest is at the centre, which every coordinate keeps
-        w_max = (max(int(ub[0].max()) for _, ub in self._left)
-                 * max(int(vb[0].max()) for _, vb in self._right))
-        self.hist_w = np.zeros(w_max + 1, dtype=np.int64)
-        for ca, ub in self._left:
-            lv, lc = np.unique(ub[0], return_counts=True)
-            for cb, vb in self._right:
-                rv, rc = np.unique(vb[0], return_counts=True)
-                np.add.at(self.hist_w, np.outer(lv, rv).ravel(),
-                          np.outer(lc, rc).ravel() << (ca + cb))
+        self.hist_w = _count_seeds(kept, 0)
 
     def _blocks(self, dtype) -> tuple[list, list]:
         """The half-table blocks, held in one dtype at a time and recast block by

@@ -22,13 +22,11 @@ import numpy as np
 from ._rng import substream
 from .channel import (ChannelConfig, LayeredCodebook, MLDecoder, build_system,
                       coordinate_specs, scale_channel)
-from .counting import WalshCounter
+from .counting import CellCapError, seed_histogram
 from .entropy import xlog2x_sum
 from .errors import ConfigError, DomainError, ResourceCapError, ValidationError
-from .hashing import bits_to_int, int_to_bits, row_space_bases
+from .hashing import bits_to_int, int_to_bits
 from .lattice import NestedLatticePair, reduce_carry
-
-DEFAULT_SEED_SPACE_CAP = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -99,14 +97,15 @@ class KeySecrecyReport:
 
 def key_secrecy_report(codebook: LayeredCodebook, r: int, dithers1=None,
                        sign: str = "+") -> KeySecrecyReport:
-    """Average the key entropy over every seed (at most DEFAULT_SEED_SPACE_CAP)
-    and every eavesdropper value.
+    """Average the key entropy over every seed and every eavesdropper value.
 
     Requires a power-of-two nesting, so the labels cover the whole codebook,
     uniform independent sender and jammer points, and fixed dithers.  The
     count of sender points consistent with each observation is an integer
-    windowing problem, evaluated with a character sum once per row space of
-    the seeds.
+    windowing problem, counted for all 2^(r n0) seeds at once by
+    `counting.seed_histogram`; an audit whose count would touch more than
+    `counting.SEED_CELL_CAP` cells, or overflow int64, is refused with
+    `ResourceCapError`.
     """
     if sign not in ("+", "-"):
         raise DomainError("sign must be '+' or '-'")
@@ -115,25 +114,22 @@ def key_secrecy_report(codebook: LayeredCodebook, r: int, dithers1=None,
     n0 = codebook.n0_bits
     if r < 1 or r > n0:
         raise DomainError("key width must lie in [1, label width]")
-    seed_space = 1 << (r * n0)
-    if seed_space > DEFAULT_SEED_SPACE_CAP:
-        raise ResourceCapError(f"2^{r * n0} seeds exceed cap {DEFAULT_SEED_SPACE_CAP}")
 
-    # Sum N log2 N over every seed of r hash rows.  A seed with a d-dimensional
-    # row space L is A B, B the reduced basis of L and A one of the
-    # prod_{i<d} (2^r - 2^i) injective r-by-d maps; it keys label x as A (B x),
-    # so its histogram is B's but for the zero bin, which N log2 N ignores.
+    # Sum N log2 N over every seed of r hash rows.  A seed keys 2^r values at
+    # each sum, and the ones outside its image count 0, which N log2 N ignores.
     coords = coordinate_specs(codebook, dithers1)
-    counter = WalshCounter(coords, sign)
-    hist = sum(math.prod((1 << r) - (1 << i) for i in range(d))
-               * counter.histogram(row_space_bases(n0, d)) for d in range(r + 1))
+    try:
+        hist, hist_w = seed_histogram(coords, sign, r), seed_histogram(coords, sign, 0)
+    except CellCapError as exc:
+        raise ResourceCapError(str(exc)) from None
     values = np.arange(hist.size)
-    total_xlogx, sum_w = xlog2x_sum(values, hist), xlog2x_sum(values, counter.hist_w)
+    total_xlogx, sum_w = xlog2x_sum(values, hist), xlog2x_sum(values, hist_w)
 
     # H(K|V,Sigma) = E[log2 W] - 2^(-r n0) M^(-2) sum_{v,sigma,k} N log2 N, with
     # the uniform weight p(sigma)/W(sigma) = 1/M^2 on each observation
     m_total = codebook.size
     sigma_space = math.prod(2 * c.m - 1 for c in coords)
+    seed_space = 1 << (r * n0)
     h = sum_w / (m_total * m_total) - total_xlogx / (float(seed_space) * m_total * m_total)
 
     budget_c = 2 * math.log2(m_total) - math.log2(sigma_space)

@@ -149,7 +149,8 @@ def per_candidate_leakages(codebook: LayeredCodebook, r0: int, dithers1, sign: s
 
 def multiset_key_audit(codebook: LayeredCodebook, r: int, dithers1, sign: str) -> float:
     """`extractor.key_secrecy_report`'s h_key_given_view, summed over seeds by
-    multisets of rows instead of row spaces.
+    multisets of rows, one `WalshCounter.histogram` pass each, instead of
+    `counting.seed_histogram`'s products of per-coordinate states.
 
     Permuting a seed's rows permutes the key bits and leaves the multiset of
     counts unchanged, so each multiset of r rows is counted once, weighted by

@@ -80,7 +80,7 @@ class TestScaling:
                 ChannelConfig(**kwargs)
 
 
-class TestCodebookStack:
+class TestCodebook:
     def test_rates(self):
         cb = LayeredCodebook(NestedLatticePair(3, 4.0, 4))
         assert cb.block_dim == 3

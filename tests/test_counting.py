@@ -1,17 +1,19 @@
 """The Walsh counting kernel against the enumeration route and a brute-force
-oracle, its reflection fold, its reuse across hashes, its chunking and its
-memory."""
+oracle, its reflection fold, its reuse across hashes, the all-seed count,
+its chunking, its cell cap and its memory."""
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_force_histograms
 from latsec import counting
 from latsec.channel import exact_leakage, make_codebook, random_dithers, select_secrecy_hash
-from latsec.counting import Coordinate, WalshCounter, reflection_folds
+from latsec.counting import (CellCapError, Coordinate, WalshCounter, reflection_folds,
+                             seed_histogram)
 from latsec.extractor import key_secrecy_report
 from latsec.hashing import FiniteFieldMatrix, sample_linear_hash
 
@@ -67,6 +69,32 @@ def test_kernel_matches_brute_force_histogram(instance):
     assert hist_w.tolist() == want_w.tolist()
 
 
+@st.composite
+def seed_count_instances(draw):
+    coords = [Coordinate(m, draw(st.integers(0, m - 1)))
+              for m in draw(st.lists(st.sampled_from([2, 4, 8]), min_size=1, max_size=3))]
+    n0 = sum(c.m.bit_length() - 1 for c in coords)
+    assume(n0 <= 8)
+    return coords, draw(st.sampled_from(["+", "-"])), draw(st.integers(0, 8 // n0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed_count_instances())
+@example(([Coordinate(8, 3)], "+", 2))       # an unfolded coordinate
+@example(([Coordinate(8, 5), Coordinate(2, 1)], "-", 2))
+@example(([Coordinate(4, 1), Coordinate(2, 0), Coordinate(4, 2)], "+", 0))
+def test_seed_histogram_matches_brute_force_over_every_seed(instance):
+    # every r-row seed, each row an n0-bit integer, through the brute-force
+    # oracle: the histograms agree bin for bin, keys outside a seed's image
+    # (the zero bin) included; at r = 0 the count is the window histogram
+    coords, sign, r = instance
+    n0 = sum(c.m.bit_length() - 1 for c in coords)
+    seeds = list(itertools.product(range(1 << n0), repeat=r))
+    want, want_w = brute_force_histograms(coords, sign, seeds)
+    assert seed_histogram(coords, sign, r).tolist() == (want if r else want_w).tolist()
+    assert seed_histogram(coords, sign, 0).tolist() == WalshCounter(coords, sign).hist_w.tolist()
+
+
 def test_counter_reuse_matches_fresh_counters():
     # four m = 16 coordinates: the Walsh bound 2^r * 256 * 256 reaches 2^24 at
     # r = 8, so that call counts in float64 and the others in float32; one
@@ -106,22 +134,59 @@ def test_reflection_folds_exactly_at_xor_shifts(m, folding, sign):
     assert {s for s in range(m) if reflection_folds(Coordinate(m, s), sign)} == folding
 
 
-# Every column block here is narrower than Lambda (16 and 8 for the two
-# leakage hashes, 4 in the audit), so the signed product, not the count
-# array, sets the chunk: 7 and 100 cells give one row of a block per matmul
-# and one seed per chunk; 2000 gives several of both, and 300 several for
-# the 3-row hash and the audit.
+# Every column block of the two leakage hashes is narrower than Lambda (16
+# and 8), so the signed product, not the count array, sets the chunk: 7 and
+# 100 cells give one row of a block per matmul and one seed per chunk; 2000
+# gives several of both, and 300 several for the 3-row hash.  The audits'
+# all-seed counts chunk the (4, 3, 2) audit's tuple tables and the half
+# product of its two right coordinates at every size but 2000, and the
+# cross of the (4, 2, 3) audit's halves at every size, down to one tuple,
+# one state row and one pair of states a chunk at 7 cells.
 @pytest.mark.parametrize("cells", [7, 100, 300, 2000])
 def test_figures_do_not_depend_on_chunking(monkeypatch, cells):
     cb = make_codebook(4, 3)
     d1 = random_dithers(cb, np.random.default_rng(1))
     hashes = [sample_linear_hash(r0, cb.n0_bits, 5) for r0 in (3, 4)]
-    audit_cb = make_codebook(2, 3)
+    audits = [(make_codebook(4, 2), 3, None, "+"), (cb, 2, d1, "-")]
     leaks = [exact_leakage(cb, g, d1, "-") for g in hashes]
-    audit = key_secrecy_report(audit_cb, 2, sign="+")
+    reports = [key_secrecy_report(*audit) for audit in audits]
     monkeypatch.setattr(counting, "CHUNK_CELLS", cells)
     assert [exact_leakage(cb, g, d1, "-") for g in hashes] == leaks
-    assert key_secrecy_report(audit_cb, 2, sign="+") == audit
+    assert [key_secrecy_report(*audit) for audit in audits] == reports
+
+
+@pytest.mark.parametrize("coords, r, cap, stage, table_mib", [
+    ([Coordinate(16, 0)] * 5, 1, 1 << 19, "histogram's bins", 8),
+    ([Coordinate(16, 0)], 4, 1 << 20, "tuple tables", 128),
+    ([Coordinate(8, 0)] * 3, 3, 200_000, "half products", 7.5),
+    ([Coordinate(4, 0)] * 5, 3, None, "cross of the halves", 390),
+], ids=["bins", "tuple-tables", "half-products", "cross"])
+def test_cell_cap_refuses_before_allocating(monkeypatch, coords, r, cap, stage, table_mib):
+    # each check runs before the allocation it guards: the refused table
+    # (table_mib of int64 or float64) is never built
+    if cap is not None:
+        monkeypatch.setattr(counting, "SEED_CELL_CAP", cap)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CellCapError, match=stage):
+            seed_histogram(coords, "+", r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < table_mib * 2 ** 20 / 4
+
+
+def test_seed_histogram_refuses_int64_overflow():
+    # (N_bar=10, r=2) at m=4 counts 2^42 seeds x 4 keys x 7^10 sums, 1.2e21
+    # triples, which would wrap around in int64; refused before any work
+    tracemalloc.start()
+    try:
+        with pytest.raises(CellCapError, match="overflow int64"):
+            seed_histogram([Coordinate(4, 0)] * 10, "+", 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 16
 
 
 def test_peak_memory_of_largest_leakage():
@@ -140,7 +205,8 @@ def test_peak_memory_of_largest_leakage():
 
 def test_peak_memory_of_widest_key_audit():
     # the (N_bar=4, r=2) audit of the keygen benchmark: its chunk intermediates
-    # peaked at 13.85 MiB with 2^20-cell chunks and 3.85 MiB with 2^18
+    # peaked at 13.85 MiB with 2^20-cell chunks and 3.85 MiB with 2^18, one
+    # Walsh pass per row space; the all-seed count peaks near 1.3 MiB
     cb = make_codebook(4, 4)
     tracemalloc.start()
     try:

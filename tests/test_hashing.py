@@ -21,7 +21,7 @@ from latsec.hashing import (SOURCE_SUPPORT_CAP, BitLabeling, FiniteFieldMatrix,
                             full_rank_fraction_exhaustive, full_rank_fraction_mc,
                             full_rank_lower_bound, geometric_bit_source,
                             gf2_ranks, int_to_bits, privacy_amp_bound,
-                            row_space_bases, sample_linear_hash, secret_rate_select)
+                            sample_linear_hash, secret_rate_select)
 from latsec.lattice import NestedLatticePair
 
 
@@ -189,35 +189,6 @@ class TestFullRank:
         # too many trials, a row count past the chunk size, or both
         with pytest.raises(ResourceCapError, match="elimination cap"):
             full_rank_fraction_mc(r, 16, trials)
-
-
-class TestRowSpaces:
-    @pytest.mark.parametrize("n", range(1, 7))
-    def test_one_basis_per_subspace(self, n):
-        for d in range(n + 1):
-            bases = row_space_bases(n, d).tolist()
-            gaussian = (math.prod((1 << (n - i)) - 1 for i in range(d))
-                        // math.prod((1 << (d - i)) - 1 for i in range(d)))
-            assert len(bases) == gaussian and all(len(b) == d for b in bases)
-            assert all(gf2_rank_ints(b) == d for b in bases)
-            assert (gf2_ranks(row_space_bases(n, d)) == d).all()
-            spans = set()
-            for basis in bases:
-                span = {0}
-                for row in basis:
-                    span |= {x ^ row for x in span}
-                spans.add(frozenset(span))
-            assert len(spans) == gaussian  # distinct bases span distinct subspaces
-
-    @pytest.mark.parametrize("n", range(1, 7))
-    def test_seeds_per_row_space_sum_to_every_seed(self, n):
-        # an r-row seed spans a d-dimensional L through one of
-        # prod_{i<d} (2^r - 2^i) injective maps onto L's basis
-        for r in range(1, n + 1):
-            seeds = sum(len(row_space_bases(n, d))
-                        * math.prod((1 << r) - (1 << i) for i in range(d))
-                        for d in range(r + 1))
-            assert seeds == 1 << (r * n)
 
 
 class TestPrivacyAmpBound:
